@@ -13,13 +13,11 @@ from .truthtable import (  # noqa: F401
     bounds,
     covering_radius_bound,
     fitness,
-    fitness_parts,
     hadamard_transform,
     nonlinearity,
     odd_upper_bound,
     property_report,
     quadratic_bound,
-    spectrum_profile,
     walsh_transform,
 )
 

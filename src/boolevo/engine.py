@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -168,25 +168,6 @@ def deserialize_genotype(data: dict):
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
-def decode_genotype_to_table(genotype) -> TruthTable:
-    """Truth table of a wrapped genotype of any encoding."""
-    if isinstance(genotype, BitstringGenotype):
-        n = genotype.bits.shape[0].bit_length() - 1
-        if genotype.mode == ROTATION:
-            from .orbits import compute_orbits
-
-            for n_try in range(1, 17):
-                if compute_orbits(n_try).num_orbits == genotype.bits.shape[0]:
-                    return decode_bitstring(genotype, n_try)
-            raise ValueError("orbit-bit count matches no dimension")
-        return decode_bitstring(genotype, n)
-    if isinstance(genotype, FloatGenotype):
-        raise ValueError("float genotypes need an explicit dimension; use decode_float_genotype")
-    if isinstance(genotype, GpTree):
-        return evaluate_tree(genotype)
-    raise ValueError(f"not a wrapped genotype: {genotype!r}")
-
-
 # ---------------------------------------------------------------------------
 # run records
 
@@ -221,7 +202,15 @@ class RunRecord:
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("a run record must be a JSON object")
         data.setdefault("wall_time_s", None)
+        names = {field.name for field in fields(cls)}
+        unknown, missing = sorted(data.keys() - names), sorted(names - data.keys())
+        if unknown or missing:
+            raise ValueError(
+                f"run record has unknown keys {unknown} and missing keys {missing}"
+            )
         return cls(**data)
 
 

@@ -5,9 +5,16 @@ they use an exact integer key ``(nl << n) + (2**n - num_max)`` so comparisons
 cannot suffer rounding artefacts.  ``key / 2**n`` reproduces the float
 fitness exactly (both terms are dyadic rationals).
 
-All spectrum paths below are numerically exact: Walsh values are integers of
-magnitude at most ``2**n <= 65536``, far below the 2**24 threshold where
-float32 accumulation of integers could round.
+General-space spectra use the Kronecker factorisation of the Hadamard
+matrix (Fino & Algazi, IEEE Trans. Computers, 1976): with ``a = n // 2`` and
+``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}``, so the spectrum of a sign
+vector ``s`` is ``Ha @ s.reshape(2**a, 2**b) @ Hb`` and the row of ``H_{2^n}``
+for position ``hi * 2**b + lo`` is ``Ha[hi] (x) Hb[lo]``.  Rotation-symmetric
+spectra are one product of the orbit sign vector with the orbit sign patterns.
+
+Every spectrum path is exact in float32: each partial sum of either product
+is an integer of magnitude at most ``2**n <= 2**16``, far below the ``2**24``
+threshold above which float32 integers could round.
 """
 
 from __future__ import annotations
@@ -20,11 +27,7 @@ import numpy as np
 
 from .encodings import GENERAL, ROTATION, float_bits, tree_truth_bits
 from .orbits import compute_orbits, orbit_sign_patterns
-from .truthtable import hadamard_transform
-
-#: Dimensions up to which the dense Hadamard matrix is cached for the
-#: matrix-product spectrum path (2**11 x 2**11 float32 = 16 MiB).
-MATRIX_PATH_MAX_N = 11
+from .truthtable import hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
 EXHAUSTED_TIME = "time"
@@ -38,14 +41,14 @@ class BudgetExhausted(Exception):
         self.reason = reason
 
 
+#: Sign of each truth-table bit, indexed by the bit.
+_SIGNS = np.array([1.0, -1.0], dtype=np.float32)
+
+
 @lru_cache(maxsize=None)
-def _hadamard_float(n: int) -> np.ndarray:
-    index = np.arange(1 << n, dtype=np.uint32)
-    overlap = index[:, None] & index[None, :]
-    parity = np.zeros(overlap.shape, dtype=np.uint8)
-    for shift in range(n):
-        parity ^= ((overlap >> shift) & 1).astype(np.uint8)
-    h = (1.0 - 2.0 * parity).astype(np.float32)
+def _hadamard_factor(m: int) -> np.ndarray:
+    """Float32 ``H_{2^m}``, built by the reference butterfly."""
+    h = hadamard_transform(np.eye(1 << m)).astype(np.float32)
     h.flags.writeable = False
     return h
 
@@ -55,15 +58,6 @@ def _patterns_float(n: int) -> np.ndarray:
     p = orbit_sign_patterns(n).astype(np.float32)
     p.flags.writeable = False
     return p
-
-
-def spectrum_key(spectrum: np.ndarray, n: int) -> tuple[int, int]:
-    """Exact ``(fitness key, nonlinearity)`` of a Walsh spectrum vector."""
-    mags = np.abs(spectrum)
-    peak = int(mags.max())
-    count = int(np.count_nonzero(mags == peak))
-    nl = (1 << (n - 1)) - peak // 2
-    return (nl << n) + ((1 << n) - count), nl
 
 
 def key_to_fitness(key: int, n: int) -> float:
@@ -120,10 +114,9 @@ class FitnessEvaluator:
         if mode == ROTATION:
             self._orbits = compute_orbits(n)
             self._patterns = _patterns_float(n)
-        elif n <= MATRIX_PATH_MAX_N:
-            self._hadamard = _hadamard_float(n)
         else:
-            self._hadamard = None
+            self._ha = _hadamard_factor(n // 2)
+            self._hb = _hadamard_factor(n - n // 2)
 
     @property
     def genotype_length(self) -> int:
@@ -159,10 +152,8 @@ class FitnessEvaluator:
         return self._spectrum_general(genotype)
 
     def _spectrum_general(self, bits: np.ndarray) -> np.ndarray:
-        if self._hadamard is not None:
-            signs = 1.0 - 2.0 * bits.astype(np.float32)
-            return signs @ self._hadamard
-        return hadamard_transform(1 - 2 * bits.astype(np.int64))
+        signs = _SIGNS[bits].reshape(len(self._ha), len(self._hb))
+        return (self._ha @ signs @ self._hb).reshape(-1)
 
     def _spectrum_orbit(self, orbit_bits: np.ndarray) -> np.ndarray:
         signs = 1.0 - 2.0 * orbit_bits.astype(np.float32)
@@ -172,11 +163,8 @@ class FitnessEvaluator:
         """Spectrum delta direction for flipping one genotype bit."""
         if self.mode == ROTATION:
             return self._patterns[position]
-        if self._hadamard is not None:
-            return self._hadamard[position]
-        index = np.arange(1 << self.n, dtype=np.uint64)
-        parity = np.bitwise_count(index & np.uint64(position)).astype(np.int64) & 1
-        return (1 - 2 * parity).astype(np.float64)
+        hi, lo = divmod(position, len(self._hb))
+        return (self._ha[hi, :, None] * self._hb[lo]).reshape(-1)
 
 
 class BitFlipSession:

@@ -129,9 +129,6 @@ class WalshSpectrum:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def max_abs(self) -> int:
-        return int(np.max(np.abs(self.values)))
-
 
 def hadamard_transform(values: np.ndarray) -> np.ndarray:
     """Apply the unnormalised Hadamard butterfly along the last axis.
@@ -160,34 +157,31 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(table.n, hadamard_transform(signs))
 
 
-def nonlinearity(spectrum: WalshSpectrum) -> int:
-    """Minimum Hamming distance to the affine functions."""
-    return (1 << (spectrum.n - 1)) - spectrum.max_abs() // 2
+def spectrum_key(spectrum: np.ndarray, n: int) -> tuple[int, int]:
+    """Exact ``(fitness key, nonlinearity)`` of a vector of Walsh values.
 
-
-def spectrum_profile(spectrum: WalshSpectrum) -> tuple[int, int, int]:
-    """Return ``(nonlinearity, max |W|, multiplicity of the max)``."""
-    mags = np.abs(spectrum.values)
+    The key is ``(nl << n) + (2**n - count)``, where ``count`` is how often
+    the peak ``max |W| = 2**n - 2 * nl`` occurs.  The second term rewards
+    spectra whose extreme value occurs rarely; it is always in
+    ``0..2**n - 1``, so it can never lift the key past the next
+    nonlinearity level.
+    """
+    mags = np.abs(spectrum)
     peak = int(mags.max())
     count = int(np.count_nonzero(mags == peak))
-    return (1 << (spectrum.n - 1)) - peak // 2, peak, count
+    nl = (1 << (n - 1)) - peak // 2
+    return (nl << n) + ((1 << n) - count), nl
 
 
-def fitness_parts(table: TruthTable) -> tuple[int, int]:
-    """Return ``(nonlinearity, 2**n - multiplicity of max |W|)``.
-
-    The second part rewards spectra whose extreme value occurs rarely; it is
-    always in ``0..2**n - 1``, so as a fraction of ``2**n`` it can never lift
-    the fitness past the next nonlinearity level.
-    """
-    nl, _, count = spectrum_profile(walsh_transform(table))
-    return nl, (1 << table.n) - count
+def nonlinearity(spectrum: WalshSpectrum) -> int:
+    """Minimum Hamming distance to the affine functions."""
+    return spectrum_key(spectrum.values, spectrum.n)[1]
 
 
 def fitness(table: TruthTable) -> float:
-    """Nonlinearity plus the fractional tie-break of :func:`fitness_parts`."""
-    nl, frac = fitness_parts(table)
-    return nl + frac / (1 << table.n)
+    """Nonlinearity plus the tie-break of :func:`spectrum_key`, as ``key / 2**n``."""
+    key, _ = spectrum_key(walsh_transform(table).values, table.n)
+    return key / (1 << table.n)
 
 
 def balancedness(table: TruthTable) -> tuple[bool, int]:
@@ -210,17 +204,17 @@ class PropertyReport:
 
 
 def property_report(table: TruthTable) -> PropertyReport:
-    spectrum = walsh_transform(table)
-    nl, peak, count = spectrum_profile(spectrum)
+    size = 1 << table.n
+    key, nl = spectrum_key(walsh_transform(table).values, table.n)
     balanced, hw = balancedness(table)
     return PropertyReport(
         n=table.n,
         nonlinearity=nl,
         balanced=balanced,
         hamming_weight=hw,
-        max_abs_walsh=peak,
-        num_max_values=count,
-        fitness=nl + ((1 << table.n) - count) / (1 << table.n),
+        max_abs_walsh=size - 2 * nl,
+        num_max_values=size - (key - (nl << table.n)),
+        fitness=key / size,
     )
 
 

@@ -220,6 +220,16 @@ def test_record_round_trip():
     assert "wall_time_s" in timed
 
 
+def test_record_from_json_names_bad_keys():
+    data = json.loads(run(small_config()).to_json())
+    data["colour"] = "red"
+    del data["seed"]
+    with pytest.raises(ValueError, match=r"unknown keys \['colour'\].*missing keys \['seed'\]"):
+        RunRecord.from_json(json.dumps(data))
+    with pytest.raises(ValueError, match="JSON object"):
+        RunRecord.from_json("[1, 2]")
+
+
 def test_record_json_is_canonical():
     record = run(small_config())
     line = record.to_json()

@@ -14,12 +14,14 @@ from boolevo.evaluation import (
     spectrum_key,
 )
 from boolevo.orbits import compute_orbits, expand
-from boolevo.truthtable import TruthTable, fitness, spectrum_profile, walsh_transform
+from boolevo.truthtable import TruthTable, fitness, walsh_transform
 
 
 def reference_key(bits, n):
-    nl, _, count = spectrum_profile(walsh_transform(TruthTable(n, bits)))
-    return (nl << n) + ((1 << n) - count), nl
+    mags = [abs(int(w)) for w in walsh_transform(TruthTable(n, bits)).values]
+    peak = max(mags)
+    nl = (1 << (n - 1)) - peak // 2
+    return (nl << n) + ((1 << n) - mags.count(peak)), nl
 
 
 def test_spectrum_key_matches_reference_profile():
@@ -35,8 +37,7 @@ def test_spectrum_key_matches_reference_profile():
 
 def test_general_bitstring_path_exact():
     rng = np.random.default_rng(42)
-    # n=12 exceeds the dense-matrix window, exercising the butterfly fallback
-    for n in (3, 7, 11, 12):
+    for n in (1, 2, 3, 7, 11, 12, 13):
         ev = FitnessEvaluator(n, "bitstring")
         for _ in range(5):
             bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
@@ -123,7 +124,9 @@ def test_time_limit_triggers():
 
 def test_bitflip_session_matches_full_reevaluation():
     rng = np.random.default_rng(46)
-    for n, mode in ((5, "general"), (7, ROTATION), (9, ROTATION)):
+    for n, mode in (
+        (5, "general"), (9, "general"), (12, "general"), (7, ROTATION), (9, ROTATION)
+    ):
         ev = FitnessEvaluator(n, "bitstring", mode)
         length = ev.genotype_length
         bits = rng.integers(0, 2, length, dtype=np.uint8)

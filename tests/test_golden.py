@@ -1,0 +1,56 @@
+"""Golden records: small runs over every encoding, mode, local search and
+spectrum path must replay to the committed canonical JSON, byte for byte.
+
+``golden/runs.jsonl`` holds one canonical record per entry of ``GOLDEN``, in
+order.  A change that means to alter run behaviour regenerates the file and
+says why; any other change must leave it untouched.  Regenerate from the
+repository root with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from boolevo.engine import RunConfig, run
+
+GOLDEN_FILE = Path(__file__).parent / "golden" / "runs.jsonl"
+
+_N7 = dict(n=7, population_size=20, evaluation_budget=400, seed=11)
+
+GOLDEN = {
+    "tt-n7": dict(_N7),
+    "tt-ri-n7": dict(_N7, mode="rs"),
+    "fp-sst-n7": dict(_N7, encoding="float", decode=4),
+    "fp-sst-ri-n7": dict(_N7, encoding="float", mode="rs", decode=4),
+    "fp-de-n7": dict(_N7, encoding="float", decode=4, algorithm="de"),
+    "gp-n5": dict(n=5, encoding="tree", population_size=20, evaluation_budget=200, seed=12),
+    "tt-ri-ls1-n9": dict(
+        n=9, mode="rs", ls="ls1", population_size=20, evaluation_budget=600, seed=13
+    ),
+    "tt-ls2-n9": dict(n=9, ls="ls2", population_size=20, evaluation_budget=1_200, seed=14),
+    "tt-ls3-n7": dict(_N7, ls="ls3", evaluation_budget=600),
+    "tt-n11": dict(n=11, population_size=10, evaluation_budget=40, seed=15),
+    "tt-n13": dict(n=13, population_size=10, evaluation_budget=30, seed=16),
+    "tt-ls2-n12": dict(n=12, ls="ls2", population_size=10, evaluation_budget=300, seed=17),
+}
+
+
+def golden_line(name: str) -> str:
+    return run(RunConfig(**GOLDEN[name])).to_json()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_record(name):
+    lines = GOLDEN_FILE.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(GOLDEN)
+    assert golden_line(name) == lines[list(GOLDEN).index(name)]
+
+
+if __name__ == "__main__":
+    GOLDEN_FILE.parent.mkdir(exist_ok=True)
+    GOLDEN_FILE.write_text(
+        "".join(golden_line(name) + "\n" for name in GOLDEN), encoding="utf-8"
+    )
+    print(f"wrote {len(GOLDEN)} records to {GOLDEN_FILE}")

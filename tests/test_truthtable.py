@@ -23,13 +23,11 @@ from boolevo.truthtable import (
     bounds,
     covering_radius_bound,
     fitness,
-    fitness_parts,
     hadamard_transform,
     nonlinearity,
     odd_upper_bound,
     property_report,
     quadratic_bound,
-    spectrum_profile,
     walsh_transform,
 )
 
@@ -129,12 +127,13 @@ def test_fitness_tie_break_never_reaches_next_level():
     for n in range(2, 9):
         for _ in range(20):
             tt = random_table(n, rng)
-            nl, frac = fitness_parts(tt)
+            spectrum = walsh_transform(tt)
+            mags = [abs(int(w)) for w in spectrum.values]
+            count = mags.count(max(mags))
+            nl = nonlinearity(spectrum)
             value = fitness(tt)
             assert nl <= value < nl + 1
-            assert value == nl + frac / (1 << n)
-            _, peak, count = spectrum_profile(walsh_transform(tt))
-            assert frac == (1 << n) - count
+            assert value == nl + ((1 << n) - count) / (1 << n)
             assert 1 <= count <= 1 << n
 
 
