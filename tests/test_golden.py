@@ -34,6 +34,14 @@ GOLDEN = {
     "tt-n11": dict(n=11, population_size=10, evaluation_budget=40, seed=15),
     "tt-n13": dict(n=13, population_size=10, evaluation_budget=30, seed=16),
     "tt-ls2-n12": dict(n=12, ls="ls2", population_size=10, evaluation_budget=300, seed=17),
+    "gp-caps-n7": dict(
+        n=7, encoding="tree", population_size=30, evaluation_budget=600,
+        max_depth=4, max_nodes=25, seed=18,
+    ),
+    "gp-ls1-n5": dict(
+        n=5, encoding="tree", population_size=20, evaluation_budget=400,
+        ls="ls1", ls_fraction=0.1, seed=19,
+    ),
 }
 
 
