@@ -41,8 +41,9 @@ except ValueError as e:
     print("20 x 3 bits rejected:", e)
 print()
 
-# 3. expression tree over x1..xn with Boolean operators
-tree = GpTree(("IF", ("x", 1), ("AND2", ("x", 2), ("x", 3)), ("NOT", ("x", 2))), 3)
+# 3. expression tree over x1..xn with Boolean operators, stored as one flat
+#    preorder tuple: operator names for inner nodes, variable indices for leaves
+tree = GpTree(("IF", 1, "AND2", 2, 3, "NOT", 2), 3)
 print("tree", tree_to_text(tree.root))
 tt = evaluate_tree(tree)
 print("evaluates to", tt.bits.tolist(), "nl =", nonlinearity(walsh_transform(tt)))

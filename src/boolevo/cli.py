@@ -33,7 +33,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--population-size", type=int, default=50)
     parser.add_argument("--budget", type=int, default=100_000, dest="evaluation_budget")
     parser.add_argument("--p-mutation", type=float, default=0.5)
-    parser.add_argument("--decode", type=int, default=3, help="bits per float entry")
+    # 4 divides 2**n for every n >= 2 and the orbit count for every odd n
+    # from 3 to 15, so float searches run with their defaults
+    parser.add_argument("--decode", type=int, default=4, help="bits per float entry")
     parser.add_argument("--max-depth", type=int, default=7)
     parser.add_argument("--max-nodes", type=int, default=500)
     parser.add_argument("--de-weight", type=float, default=0.5)

@@ -1,12 +1,17 @@
 """Genotype encodings: bitstrings, float vectors and Boolean expression trees.
 
-Trees are nested tuples.  A leaf is ``("x", v)`` for variable ``v`` in
-``1..n``; an inner node is ``(op, child, ...)`` with the operator name first.
-Tuples make genotypes hashable and cheap to copy by reference.
+A tree is one flat tuple of tokens in preorder: an operator name for an
+inner node, the variable index ``v`` in ``1..n`` for the leaf ``x_v``.
+``IF(x1, AND2(x2, x3), NOT(x2))`` is ``("IF", 1, "AND2", 2, 3, "NOT", 2)``.
+A node is addressed by its preorder index, the subtree rooted there is the
+slice ``tree[i:subtree_end(tree, i)]`` and its size is that slice's length.
+Trees are validated where they enter (:class:`GpTree`, :func:`evaluate_tree`
+on a bare tree); the evaluator trusts them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -14,8 +19,6 @@ import numpy as np
 
 from .orbits import OrbitTable, compute_orbits, expand
 from .truthtable import TruthTable, _check_dimension
-
-VAR = "x"
 
 #: Operator name -> arity.  AND2 is the masking conjunction a AND NOT b,
 #: IF(a, b, c) returns b where a is true and c elsewhere.
@@ -91,7 +94,7 @@ class FloatGenotype:
 
 @dataclass(frozen=True)
 class GpTree:
-    """Expression-tree genotype over x1..xn."""
+    """Expression-tree genotype over x1..xn: a flat preorder tuple, validated here."""
 
     root: Tree
     n: int
@@ -105,157 +108,115 @@ class GpTree:
 # tree structure helpers
 
 
-def _validate_tree(node: Tree, n: int) -> None:
-    if not isinstance(node, tuple) or not node:
-        raise ValueError(f"malformed tree node {node!r}")
-    tag = node[0]
-    if tag == VAR:
-        if len(node) != 2 or not 1 <= node[1] <= n:
-            raise ValueError(f"leaf {node!r} out of range for n={n}")
-        return
-    arity = OPERATOR_ARITY.get(tag)
-    if arity is None:
-        raise ValueError(f"unknown operator {tag!r}")
-    if len(node) != arity + 1:
-        raise ValueError(f"{tag} expects {arity} children, got {len(node) - 1}")
-    for child in node[1:]:
-        _validate_tree(child, n)
+def _validate_tree(tree: Tree, n: int) -> None:
+    if not isinstance(tree, tuple) or not tree:
+        raise ValueError(f"a tree must be a non-empty tuple of tokens, got {tree!r}")
+    open_slots = 1
+    for pos, token in enumerate(tree):
+        if not open_slots:
+            raise ValueError(f"trailing tokens after a complete tree at position {pos}")
+        if type(token) is int:
+            if not 1 <= token <= n:
+                raise ValueError(f"leaf {token} out of range for n={n}")
+        elif not isinstance(token, str) or token not in OPERATOR_ARITY:
+            raise ValueError(f"unknown operator {token!r}")
+        open_slots += OPERATOR_ARITY.get(token, 0) - 1
+    if open_slots:
+        raise ValueError(f"incomplete tree: {open_slots} operand(s) missing")
 
 
-def tree_size(node: Tree) -> int:
-    """Total node count."""
-    if node[0] == VAR:
-        return 1
-    return 1 + sum(tree_size(child) for child in node[1:])
+def subtree_end(tree: Tree, index: int) -> int:
+    """End of the subtree rooted at preorder ``index``: it is ``tree[index:end]``."""
+    open_slots = 1
+    while open_slots:
+        open_slots += OPERATOR_ARITY.get(tree[index], 0) - 1
+        index += 1
+    return index
 
 
-def tree_depth(node: Tree) -> int:
+def node_depths(tree: Tree) -> list[int]:
+    """Depth of every node in preorder; the root has depth 0."""
+    depths: list[int] = []
+    pending = [0]  # depths of the nodes still to come, next one on top
+    for token in tree:
+        depth = pending.pop()
+        depths.append(depth)
+        arity = OPERATOR_ARITY.get(token, 0)
+        if arity:
+            pending += [depth + 1] * arity
+    return depths
+
+
+def tree_depth(tree: Tree) -> int:
     """Edges on the longest root-to-leaf path; a lone leaf has depth 0."""
-    if node[0] == VAR:
-        return 0
-    return 1 + max(tree_depth(child) for child in node[1:])
+    deepest = 0
+    pending = [0]  # as in node_depths
+    for token in tree:
+        depth = pending.pop()
+        arity = OPERATOR_ARITY.get(token, 0)
+        if arity:
+            pending += [depth + 1] * arity
+        elif depth > deepest:
+            deepest = depth
+    return deepest
 
 
-def subtree_at(node: Tree, index: int) -> Tree:
+def subtree_at(tree: Tree, index: int) -> Tree:
     """Subtree rooted at preorder position ``index`` (root is 0)."""
-    found = _find_preorder(node, index)
-    if found is None:
+    if not 0 <= index < len(tree):
         raise IndexError(f"preorder index {index} out of range")
-    return found
+    return tree[index : subtree_end(tree, index)]
 
 
-def _find_preorder(node: Tree, index: int):
-    if index == 0:
-        return node
-    index -= 1
-    if node[0] != VAR:
-        for child in node[1:]:
-            size = tree_size(child)
-            if index < size:
-                return _find_preorder(child, index)
-            index -= size
-    return None
-
-
-def replace_at(node: Tree, index: int, replacement: Tree) -> Tree:
+def replace_at(tree: Tree, index: int, replacement: Tree) -> Tree:
     """Copy of the tree with the subtree at preorder ``index`` swapped out."""
-    result = _replace_preorder(node, index, replacement)
-    if result is None:
+    if not 0 <= index < len(tree):
         raise IndexError(f"preorder index {index} out of range")
-    return result
-
-
-def _replace_preorder(node: Tree, index: int, replacement: Tree):
-    if index == 0:
-        return replacement
-    index -= 1
-    if node[0] == VAR:
-        return None
-    children = list(node[1:])
-    for pos, child in enumerate(children):
-        size = tree_size(child)
-        if index < size:
-            swapped = _replace_preorder(child, index, replacement)
-            if swapped is None:
-                return None
-            children[pos] = swapped
-            return (node[0],) + tuple(children)
-        index -= size
-    return None
-
-
-def node_depths(node: Tree) -> list[int]:
-    """Depth of every node in preorder, matching :func:`subtree_at` indexing."""
-    out: list[int] = []
-
-    def walk(t: Tree, d: int) -> None:
-        out.append(d)
-        if t[0] != VAR:
-            for child in t[1:]:
-                walk(child, d + 1)
-
-    walk(node, 0)
-    return out
+    return tree[:index] + replacement + tree[subtree_end(tree, index) :]
 
 
 # ---------------------------------------------------------------------------
 # tree text form
 
 
-def tree_to_text(node: Tree) -> str:
+def tree_to_text(tree: Tree) -> str:
     """Serialize to prefix text, e.g. ``IF(x1, AND2(x2, x3), NOT(x4))``."""
-    if node[0] == VAR:
-        return f"x{node[1]}"
-    return f"{node[0]}({', '.join(tree_to_text(child) for child in node[1:])})"
+    stack: list[str] = []
+    for token in reversed(tree):
+        arity = OPERATOR_ARITY.get(token, 0)
+        if not arity:
+            stack.append(f"x{token}")
+            continue
+        children = [stack.pop() for _ in range(arity)]
+        stack.append(f"{token}({', '.join(children)})")
+    return stack.pop()
 
 
 def tree_from_text(text: str) -> Tree:
-    """Parse the output of :func:`tree_to_text`."""
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse() -> Tree:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        token = text[start:pos]
-        if not token:
-            raise ValueError(f"parse error at position {start} in {text!r}")
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            if token not in OPERATOR_ARITY:
-                raise ValueError(f"unknown operator {token!r}")
-            pos += 1
-            children = [parse()]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"missing ')' in {text!r}")
-            pos += 1
-            if len(children) != OPERATOR_ARITY[token]:
-                raise ValueError(
-                    f"{token} expects {OPERATOR_ARITY[token]} children, "
-                    f"got {len(children)}"
-                )
-            return (token,) + tuple(children)
-        if token[0] != "x" or not token[1:].isdigit():
-            raise ValueError(f"bad leaf token {token!r}")
-        return (VAR, int(token[1:]))
-
-    tree = parse()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError(f"trailing input after tree: {text[pos:]!r}")
+    """Parse the output of :func:`tree_to_text`; whitespace is free."""
+    tokens: list = []
+    for word in re.findall(r"\w+", text):
+        if word in OPERATOR_ARITY:
+            tokens.append(word)
+        elif word[0] == "x" and word[1:].isdecimal():
+            tokens.append(int(word[1:]))
+        else:
+            raise ValueError(f"bad token {word!r} in tree text {text!r}")
+    tree = tuple(tokens)
+    # the text is one tree exactly when its tokens print back to the same
+    # words, brackets and commas; tokens that are not one tree run out of
+    # operands while printing or print fewer words
+    try:
+        printed = tree_to_text(tree)
+    except IndexError:
+        printed = None
+    if printed is None or _punctuation(printed) != _punctuation(text):
+        raise ValueError(f"tree text {text!r} is not one well-formed tree")
     return tree
+
+
+def _punctuation(text: str) -> str:
+    return "".join(re.sub(r"\w+", "w", text).split())
 
 
 # ---------------------------------------------------------------------------
@@ -285,49 +246,52 @@ def _unpack_bits(value: int, length: int) -> np.ndarray:
     return np.unpackbits(raw, count=length, bitorder="little")
 
 
-def _eval_packed(node: Tree, masks: tuple[int, ...], full: int) -> int:
-    tag = node[0]
-    if tag == VAR:
-        return masks[node[1] - 1]
-    if tag == "NOT":
-        return full ^ _eval_packed(node[1], masks, full)
-    a = _eval_packed(node[1], masks, full)
-    b = _eval_packed(node[2], masks, full)
-    if tag == "OR":
-        return a | b
-    if tag == "XOR":
-        return a ^ b
-    if tag == "AND":
-        return a & b
-    if tag == "AND2":
-        return a & (full ^ b)
-    if tag == "XNOR":
-        return full ^ a ^ b
-    if tag == "IF":
-        c = _eval_packed(node[3], masks, full)
-        return (a & b) | ((full ^ a) & c)
-    raise ValueError(f"unknown operator {tag!r}")
+def _eval_packed(tree: Tree, masks: tuple[int, ...], full: int) -> int:
+    # operands come after their operator in preorder, so a reverse pass finds
+    # every operator's values on the stack with its first child on top
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for token in reversed(tree):
+        if type(token) is int:
+            push(masks[token - 1])
+        elif token == "NOT":
+            push(full ^ pop())
+        else:
+            a = pop()
+            b = pop()
+            if token == "OR":
+                push(a | b)
+            elif token == "XOR":
+                push(a ^ b)
+            elif token == "AND":
+                push(a & b)
+            elif token == "AND2":
+                push(a & (full ^ b))
+            elif token == "XNOR":
+                push(full ^ a ^ b)
+            else:  # IF
+                c = pop()
+                push((a & b) | ((full ^ a) & c))
+    return stack[0]
 
 
-def tree_truth_bits(node: Tree, n: int) -> np.ndarray:
-    """Output column of the tree over all ``2**n`` assignments."""
-    _check_dimension(n)
-    _validate_tree(node, n)
+def tree_truth_bits(tree: Tree, n: int) -> np.ndarray:
+    """Output column of a valid tree over all ``2**n`` assignments (unchecked)."""
     size = 1 << n
     full = (1 << size) - 1
-    value = _eval_packed(node, _variable_masks(n), full)
-    return _unpack_bits(value, size)
+    return _unpack_bits(_eval_packed(tree, _variable_masks(n), full), size)
 
 
 def evaluate_tree(tree: GpTree | Tree, n: int | None = None) -> TruthTable:
-    """Truth table computed by a tree genotype."""
+    """Truth table computed by a tree genotype; a bare tree is validated first."""
     if isinstance(tree, GpTree):
-        node, dim = tree.root, tree.n
+        tree, n = tree.root, tree.n
     else:
         if n is None:
-            raise ValueError("n is required when passing a bare tree node")
-        node, dim = tree, n
-    return TruthTable(dim, tree_truth_bits(node, dim))
+            raise ValueError("n is required when passing a bare tree")
+        _check_dimension(n)
+        _validate_tree(tree, n)
+    return TruthTable(n, tree_truth_bits(tree, n))
 
 
 # ---------------------------------------------------------------------------
@@ -416,28 +380,32 @@ def random_tree(
     depth = max_depth
     for _ in range(64):
         candidate = _random_node(n, rng, depth, method)
-        if tree_size(candidate) <= max_nodes:
+        if len(candidate) <= max_nodes:
             return candidate
         depth = max(1, depth - 1)
-    return (VAR, int(rng.integers(1, n + 1)))
+    return (int(rng.integers(1, n + 1)),)
 
 
 def _random_node(n: int, rng: np.random.Generator, budget: int, method: str) -> Tree:
-    leaf_choices = n
-    total = leaf_choices + len(OPERATOR_NAMES)
-    if budget <= 0:
-        pick = int(rng.integers(leaf_choices))
-    elif method == "full":
-        pick = leaf_choices + int(rng.integers(len(OPERATOR_NAMES)))
-    else:
-        pick = int(rng.integers(total))
-    if pick < leaf_choices:
-        return (VAR, pick + 1)
-    op = OPERATOR_NAMES[pick - leaf_choices]
-    children = tuple(
-        _random_node(n, rng, budget - 1, method) for _ in range(OPERATOR_ARITY[op])
-    )
-    return (op,) + children
+    # one draw per node, in preorder; the stack holds the depth budgets of the
+    # nodes still to draw, and siblings share a budget
+    tokens: list = []
+    pending = [budget]
+    while pending:
+        budget = pending.pop()
+        if budget <= 0:
+            pick = int(rng.integers(n))
+        elif method == "full":
+            pick = n + int(rng.integers(len(OPERATOR_NAMES)))
+        else:
+            pick = int(rng.integers(n + len(OPERATOR_NAMES)))
+        if pick < n:
+            tokens.append(pick + 1)
+        else:
+            op = OPERATOR_NAMES[pick - n]
+            tokens.append(op)
+            pending.extend([budget - 1] * OPERATOR_ARITY[op])
+    return tuple(tokens)
 
 
 def random_genotype(

@@ -156,13 +156,21 @@ def deserialize_genotype(data: dict):
             bits = bits_from_hex(data["hex"], length)
         else:
             bits = np.array([int(c) for c in data["bits"]], dtype=np.uint8)
+            if bits.shape[0] != length:
+                raise ValueError(
+                    f"{mode} bitstring at n={n} needs {length} bits, got {bits.shape[0]}"
+                )
         return BitstringGenotype(bits, mode)
     if encoding == "float":
-        return FloatGenotype(
-            np.array(data["values"], dtype=np.float64),
-            data.get("decode", 3),
-            data.get("mode", GENERAL),
-        )
+        decode, mode = data.get("decode", 3), data.get("mode", GENERAL)
+        values = np.array(data["values"], dtype=np.float64)
+        dim = float_dimension(n, decode, mode)
+        if values.shape != (dim,):
+            raise ValueError(
+                f"{mode} float genotype at n={n}, decode={decode} needs {dim} values, "
+                f"got {values.size}"
+            )
+        return FloatGenotype(values, decode, mode)
     if encoding == "tree":
         return GpTree(tree_from_text(data["text"]), n)
     raise ValueError(f"unknown encoding {encoding!r}")

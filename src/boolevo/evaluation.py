@@ -83,10 +83,11 @@ class FitnessEvaluator:
 
     Raw genotypes are the forms the search loops actually carry: uint8 bit
     arrays for the bitstring encoding, float64 arrays for the float encoding
-    and nested tuples for trees.  Every call to :meth:`evaluate` (and every
-    flip probed through :class:`BitFlipSession`) charges one evaluation;
-    crossing the budget or the wall-clock limit raises
-    :class:`BudgetExhausted`.
+    and flat preorder token tuples for trees.  Trees are not re-validated
+    here; one from outside the search goes through :class:`GpTree` first.
+    Every call to :meth:`evaluate` (and every flip probed through
+    :class:`BitFlipSession`) charges one evaluation; crossing the budget or
+    the wall-clock limit raises :class:`BudgetExhausted`.
     """
 
     def __init__(

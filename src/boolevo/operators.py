@@ -1,8 +1,9 @@
 """Variation operators for the three genotype encodings.
 
 All operators take and return raw genotypes (uint8 arrays, float64 arrays,
-tuple trees) and draw every random decision from the generator they are
-handed, so runs replay exactly from a seed.
+flat preorder token tuples for trees) and draw every random decision from
+the generator they are handed, so runs replay exactly from a seed.  Tree
+operators address nodes by preorder index and build children by splicing.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ import numpy as np
 
 from .encodings import (
     OPERATOR_ARITY,
-    VAR,
     Tree,
     _random_node,
     node_depths,
     replace_at,
     subtree_at,
+    subtree_end,
     tree_depth,
-    tree_size,
 )
 
 # ---------------------------------------------------------------------------
@@ -103,39 +103,17 @@ def crossover_float(
 _TREE_RETRIES = 5
 
 
-def _paths(node: Tree, prefix: tuple = ()) -> list[tuple]:
-    out = [prefix]
-    if node[0] != VAR:
-        for i, child in enumerate(node[1:]):
-            out.extend(_paths(child, prefix + (i,)))
-    return out
-
-
-def _subtree_by_path(node: Tree, path: tuple) -> Tree:
-    for i in path:
-        node = node[i + 1]
-    return node
-
-
-def _replace_by_path(node: Tree, path: tuple, replacement: Tree) -> Tree:
-    if not path:
-        return replacement
-    children = list(node[1:])
-    children[path[0]] = _replace_by_path(children[path[0]], path[1:], replacement)
-    return (node[0],) + tuple(children)
-
-
-def _within_limits(node: Tree, max_depth: int, max_nodes: int) -> bool:
-    return tree_depth(node) <= max_depth and tree_size(node) <= max_nodes
+def _within_limits(tree: Tree, max_depth: int, max_nodes: int) -> bool:
+    return len(tree) <= max_nodes and tree_depth(tree) <= max_depth
 
 
 def subtree_mutation(
     tree: Tree, n: int, rng: np.random.Generator, max_depth: int, max_nodes: int
 ) -> Tree:
     """Replace a random node with a fresh grow-tree fitted to the depth cap."""
+    depths = node_depths(tree)
     for _ in range(_TREE_RETRIES):
-        depths = node_depths(tree)
-        index = int(rng.integers(len(depths)))
+        index = int(rng.integers(len(tree)))
         budget = max_depth - depths[index]
         child = replace_at(tree, index, _random_node(n, rng, budget, "grow"))
         if _within_limits(child, max_depth, max_nodes):
@@ -145,8 +123,8 @@ def subtree_mutation(
 
 def subtree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
     """Swap a random subtree of ``a`` for a random subtree of ``b``."""
-    index_a = int(rng.integers(tree_size(a)))
-    index_b = int(rng.integers(tree_size(b)))
+    index_a = int(rng.integers(len(a)))
+    index_b = int(rng.integers(len(b)))
     return replace_at(a, index_a, subtree_at(b, index_b))
 
 
@@ -154,52 +132,74 @@ def uniform_tree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
     """Mix the parents node by node over their common shape.
 
     Where both parents carry operators of the same arity the child takes one
-    of the two operators and recurses into the paired children; anywhere the
+    of the two operators and goes on into the paired children; anywhere the
     shapes diverge it takes the whole subtree from one parent.
     """
-    a_inner = a[0] != VAR
-    b_inner = b[0] != VAR
-    if a_inner and b_inner and len(a) == len(b):
-        tag = a[0] if rng.integers(2) else b[0]
-        children = tuple(
-            uniform_tree_crossover(ca, cb, rng) for ca, cb in zip(a[1:], b[1:])
-        )
-        return (tag,) + children
-    return a if rng.integers(2) else b
+    child: list = []
+    i = j = 0
+    unpaired = 1  # paired subtrees still to emit
+    while unpaired:
+        unpaired -= 1
+        arity = OPERATOR_ARITY.get(a[i], 0)
+        if arity and arity == OPERATOR_ARITY.get(b[j], 0):
+            child.append(a[i] if rng.integers(2) else b[j])
+            i, j = i + 1, j + 1
+            unpaired += arity
+        else:
+            end_a, end_b = subtree_end(a, i), subtree_end(b, j)
+            child.extend(a[i:end_a] if rng.integers(2) else b[j:end_b])
+            i, j = end_a, end_b
+    return tuple(child)
 
 
 def size_fair_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
     """Subtree swap where the donor is at most twice-plus-one the removed size."""
-    index_a = int(rng.integers(tree_size(a)))
-    removed = tree_size(subtree_at(a, index_a))
-    donors = [
-        path for path in _paths(b) if tree_size(_subtree_by_path(b, path)) <= 2 * removed + 1
-    ]
+    index_a = int(rng.integers(len(a)))
+    limit = 2 * (subtree_end(a, index_a) - index_a) + 1
+    donors = [j for j in range(len(b)) if subtree_end(b, j) - j <= limit]
     donor = donors[int(rng.integers(len(donors)))]
-    return replace_at(a, index_a, _subtree_by_path(b, donor))
+    return replace_at(a, index_a, subtree_at(b, donor))
 
 
-def _common_region(a: Tree, b: Tree, prefix: tuple = ()) -> list[tuple]:
-    # both nodes exist here; descend only while arities agree
-    out = [prefix]
-    if a[0] != VAR and b[0] != VAR and len(a) == len(b):
-        for i, (ca, cb) in enumerate(zip(a[1:], b[1:])):
-            out.extend(_common_region(ca, cb, prefix + (i,)))
-    return out
+def _joint_preorder(a: Tree, b: Tree, any_arity: bool) -> list[tuple[int, int]]:
+    """Preorder ``(i, j)`` pairs of the nodes at the same coordinates in both trees.
+
+    The walk goes on into paired children where the two arities agree, or,
+    with ``any_arity``, into the child slots that both nodes have.
+    """
+    pairs: list[tuple[int, int]] = []
+
+    def walk(i: int, j: int) -> tuple[int, int]:
+        pairs.append((i, j))
+        arity_a = OPERATOR_ARITY.get(a[i], 0)
+        arity_b = OPERATOR_ARITY.get(b[j], 0)
+        shared = min(arity_a, arity_b) if any_arity or arity_a == arity_b else 0
+        i, j = i + 1, j + 1
+        for _ in range(shared):
+            i, j = walk(i, j)
+        for _ in range(arity_a - shared):
+            i = subtree_end(a, i)
+        for _ in range(arity_b - shared):
+            j = subtree_end(b, j)
+        return i, j
+
+    walk(0, 0)
+    return pairs
+
+
+def _swap_at_pair(a: Tree, b: Tree, pairs: list, rng: np.random.Generator) -> Tree:
+    i, j = pairs[int(rng.integers(len(pairs)))]
+    return replace_at(a, i, subtree_at(b, j))
 
 
 def one_point_tree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
-    """Swap at one point of the common region of the two parents."""
-    region = _common_region(a, b)
-    point = region[int(rng.integers(len(region)))]
-    return _replace_by_path(a, point, _subtree_by_path(b, point))
+    """Swap at one point of the common region, where the arities agree."""
+    return _swap_at_pair(a, b, _joint_preorder(a, b, any_arity=False), rng)
 
 
 def context_preserving_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
     """Swap subtrees that sit at identical coordinates in both parents."""
-    shared = sorted(set(_paths(a)) & set(_paths(b)))
-    point = shared[int(rng.integers(len(shared)))]
-    return _replace_by_path(a, point, _subtree_by_path(b, point))
+    return _swap_at_pair(a, b, _joint_preorder(a, b, any_arity=True), rng)
 
 
 _TREE_CROSSOVERS = (

@@ -67,35 +67,48 @@ def nonlinearity_by_distance(bits, affine=None) -> int:
     return int(distances.min())
 
 
-def eval_tree_pointwise(node, assignment: dict[int, bool]) -> bool:
-    """Evaluate one tree on one assignment using plain Python booleans."""
-    tag = node[0]
-    if tag == "x":
-        return assignment[node[1]]
-    vals = [eval_tree_pointwise(child, assignment) for child in node[1:]]
+def eval_tree_pointwise(tree, assignment: dict[int, bool]) -> bool:
+    """Evaluate one flat preorder tree on one assignment using plain Python
+    booleans, by recursive descent from the root."""
+    value, end = _eval_from(tree, 0, assignment)
+    if end != len(tree):
+        raise AssertionError(f"trailing tokens after position {end}")
+    return value
+
+
+def _eval_from(tree, pos: int, assignment: dict[int, bool]) -> tuple[bool, int]:
+    tag = tree[pos]
+    if type(tag) is int:
+        return assignment[tag], pos + 1
+    arity = {"NOT": 1, "IF": 3}.get(tag, 2)
+    vals = []
+    pos += 1
+    for _ in range(arity):
+        value, pos = _eval_from(tree, pos, assignment)
+        vals.append(value)
     if tag == "NOT":
-        return not vals[0]
+        return not vals[0], pos
     if tag == "OR":
-        return vals[0] or vals[1]
+        return vals[0] or vals[1], pos
     if tag == "AND":
-        return vals[0] and vals[1]
+        return vals[0] and vals[1], pos
     if tag == "AND2":
-        return vals[0] and not vals[1]
+        return vals[0] and not vals[1], pos
     if tag == "XOR":
-        return vals[0] != vals[1]
+        return vals[0] != vals[1], pos
     if tag == "XNOR":
-        return vals[0] == vals[1]
+        return vals[0] == vals[1], pos
     if tag == "IF":
-        return vals[1] if vals[0] else vals[2]
+        return (vals[1] if vals[0] else vals[2]), pos
     raise AssertionError(f"unknown tag {tag}")
 
 
-def tree_table_pointwise(node, n: int) -> list[int]:
+def tree_table_pointwise(tree, n: int) -> list[int]:
     """Truth table of a tree, one assignment at a time, big-endian indexing."""
     out = []
     for i in range(1 << n):
         assignment = {v: bool((i >> (n - v)) & 1) for v in range(1, n + 1)}
-        out.append(int(eval_tree_pointwise(node, assignment)))
+        out.append(int(eval_tree_pointwise(tree, assignment)))
     return out
 
 

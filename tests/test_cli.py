@@ -156,3 +156,14 @@ def test_invalid_run_configuration_exits_nonzero(capsys):
     )
     assert code == 1
     assert "decode" in stderr
+
+
+@pytest.mark.parametrize("n, mode", [("7", "general"), ("9", "rs")])
+def test_search_float_with_default_decode(tmp_path, capsys, n, mode):
+    out = tmp_path / "run.jsonl"
+    code, _, stderr = run_cli(
+        capsys, "search", "--n", n, "--mode", mode, "--encoding", "float",
+        "--population-size", "6", "--budget", "100", "--seed", "1", "--out", str(out),
+    )
+    assert code == 0, stderr
+    assert json.loads(out.read_text())["config"]["decode"] == 4

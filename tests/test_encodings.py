@@ -21,9 +21,9 @@ from boolevo.encodings import (
     random_tree,
     replace_at,
     subtree_at,
+    subtree_end,
     tree_depth,
     tree_from_text,
-    tree_size,
     tree_to_text,
     tree_truth_bits,
 )
@@ -127,27 +127,49 @@ def test_float_dimension():
 # trees
 
 
+#: IF(x1, AND2(x2, x3), NOT(x2)) in flat preorder form
+IF_TREE = ("IF", 1, "AND2", 2, 3, "NOT", 2)
+
+MALFORMED_TREES = {
+    "trailing tokens": ("AND", 1, 2, 3),
+    "incomplete": ("IF", 1, "AND2", 2),
+    "unknown operator": ("NAND", 1, 2),
+    "leaf out of range": ("AND", 1, 4),
+    "leaf zero": ("NOT", 0),
+    "bool leaf": ("AND", True, 2),
+    "str leaf": ("AND", "x1", 2),
+    "empty": (),
+}
+
+
 def test_tree_validation():
-    GpTree(("AND", ("x", 1), ("x", 2)), 2)
+    GpTree(("AND", 1, 2), 2)
+    GpTree(IF_TREE, 3)
     with pytest.raises(ValueError):
-        GpTree(("x", 3), 2)  # variable out of range
+        GpTree(("NOT", 1, 2), 2)  # wrong arity leaves a trailing token
     with pytest.raises(ValueError):
-        GpTree(("NAND", ("x", 1), ("x", 2)), 2)
+        GpTree(["AND", 1, 2], 2)  # a list is not a tree
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TREES))
+def test_malformed_trees_rejected_at_every_entry(case):
+    tree = MALFORMED_TREES[case]
     with pytest.raises(ValueError):
-        GpTree(("NOT", ("x", 1), ("x", 2)), 2)  # wrong arity
+        GpTree(tree, 3)
+    with pytest.raises(ValueError):
+        evaluate_tree(tree, 3)
 
 
 def test_operator_semantics():
     n = 2
-    x1, x2 = ("x", 1), ("x", 2)
-    assert tree_truth_bits(("AND", x1, x2), n).tolist() == [0, 0, 0, 1]
-    assert tree_truth_bits(("OR", x1, x2), n).tolist() == [0, 1, 1, 1]
-    assert tree_truth_bits(("XOR", x1, x2), n).tolist() == [0, 1, 1, 0]
-    assert tree_truth_bits(("XNOR", x1, x2), n).tolist() == [1, 0, 0, 1]
-    assert tree_truth_bits(("AND2", x1, x2), n).tolist() == [0, 0, 1, 0]
-    assert tree_truth_bits(("NOT", x1), n).tolist() == [1, 1, 0, 0]
+    assert tree_truth_bits(("AND", 1, 2), n).tolist() == [0, 0, 0, 1]
+    assert tree_truth_bits(("OR", 1, 2), n).tolist() == [0, 1, 1, 1]
+    assert tree_truth_bits(("XOR", 1, 2), n).tolist() == [0, 1, 1, 0]
+    assert tree_truth_bits(("XNOR", 1, 2), n).tolist() == [1, 0, 0, 1]
+    assert tree_truth_bits(("AND2", 1, 2), n).tolist() == [0, 0, 1, 0]
+    assert tree_truth_bits(("NOT", 1), n).tolist() == [1, 1, 0, 0]
     # IF(x1, x2, x3): x2 where x1 else x3
-    got = tree_truth_bits(("IF", ("x", 1), ("x", 2), ("x", 3)), 3)
+    got = tree_truth_bits(("IF", 1, 2, 3), 3)
     assert got.tolist() == [0, 1, 0, 1, 0, 0, 1, 1]
 
 
@@ -160,45 +182,49 @@ def test_tree_evaluator_matches_pointwise_interpreter():
 
 
 def test_evaluate_tree_wrapper():
-    g = GpTree(("XOR", ("x", 1), ("x", 2)), 2)
+    g = GpTree(("XOR", 1, 2), 2)
     assert evaluate_tree(g) == TruthTable(2, [0, 1, 1, 0])
-    assert evaluate_tree(("XOR", ("x", 1), ("x", 2)), 2) == TruthTable(2, [0, 1, 1, 0])
+    assert evaluate_tree(("XOR", 1, 2), 2) == TruthTable(2, [0, 1, 1, 0])
     with pytest.raises(ValueError):
-        evaluate_tree(("x", 1))  # bare node needs n
+        evaluate_tree((1,))  # bare tree needs n
 
 
 def test_tree_structure_helpers():
-    t = ("IF", ("x", 1), ("AND", ("x", 2), ("x", 3)), ("NOT", ("x", 1)))
-    assert tree_size(t) == 7
-    assert tree_depth(t) == 2
-    assert tree_depth(("x", 1)) == 0
-    assert subtree_at(t, 0) == t
-    assert subtree_at(t, 2) == ("AND", ("x", 2), ("x", 3))
-    assert subtree_at(t, 6) == ("x", 1)
+    t = IF_TREE
+    assert [subtree_end(t, i) for i in range(len(t))] == [7, 2, 5, 4, 5, 7, 7]
     assert node_depths(t) == [0, 1, 1, 2, 2, 1, 2]
-    swapped = replace_at(t, 5, ("x", 3))
-    assert swapped == ("IF", ("x", 1), ("AND", ("x", 2), ("x", 3)), ("x", 3))
-    with pytest.raises(IndexError):
-        subtree_at(t, 7)
-    with pytest.raises(IndexError):
-        replace_at(t, 7, ("x", 1))
+    assert tree_depth(t) == 2
+    assert tree_depth((1,)) == 0
+    assert subtree_at(t, 0) == t
+    assert subtree_at(t, 2) == ("AND2", 2, 3)
+    assert subtree_at(t, 6) == (2,)
+    assert replace_at(t, 5, (3,)) == ("IF", 1, "AND2", 2, 3, 3)
+    assert replace_at(t, 1, ("NOT", 3)) == ("IF", "NOT", 3, "AND2", 2, 3, "NOT", 2)
+    assert replace_at(t, 0, (1,)) == (1,)
+    for bad in (7, -1):
+        with pytest.raises(IndexError):
+            subtree_at(t, bad)
+        with pytest.raises(IndexError):
+            replace_at(t, bad, (1,))
 
 
 def test_tree_text_round_trip():
-    t = ("IF", ("x", 1), ("AND2", ("x", 2), ("x", 3)), ("NOT", ("x", 4)))
+    t = ("IF", 1, "AND2", 2, 3, "NOT", 4)
     text = tree_to_text(t)
     assert text == "IF(x1, AND2(x2, x3), NOT(x4))"
     assert tree_from_text(text) == t
+    assert tree_to_text((3,)) == "x3" and tree_from_text(" x3 ") == (3,)
     rng = np.random.default_rng(33)
     for _ in range(50):
         t = random_tree(5, rng, max_depth=4)
         assert tree_from_text(tree_to_text(t)) == t
-    with pytest.raises(ValueError):
-        tree_from_text("FOO(x1, x2)")
-    with pytest.raises(ValueError):
-        tree_from_text("AND(x1)")
-    with pytest.raises(ValueError):
-        tree_from_text("x1 x2")
+    assert tree_from_text("AND( x1 ,x2 )") == ("AND", 1, 2)
+    for bad in (
+        "FOO(x1, x2)", "AND(x1)", "x1 x2", "", "AND(x1 x2)", "AND(x1, x2",
+        "AND(x1, x2))", "AND x1, x2", "NOT(x1)(x2)", "x", "x1.5",
+    ):
+        with pytest.raises(ValueError):
+            tree_from_text(bad)
 
 
 def test_random_tree_respects_limits():
@@ -207,7 +233,7 @@ def test_random_tree_respects_limits():
         depth = int(rng.integers(1, 8))
         t = random_tree(4, rng, max_depth=depth, method="grow")
         assert tree_depth(t) <= depth
-        assert tree_size(t) <= 500
+        assert len(t) <= 500
     for _ in range(30):
         t = random_tree(4, rng, max_depth=3, method="full")
         assert tree_depth(t) == 3

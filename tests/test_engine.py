@@ -257,7 +257,23 @@ def test_genotype_serialization_round_trip():
     assert np.array_equal(back.values, values)  # exact via repr round trip
     assert json.loads(json.dumps(data))["values"] == data["values"]
 
-    tree = ("IF", ("x", 1), ("x", 2), ("NOT", ("x", 3)))
+    tree = ("IF", 1, 2, "NOT", 3)
     data = serialize_genotype(tree, "tree", 3, GENERAL, 3)
+    assert data["text"] == "IF(x1, x2, NOT(x3))"
     back = deserialize_genotype(data)
     assert isinstance(back, GpTree) and back.root == tree
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"encoding": "bitstring", "n": 3, "bits": "0110"},
+        {"encoding": "bitstring", "n": 2, "mode": ROTATION, "bits": "0110"},
+        {"encoding": "float", "n": 7, "decode": 3, "values": [0.5] * 5},
+        {"encoding": "float", "n": 5, "decode": 2, "values": [0.5] * 15},
+        {"encoding": "tree", "n": 2, "text": "AND(x1, x3)"},
+    ],
+)
+def test_deserialize_rejects_genotypes_of_the_wrong_size(data):
+    with pytest.raises(ValueError):
+        deserialize_genotype(data)

@@ -166,6 +166,6 @@ def test_bitflip_session_needs_probe_before_commit():
 
 
 def test_individual_make():
-    ind = Individual.make(("x", 1), key=(2 << 3) + 5, nl=2, n=3)
+    ind = Individual.make((1,), key=(2 << 3) + 5, nl=2, n=3)
     assert ind.fitness == 2 + 5 / 8
     assert ind.nl == 2

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from boolevo.encodings import (
-    node_depths,
-    random_tree,
-    subtree_at,
-    tree_depth,
-    tree_size,
-)
+from boolevo.encodings import random_tree, tree_depth
 from boolevo.operators import (
     bit_mutation,
     context_preserving_crossover,
@@ -127,7 +121,7 @@ def test_subtree_mutation_respects_depth():
         t = random_tree(4, rng, max_depth=6)
         child = mutate_tree(t, 4, rng, max_depth=6, max_nodes=500)
         assert tree_depth(child) <= 6
-        assert tree_size(child) <= 500
+        assert len(child) <= 500
 
 
 def test_subtree_crossover_inserts_donor_subtree():
@@ -135,20 +129,35 @@ def test_subtree_crossover_inserts_donor_subtree():
     for _ in range(50):
         a, b = random_pair(rng)
         child = subtree_crossover(a, b, rng)
-        assert tree_size(child) >= 1
+        assert len(child) >= 1
 
 
 def test_uniform_tree_crossover_on_identical_shapes():
     rng = np.random.default_rng(61)
-    a = ("AND", ("x", 1), ("x", 2))
-    b = ("OR", ("x", 3), ("x", 4))
+    a = ("AND", 1, 2)
+    b = ("OR", 3, 4)
     children = {uniform_tree_crossover(a, b, rng) for _ in range(200)}
     # every child keeps the two-child shape with leaves from matching slots
     for child in children:
         assert child[0] in ("AND", "OR")
-        assert child[1] in (("x", 1), ("x", 3))
-        assert child[2] in (("x", 2), ("x", 4))
+        assert child[1] in (1, 3)
+        assert child[2] in (2, 4)
     assert len(children) > 4
+
+
+def test_uniform_tree_crossover_takes_whole_subtrees_where_shapes_diverge():
+    rng = np.random.default_rng(68)
+    a = ("AND", "NOT", 1, 2)
+    b = ("OR", 3, "XOR", 4, 1)
+    children = {uniform_tree_crossover(a, b, rng) for _ in range(200)}
+    # the root pairs; below it each slot comes whole from one parent
+    assert children <= {
+        (op,) + left + right
+        for op in ("AND", "OR")
+        for left in (("NOT", 1), (3,))
+        for right in ((2,), ("XOR", 4, 1))
+    }
+    assert len(children) == 8
 
 
 def test_size_fair_crossover_bounds_donor():
@@ -158,36 +167,39 @@ def test_size_fair_crossover_bounds_donor():
         # removed subtree of size m admits donors of size at most 2m+1, so the
         # child can exceed the parent by at most m+1 <= size(a)+1 nodes
         child = size_fair_crossover(a, b, rng)
-        assert tree_size(child) <= 2 * tree_size(a) + 1
+        assert len(child) <= 2 * len(a) + 1
 
 
 def test_one_point_tree_crossover_stays_in_common_region():
     rng = np.random.default_rng(63)
-    a = ("AND", ("x", 1), ("NOT", ("x", 2)))
-    b = ("OR", ("NOT", ("x", 3)), ("x", 4))
+    a = ("AND", 1, "NOT", 2)
+    b = ("OR", "NOT", 3, 4)
     for _ in range(50):
         child = one_point_tree_crossover(a, b, rng)
         # common region: root and both child slots; beyond that shapes differ
         assert child in (
             b,  # swap at root
-            ("AND", ("NOT", ("x", 3)), ("NOT", ("x", 2))),  # swap at slot 0
-            ("AND", ("x", 1), ("x", 4)),  # swap at slot 1
+            ("AND", "NOT", 3, "NOT", 2),  # swap at slot 0
+            ("AND", 1, 4),  # swap at slot 1
         )
 
 
 def test_context_preserving_crossover_uses_shared_coordinates():
     rng = np.random.default_rng(64)
-    a = ("AND", ("x", 1), ("NOT", ("x", 2)))
-    b = ("IF", ("x", 3), ("OR", ("x", 4), ("x", 1)), ("x", 2))
+    a = ("AND", 1, "NOT", 2)
+    b = ("IF", 3, "OR", 4, 1, 2)
+    children = set()
     for _ in range(50):
         child = context_preserving_crossover(a, b, rng)
+        children.add(child)
         # shared coordinates: (), (0,), (1,), (1,0)
         assert child in (
             b,
-            ("AND", ("x", 3), ("NOT", ("x", 2))),
-            ("AND", ("x", 1), ("OR", ("x", 4), ("x", 1))),
-            ("AND", ("x", 1), ("NOT", ("x", 4))),
+            ("AND", 3, "NOT", 2),
+            ("AND", 1, "OR", 4, 1),
+            ("AND", 1, "NOT", 4),
         )
+    assert len(children) == 4
 
 
 def test_crossover_tree_respects_limits_or_returns_parent():
@@ -197,7 +209,7 @@ def test_crossover_tree_respects_limits_or_returns_parent():
         b = random_tree(4, rng, max_depth=4)
         child = crossover_tree(a, b, rng, max_depth=4, max_nodes=60)
         assert tree_depth(child) <= 4
-        assert tree_size(child) <= 60
+        assert len(child) <= 60
 
 
 def test_tree_operators_produce_valid_trees():
