@@ -35,14 +35,9 @@ from .orbits import (  # noqa: F401
 from .encodings import (  # noqa: F401
     GENERAL,
     ROTATION,
-    BitstringGenotype,
-    FloatGenotype,
-    GpTree,
-    decode_bitstring,
-    decode_float,
-    decode_float_genotype,
-    evaluate_tree,
+    check_genotype,
     float_dimension,
+    genotype_table,
     random_genotype,
     random_tree,
     tree_from_text,

@@ -1,23 +1,31 @@
 """Genotype encodings: bitstrings, float vectors and Boolean expression trees.
 
-A tree is one flat tuple of tokens in preorder: an operator name for an
-inner node, the variable index ``v`` in ``1..n`` for the leaf ``x_v``.
-``IF(x1, AND2(x2, x3), NOT(x2))`` is ``("IF", 1, "AND2", 2, 3, "NOT", 2)``.
-A node is addressed by its preorder index, the subtree rooted there is the
-slice ``tree[i:subtree_end(tree, i)]`` and its size is that slice's length.
-Trees are validated where they enter (:class:`GpTree`, :func:`evaluate_tree`
-on a bare tree); the evaluator trusts them.
+Every genotype is a raw value, the same form the search loops carry:
+
+* a bitstring is a uint8 array of 0/1, one entry per truth-table row, or
+  one per rotation orbit in the rotation-symmetric mode;
+* a float vector is a float64 array in ``[0, 1]`` whose entries each
+  quantise to ``decode`` bits (:func:`float_bits`);
+* a tree is one flat tuple of tokens in preorder: an operator name for an
+  inner node, the variable index ``v`` in ``1..n`` for the leaf ``x_v``.
+  ``IF(x1, AND2(x2, x3), NOT(x2))`` is ``("IF", 1, "AND2", 2, 3, "NOT", 2)``.
+  A node is addressed by its preorder index, the subtree rooted there is
+  the slice ``tree[i:subtree_end(tree, i)]`` and its size is that slice's
+  length.
+
+A genotype from outside the search goes through :func:`check_genotype`, the
+one validator, and :func:`genotype_table` is the one decoder to a truth
+table; the evaluator trusts the genotypes the search makes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .orbits import OrbitTable, compute_orbits, expand
+from .orbits import compute_orbits, expand
 from .truthtable import TruthTable, _check_dimension
 
 #: Operator name -> arity.  AND2 is the masking conjunction a AND NOT b,
@@ -38,70 +46,16 @@ Tree = tuple
 
 
 # ---------------------------------------------------------------------------
-# genotype containers
+# search spaces
 
 GENERAL = "general"
 ROTATION = "rs"
+ENCODINGS = ("bitstring", "float", "tree")
 
 
-@dataclass(frozen=True, eq=False)
-class BitstringGenotype:
-    """Raw bit vector; covers the full table or one bit per rotation orbit."""
-
-    bits: np.ndarray
-    mode: str = GENERAL
-
-    def __post_init__(self) -> None:
-        if self.mode not in (GENERAL, ROTATION):
-            raise ValueError(f"unknown bitstring mode {self.mode!r}")
-        bits = np.array(self.bits, dtype=np.uint8, copy=True)
-        if bits.ndim != 1:
-            raise ValueError("bitstring genotype must be one-dimensional")
-        if bits.size and int(bits.max()) > 1:
-            raise ValueError("bitstring entries must be 0 or 1")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return int(self.bits.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class FloatGenotype:
-    """Vector in [0, 1]^dimension; each entry decodes to ``decode`` bits."""
-
-    values: np.ndarray
-    decode: int = 3
-    mode: str = GENERAL
-
-    def __post_init__(self) -> None:
-        if self.mode not in (GENERAL, ROTATION):
-            raise ValueError(f"unknown float mode {self.mode!r}")
-        if not isinstance(self.decode, (int, np.integer)) or self.decode < 1:
-            raise ValueError(f"decode must be a positive int, got {self.decode!r}")
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 1:
-            raise ValueError("float genotype must be one-dimensional")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("float genotype entries must lie in [0, 1]")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
-
-@dataclass(frozen=True)
-class GpTree:
-    """Expression-tree genotype over x1..xn: a flat preorder tuple, validated here."""
-
-    root: Tree
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        _validate_tree(self.root, self.n)
+def target_length(n: int, mode: str = GENERAL) -> int:
+    """Bits a genotype decodes to: one per table row, or one per rotation orbit."""
+    return compute_orbits(n).num_orbits if mode == ROTATION else 1 << n
 
 
 # ---------------------------------------------------------------------------
@@ -282,33 +236,8 @@ def tree_truth_bits(tree: Tree, n: int) -> np.ndarray:
     return _unpack_bits(_eval_packed(tree, _variable_masks(n), full), size)
 
 
-def evaluate_tree(tree: GpTree | Tree, n: int | None = None) -> TruthTable:
-    """Truth table computed by a tree genotype; a bare tree is validated first."""
-    if isinstance(tree, GpTree):
-        tree, n = tree.root, tree.n
-    else:
-        if n is None:
-            raise ValueError("n is required when passing a bare tree")
-        _check_dimension(n)
-        _validate_tree(tree, n)
-    return TruthTable(n, tree_truth_bits(tree, n))
-
-
 # ---------------------------------------------------------------------------
-# decoding
-
-
-def decode_bitstring(
-    genotype: BitstringGenotype, n: int, table: OrbitTable | None = None
-) -> TruthTable:
-    """Bit vector -> truth table, expanding orbit bits in rotation mode."""
-    _check_dimension(n)
-    if genotype.mode == ROTATION:
-        table = table if table is not None else compute_orbits(n)
-        return expand(table, genotype.bits)
-    if len(genotype) != 1 << n:
-        raise ValueError(f"need {1 << n} bits for n={n}, got {len(genotype)}")
-    return TruthTable(n, genotype.bits)
+# float quantisation
 
 
 def float_bits(values: np.ndarray, decode: int) -> np.ndarray:
@@ -325,42 +254,81 @@ def float_bits(values: np.ndarray, decode: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
-def decode_float(genotype: FloatGenotype) -> np.ndarray:
-    """Float genotype -> concatenated bit vector (see :func:`float_bits`)."""
-    return float_bits(genotype.values, genotype.decode)
-
-
-def decode_float_genotype(
-    genotype: FloatGenotype, n: int, table: OrbitTable | None = None
-) -> TruthTable:
-    """Float vector -> truth table; the bit count must match the target exactly."""
-    _check_dimension(n)
-    if genotype.mode == ROTATION:
-        table = table if table is not None else compute_orbits(n)
-        target = table.num_orbits
-    else:
-        target = 1 << n
-    total = genotype.dimension * genotype.decode
-    if total != target:
-        raise ValueError(
-            f"dimension {genotype.dimension} x decode {genotype.decode} = {total} "
-            f"bits, but {genotype.mode} mode at n={n} needs exactly {target}"
-        )
-    bits = decode_float(genotype)
-    if genotype.mode == ROTATION:
-        return expand(table, bits)
-    return TruthTable(n, bits)
-
-
 def float_dimension(n: int, decode: int, mode: str = GENERAL) -> int:
-    """Vector length for a float genotype, or raise if it does not divide."""
+    """Vector length for a float genotype, or raise if ``decode`` cannot tile it."""
     _check_dimension(n)
-    target = compute_orbits(n).num_orbits if mode == ROTATION else 1 << n
-    if decode < 1 or target % decode != 0:
+    if not isinstance(decode, (int, np.integer)) or decode < 1:
+        raise ValueError(f"decode must be a positive int, got {decode!r}")
+    target = target_length(n, mode)
+    if target % decode:
         raise ValueError(
             f"decode={decode} does not divide the {mode} target length {target} at n={n}"
         )
     return target // decode
+
+
+# ---------------------------------------------------------------------------
+# the one validator and the one decoder
+
+
+def check_genotype(genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = 3):
+    """Validated raw genotype, or a one-line :class:`ValueError`.
+
+    Bitstrings come back as a new uint8 array and float vectors as a new
+    float64 array; a tree comes back as the same tuple.  The entries are
+    checked before any cast, so ``0.7`` is not a bit and NaN is not in
+    ``[0, 1]``.
+    """
+    _check_dimension(n)
+    if mode not in (GENERAL, ROTATION):
+        raise ValueError(f"unknown mode {mode!r}")
+    if encoding == "tree":
+        if mode == ROTATION:
+            raise ValueError("tree genotypes only target the general space")
+        _validate_tree(genotype, n)
+        return genotype
+    if encoding == "bitstring":
+        length = target_length(n, mode)
+    elif encoding == "float":
+        length = float_dimension(n, decode, mode)
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    values = np.asarray(genotype)
+    if values.shape != (length,):
+        raise ValueError(
+            f"{mode} {encoding} genotype at n={n} needs {length} entries, "
+            f"got shape {values.shape}"
+        )
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{encoding} genotype entries must be numbers")
+    if encoding == "bitstring":
+        if not ((values == 0) | (values == 1)).all():
+            raise ValueError("bitstring entries must be 0 or 1")
+        return values.astype(np.uint8)
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError("float genotype entries must be finite and lie in [0, 1]")
+    return values.astype(np.float64)
+
+
+def genotype_table(
+    genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = 3
+) -> TruthTable:
+    """Truth table of a raw genotype, validated first by :func:`check_genotype`.
+
+    A tree is evaluated over all inputs, a float vector is quantised by
+    :func:`float_bits`, and in rotation mode the orbit bits are expanded to
+    the full symmetric table.
+    """
+    genotype = check_genotype(genotype, encoding, n, mode, decode)
+    if encoding == "tree":
+        bits = tree_truth_bits(genotype, n)
+    elif encoding == "float":
+        bits = float_bits(genotype, decode)
+    else:
+        bits = genotype
+    if mode == ROTATION:
+        return expand(compute_orbits(n), bits)
+    return TruthTable(n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +385,18 @@ def random_genotype(
     max_depth: int = 7,
     max_nodes: int = 500,
 ):
-    """Uniform random genotype of the requested encoding."""
+    """Uniform random raw genotype of the requested encoding."""
     _check_dimension(n)
+    if mode not in (GENERAL, ROTATION):
+        raise ValueError(f"unknown mode {mode!r}")
     if kind == "bitstring":
-        length = compute_orbits(n).num_orbits if mode == ROTATION else 1 << n
-        return BitstringGenotype(rng.integers(0, 2, length, dtype=np.uint8), mode)
+        return rng.integers(0, 2, target_length(n, mode), dtype=np.uint8)
     if kind == "float":
-        dim = float_dimension(n, decode, mode)
-        return FloatGenotype(rng.random(dim), decode, mode)
+        return rng.random(float_dimension(n, decode, mode))
     if kind == "tree":
-        # ramped half and half: depth ramps over 2..max_depth, half grow half full
-        depth = int(rng.integers(2, max(3, max_depth + 1)))
+        # ramped half and half: depth ramps over 2..max_depth (just max_depth
+        # when that is 1), half grow half full
+        depth = int(rng.integers(min(2, max_depth), max_depth + 1))
         method = "grow" if rng.integers(2) else "full"
-        return GpTree(random_tree(n, rng, depth, method, max_nodes), n)
+        return random_tree(n, rng, depth, method, max_nodes)
     raise ValueError(f"unknown encoding kind {kind!r}")

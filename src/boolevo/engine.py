@@ -16,28 +16,30 @@ from typing import Optional
 import numpy as np
 
 from .encodings import (
+    ENCODINGS,
     GENERAL,
     ROTATION,
-    BitstringGenotype,
-    FloatGenotype,
-    GpTree,
-    decode_bitstring,
-    decode_float_genotype,
-    evaluate_tree,
+    check_genotype,
     float_dimension,
+    genotype_table,
     random_genotype,
+    target_length,
     tree_from_text,
     tree_to_text,
 )
 from .evaluation import BudgetExhausted, FitnessEvaluator, Individual
 from .localsearch import LsConfig, apply_ls
 from .operators import make_operators
-from .truthtable import TruthTable, _check_dimension, bits_to_hex
+from .truthtable import (
+    _check_dimension,
+    bits_from_hex,
+    bits_to_hex,
+    spectrum_key,
+    walsh_transform,
+)
 
 SST = "sst"
 DE = "de"
-
-ENCODINGS = ("bitstring", "float", "tree")
 
 
 @dataclass
@@ -143,37 +145,20 @@ def serialize_genotype(genotype, encoding: str, n: int, mode: str, decode: int) 
 
 
 def deserialize_genotype(data: dict):
-    """Inverse of :func:`serialize_genotype`, returning a wrapped genotype."""
-    from .orbits import compute_orbits
-    from .truthtable import bits_from_hex
-
-    encoding = data["encoding"]
-    n = data["n"]
-    if encoding == "bitstring":
-        mode = data.get("mode", GENERAL)
-        length = compute_orbits(n).num_orbits if mode == ROTATION else 1 << n
-        if "hex" in data:
-            bits = bits_from_hex(data["hex"], length)
-        else:
-            bits = np.array([int(c) for c in data["bits"]], dtype=np.uint8)
-            if bits.shape[0] != length:
-                raise ValueError(
-                    f"{mode} bitstring at n={n} needs {length} bits, got {bits.shape[0]}"
-                )
-        return BitstringGenotype(bits, mode)
-    if encoding == "float":
-        decode, mode = data.get("decode", 3), data.get("mode", GENERAL)
-        values = np.array(data["values"], dtype=np.float64)
-        dim = float_dimension(n, decode, mode)
-        if values.shape != (dim,):
-            raise ValueError(
-                f"{mode} float genotype at n={n}, decode={decode} needs {dim} values, "
-                f"got {values.size}"
-            )
-        return FloatGenotype(values, decode, mode)
-    if encoding == "tree":
-        return GpTree(tree_from_text(data["text"]), n)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    """Inverse of :func:`serialize_genotype`: the raw genotype, validated."""
+    encoding, n = data["encoding"], data["n"]
+    mode, decode = data.get("mode", GENERAL), data.get("decode", 3)
+    if encoding == "bitstring" and "hex" in data:
+        genotype = bits_from_hex(data["hex"], target_length(n, mode))
+    elif encoding == "bitstring":
+        genotype = [int(c) for c in data["bits"]]
+    elif encoding == "float":
+        genotype = data["values"]
+    elif encoding == "tree":
+        genotype = tree_from_text(data["text"])
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    return check_genotype(genotype, encoding, n, mode, decode)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +211,6 @@ class RunRecord:
 # search loops
 
 
-def _unwrap(genotype):
-    if isinstance(genotype, BitstringGenotype):
-        return genotype.bits
-    if isinstance(genotype, FloatGenotype):
-        return genotype.values
-    if isinstance(genotype, GpTree):
-        return genotype.root
-    return genotype
-
-
 class _RunState:
     def __init__(self, config: RunConfig, evaluator: FitnessEvaluator, rng):
         self.config = config
@@ -264,16 +239,14 @@ class _RunState:
 def _initialise(state: _RunState) -> None:
     cfg = state.config
     for _ in range(cfg.population_size):
-        genotype = _unwrap(
-            random_genotype(
-                cfg.encoding,
-                cfg.n,
-                state.rng,
-                mode=cfg.mode,
-                decode=cfg.decode,
-                max_depth=cfg.max_depth,
-                max_nodes=cfg.max_nodes,
-            )
+        genotype = random_genotype(
+            cfg.encoding,
+            cfg.n,
+            state.rng,
+            mode=cfg.mode,
+            decode=cfg.decode,
+            max_depth=cfg.max_depth,
+            max_nodes=cfg.max_nodes,
         )
         key, nl = state.evaluator.evaluate(genotype)
         individual = Individual.make(genotype, key, nl, cfg.n)
@@ -385,7 +358,15 @@ def run(config: RunConfig) -> RunRecord:
 
     best = state.best
     assert best is not None  # budget >= population size guarantees evaluations
-    truth = _best_truth_table(config, best.genotype)
+    truth = genotype_table(
+        best.genotype, config.encoding, config.n, config.mode, config.decode
+    )
+    # cross-check the fast kernel with the reference butterfly
+    if spectrum_key(walsh_transform(truth).values, config.n)[0] != best.key:
+        raise RuntimeError(
+            f"run with seed {config.seed}: the reference spectrum of the best "
+            f"truth table disagrees with its fitness key {best.key}"
+        )
     config_echo = asdict(config)
     del config_echo["seed"], config_echo["label"]
     return RunRecord(
@@ -408,12 +389,3 @@ def run(config: RunConfig) -> RunRecord:
         wall_time_s=wall,
     )
 
-
-def _best_truth_table(config: RunConfig, genotype) -> TruthTable:
-    if config.encoding == "bitstring":
-        return decode_bitstring(BitstringGenotype(genotype, config.mode), config.n)
-    if config.encoding == "float":
-        return decode_float_genotype(
-            FloatGenotype(genotype, config.decode, config.mode), config.n
-        )
-    return evaluate_tree(genotype, config.n)

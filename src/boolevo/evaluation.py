@@ -25,8 +25,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encodings import GENERAL, ROTATION, float_bits, tree_truth_bits
-from .orbits import compute_orbits, orbit_sign_patterns
+from .encodings import (
+    ENCODINGS,
+    GENERAL,
+    ROTATION,
+    float_bits,
+    target_length,
+    tree_truth_bits,
+)
+# compute_orbits stays a module name here: benchmarks/tracer.py wraps it
+from .orbits import compute_orbits, orbit_sign_patterns  # noqa: F401
 from .truthtable import hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
@@ -83,8 +91,9 @@ class FitnessEvaluator:
 
     Raw genotypes are the forms the search loops actually carry: uint8 bit
     arrays for the bitstring encoding, float64 arrays for the float encoding
-    and flat preorder token tuples for trees.  Trees are not re-validated
-    here; one from outside the search goes through :class:`GpTree` first.
+    and flat preorder token tuples for trees.  They are not re-validated
+    here; one from outside the search goes through
+    :func:`~boolevo.encodings.check_genotype` first.
     Every call to :meth:`evaluate` (and every flip probed through
     :class:`BitFlipSession`) charges one evaluation; crossing the budget or
     the wall-clock limit raises :class:`BudgetExhausted`.
@@ -99,7 +108,7 @@ class FitnessEvaluator:
         budget: int | None = None,
         time_limit: float | None = None,
     ):
-        if encoding not in ("bitstring", "float", "tree"):
+        if encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {encoding!r}")
         if mode not in (GENERAL, ROTATION):
             raise ValueError(f"unknown mode {mode!r}")
@@ -113,18 +122,12 @@ class FitnessEvaluator:
         self.evaluations = 0
         self._deadline = None if time_limit is None else time.perf_counter() + time_limit
         if mode == ROTATION:
-            self._orbits = compute_orbits(n)
             self._patterns = _patterns_float(n)
         else:
             self._ha = _hadamard_factor(n // 2)
             self._hb = _hadamard_factor(n - n // 2)
-
-    @property
-    def genotype_length(self) -> int:
-        """Bits in a bitstring genotype for this search space."""
-        if self.mode == ROTATION:
-            return self._orbits.num_orbits
-        return 1 << self.n
+        #: bits in a bitstring genotype for this search space
+        self.genotype_length = target_length(n, mode)
 
     def charge(self, count: int = 1) -> None:
         """Account for ``count`` fitness evaluations, or refuse to."""

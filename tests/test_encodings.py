@@ -1,6 +1,8 @@
 """Encoding/decoding behaviour, with the tree evaluator checked against a
 separate per-assignment interpreter."""
 
+import json
+
 import numpy as np
 import pytest
 from oracles import tree_table_pointwise
@@ -8,14 +10,10 @@ from oracles import tree_table_pointwise
 from boolevo.encodings import (
     GENERAL,
     ROTATION,
-    BitstringGenotype,
-    FloatGenotype,
-    GpTree,
-    decode_bitstring,
-    decode_float,
-    decode_float_genotype,
-    evaluate_tree,
+    check_genotype,
+    float_bits,
     float_dimension,
+    genotype_table,
     node_depths,
     random_genotype,
     random_tree,
@@ -27,6 +25,7 @@ from boolevo.encodings import (
     tree_to_text,
     tree_truth_bits,
 )
+from boolevo.engine import deserialize_genotype
 from boolevo.orbits import compute_orbits, is_rotation_symmetric
 from boolevo.truthtable import TruthTable
 
@@ -36,24 +35,32 @@ from boolevo.truthtable import TruthTable
 
 
 def test_decode_bitstring_general():
-    g = BitstringGenotype(np.array([0, 1, 1, 0], dtype=np.uint8))
-    assert decode_bitstring(g, 2) == TruthTable(2, [0, 1, 1, 0])
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    assert genotype_table(bits, "bitstring", 2) == TruthTable(2, [0, 1, 1, 0])
+    assert genotype_table([True, False, False, True], "bitstring", 2) == TruthTable(
+        2, [1, 0, 0, 1]
+    )
     with pytest.raises(ValueError):
-        decode_bitstring(g, 3)
+        genotype_table(bits, "bitstring", 3)
 
 
 def test_decode_bitstring_rotation():
-    g = BitstringGenotype(np.array([0, 1, 1, 0], dtype=np.uint8), ROTATION)
-    tt = decode_bitstring(g, 3)
+    tt = genotype_table(np.array([0, 1, 1, 0], dtype=np.uint8), "bitstring", 3, ROTATION)
     assert tt.bits.tolist() == [0, 1, 1, 1, 1, 1, 1, 0]
     assert is_rotation_symmetric(tt)
 
 
 def test_bitstring_validation():
+    raw = [0, 1, 1, 0]
+    checked = check_genotype(raw, "bitstring", 2)
+    assert checked.dtype == np.uint8 and checked.tolist() == raw
+    # entries are compared before the cast, so 0.7 is not silently 0
+    with pytest.raises(ValueError, match="0 or 1"):
+        check_genotype([0, 0.7, 1, 0], "bitstring", 2)
+    with pytest.raises(ValueError, match="numbers"):
+        check_genotype(["0", "1", "1", "0"], "bitstring", 2)
     with pytest.raises(ValueError):
-        BitstringGenotype(np.array([0, 2], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BitstringGenotype(np.zeros(4, dtype=np.uint8), "weird")
+        check_genotype(np.zeros((2, 2), dtype=np.uint8), "bitstring", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +68,20 @@ def test_bitstring_validation():
 
 
 def test_decode_float_quantisation():
-    g = FloatGenotype(np.array([0.0, 0.49, 0.51, 0.99, 1.0]), decode=1)
-    assert decode_float(g).tolist() == [0, 0, 1, 1, 1]
+    assert float_bits(np.array([0.0, 0.49, 0.51, 0.99, 1.0]), 1).tolist() == [0, 0, 1, 1, 1]
 
 
 def test_decode_float_msb_first():
     # decode=3: 0.8 -> floor(0.8 * 8) = 6 -> bits 110
-    g = FloatGenotype(np.array([0.8]), decode=3)
-    assert decode_float(g).tolist() == [1, 1, 0]
+    assert float_bits(np.array([0.8]), 3).tolist() == [1, 1, 0]
     # the closed top cell: 1.0 clamps to 7 -> 111
-    g = FloatGenotype(np.array([1.0]), decode=3)
-    assert decode_float(g).tolist() == [1, 1, 1]
+    assert float_bits(np.array([1.0]), 3).tolist() == [1, 1, 1]
 
 
 def test_decode_float_cell_boundaries():
     # with decode=2 the cells are [0,.25), [.25,.5), [.5,.75), [.75,1]
-    g = FloatGenotype(np.array([0.24, 0.25, 0.5, 0.74999, 0.75]), decode=2)
-    assert decode_float(g).reshape(-1, 2).tolist() == [
+    bits = float_bits(np.array([0.24, 0.25, 0.5, 0.74999, 0.75]), 2)
+    assert bits.reshape(-1, 2).tolist() == [
         [0, 0],
         [0, 1],
         [1, 0],
@@ -87,23 +91,26 @@ def test_decode_float_cell_boundaries():
 
 
 def test_float_genotype_validation():
-    with pytest.raises(ValueError):
-        FloatGenotype(np.array([0.5, 1.2]))
-    with pytest.raises(ValueError):
-        FloatGenotype(np.array([0.5]), decode=0)
+    checked = check_genotype([0, 0.5, 1, 0.25], "float", 3, decode=2)
+    assert checked.dtype == np.float64 and checked.tolist() == [0, 0.5, 1, 0.25]
+    for bad in (-0.1, 1.2, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            check_genotype([0.5, bad, 0.5, 0.5], "float", 3, decode=2)
+    for decode in (0, -2, 2.0):
+        with pytest.raises(ValueError, match="positive int"):
+            check_genotype([0.5] * 4, "float", 3, decode=decode)
 
 
 def test_decode_float_genotype_exact_length_required():
     # n=3 general needs 8 bits: 4 entries at decode=2 work
-    g = FloatGenotype(np.full(4, 0.9), decode=2)
-    tt = decode_float_genotype(g, 3)
+    tt = genotype_table(np.full(4, 0.9), "float", 3, decode=2)
     assert tt.bits.tolist() == [1, 1] * 4
     # 3 entries at decode=3 give 9 bits: rejected
     with pytest.raises(ValueError):
-        decode_float_genotype(FloatGenotype(np.zeros(3), decode=3), 3)
+        genotype_table(np.zeros(3), "float", 3, decode=3)
     # rotation mode at n=7 has 20 orbit bits; decode=3 cannot tile it
     with pytest.raises(ValueError):
-        decode_float_genotype(FloatGenotype(np.zeros(20), decode=3, mode=ROTATION), 7)
+        genotype_table(np.zeros(20), "float", 7, ROTATION, decode=3)
 
 
 def test_decode_float_genotype_rotation():
@@ -111,8 +118,7 @@ def test_decode_float_genotype_rotation():
     dim = float_dimension(5, 2, ROTATION)
     assert dim * 2 == table.num_orbits
     rng = np.random.default_rng(31)
-    g = FloatGenotype(rng.random(dim), decode=2, mode=ROTATION)
-    tt = decode_float_genotype(g, 5)
+    tt = genotype_table(rng.random(dim), "float", 5, ROTATION, decode=2)
     assert is_rotation_symmetric(tt)
 
 
@@ -142,22 +148,70 @@ MALFORMED_TREES = {
 }
 
 
-def test_tree_validation():
-    GpTree(("AND", 1, 2), 2)
-    GpTree(IF_TREE, 3)
+#: what deserialize_genotype reads for each of MALFORMED_TREES
+MALFORMED_TREE_TEXTS = {
+    "trailing tokens": "AND(x1, x2, x3)",
+    "incomplete": "IF(x1, AND2(x2))",
+    "unknown operator": "NAND(x1, x2)",
+    "leaf out of range": "AND(x1, x4)",
+    "leaf zero": "NOT(x0)",
+    "bool leaf": "AND(True, x2)",
+    "str leaf": 'AND("x1", x2)',
+    "empty": "",
+}
+
+#: (encoding, n, mode, decode, genotype) that neither entry may accept
+BAD_GENOTYPES = {
+    "bit 2": ("bitstring", 2, GENERAL, 3, [0, 1, 2, 0]),
+    "unknown mode": ("bitstring", 2, "weird", 3, [0, 1, 1, 0]),
+    "float 1.2": ("float", 3, GENERAL, 2, [0.5, 1.2, 0.5, 0.5]),
+    "float nan": ("float", 3, GENERAL, 2, [0.5, float("nan"), 0.5, 0.5]),
+    "float inf": ("float", 3, GENERAL, 2, [0.5, float("inf"), 0.5, 0.5]),
+    "decode 0": ("float", 3, GENERAL, 0, [0.5] * 4),
+    "bitstring general length": ("bitstring", 3, GENERAL, 3, [0, 1, 1, 0]),
+    "bitstring rs length": ("bitstring", 3, ROTATION, 3, [0, 1, 1]),
+    "float general length": ("float", 3, GENERAL, 2, [0.5] * 3),
+    "float rs length": ("float", 5, ROTATION, 2, [0.5] * 3),
+    "tree in rs mode": ("tree", 3, ROTATION, 3, ("AND", 1, 2)),
+}
+
+
+def assert_rejected_at_every_entry(encoding, n, mode, decode, genotype, text=None):
+    """The decoder and deserialize_genotype both raise ValueError."""
     with pytest.raises(ValueError):
-        GpTree(("NOT", 1, 2), 2)  # wrong arity leaves a trailing token
+        genotype_table(genotype, encoding, n, mode, decode)
+    data = {"encoding": encoding, "n": n, "mode": mode, "decode": decode}
+    if encoding == "bitstring":
+        data["bits"] = "".join(str(bit) for bit in genotype)
+    elif encoding == "float":
+        data["values"] = list(genotype)
+    else:
+        data["text"] = tree_to_text(genotype) if text is None else text
     with pytest.raises(ValueError):
-        GpTree(["AND", 1, 2], 2)  # a list is not a tree
+        deserialize_genotype(json.loads(json.dumps(data)))  # NaN and inf survive JSON
+
+
+@pytest.mark.parametrize("case", list(BAD_GENOTYPES))
+def test_bad_genotypes_rejected_at_every_entry(case):
+    assert_rejected_at_every_entry(*BAD_GENOTYPES[case])
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_TREES))
 def test_malformed_trees_rejected_at_every_entry(case):
-    tree = MALFORMED_TREES[case]
+    assert_rejected_at_every_entry(
+        "tree", 3, GENERAL, 3, MALFORMED_TREES[case], MALFORMED_TREE_TEXTS[case]
+    )
+
+
+def test_tree_validation():
+    assert check_genotype(("AND", 1, 2), "tree", 2) == ("AND", 1, 2)
+    assert check_genotype(IF_TREE, "tree", 3) is IF_TREE
     with pytest.raises(ValueError):
-        GpTree(tree, 3)
+        check_genotype(("NOT", 1, 2), "tree", 2)  # wrong arity leaves a trailing token
     with pytest.raises(ValueError):
-        evaluate_tree(tree, 3)
+        check_genotype(["AND", 1, 2], "tree", 2)  # a list is not a tree
+    with pytest.raises(ValueError, match="unknown encoding"):
+        check_genotype(("AND", 1, 2), "forest", 2)
 
 
 def test_operator_semantics():
@@ -181,12 +235,10 @@ def test_tree_evaluator_matches_pointwise_interpreter():
         assert tree_truth_bits(tree, n).tolist() == tree_table_pointwise(tree, n)
 
 
-def test_evaluate_tree_wrapper():
-    g = GpTree(("XOR", 1, 2), 2)
-    assert evaluate_tree(g) == TruthTable(2, [0, 1, 1, 0])
-    assert evaluate_tree(("XOR", 1, 2), 2) == TruthTable(2, [0, 1, 1, 0])
-    with pytest.raises(ValueError):
-        evaluate_tree((1,))  # bare tree needs n
+def test_genotype_table_decodes_trees():
+    assert genotype_table(("XOR", 1, 2), "tree", 2) == TruthTable(2, [0, 1, 1, 0])
+    table = genotype_table(IF_TREE, "tree", 3)
+    assert table.bits.tolist() == tree_table_pointwise(IF_TREE, 3)
 
 
 def test_tree_structure_helpers():
@@ -242,14 +294,24 @@ def test_random_tree_respects_limits():
 def test_random_genotype_kinds():
     rng = np.random.default_rng(35)
     g = random_genotype("bitstring", 4, rng)
-    assert isinstance(g, BitstringGenotype) and len(g) == 16
+    assert g.dtype == np.uint8 and g.shape == (16,)
+    assert np.array_equal(check_genotype(g, "bitstring", 4), g)
     g = random_genotype("bitstring", 7, rng, mode=ROTATION)
-    assert len(g) == 20
+    assert g.shape == (20,)
     g = random_genotype("float", 3, rng, decode=2)
-    assert isinstance(g, FloatGenotype) and g.dimension == 4
+    assert g.dtype == np.float64 and g.shape == (4,)
+    assert np.array_equal(check_genotype(g, "float", 3, decode=2), g)
     g = random_genotype("tree", 5, rng, max_depth=5)
-    assert isinstance(g, GpTree)
-    assert tree_depth(g.root) <= 5
+    assert check_genotype(g, "tree", 5) is g
+    assert tree_depth(g) <= 5
     with pytest.raises(ValueError):
         random_genotype("matrix", 3, rng)
-    assert random_genotype("bitstring", 3, rng, mode=GENERAL).mode == GENERAL
+    with pytest.raises(ValueError):
+        random_genotype("bitstring", 3, rng, mode="weird")
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+def test_random_genotype_respects_the_depth_cap(max_depth):
+    rng = np.random.default_rng(36)
+    trees = [random_genotype("tree", 5, rng, max_depth=max_depth) for _ in range(200)]
+    assert max(map(tree_depth, trees)) == max_depth

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from boolevo.encodings import GENERAL, ROTATION, BitstringGenotype, FloatGenotype, GpTree
+from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
 from boolevo.engine import (
     DE,
     SST,
@@ -151,6 +151,23 @@ def test_best_truth_table_consistent_with_reported_nonlinearity():
             assert is_rotation_symmetric(tt)
 
 
+def test_record_cross_check_catches_a_wrong_spectrum(monkeypatch):
+    from boolevo.evaluation import FitnessEvaluator
+
+    spectrum = FitnessEvaluator._spectrum_general
+    monkeypatch.setattr(
+        FitnessEvaluator, "_spectrum_general", lambda self, bits: spectrum(self, bits) * 0
+    )
+    with pytest.raises(RuntimeError, match="seed 7"):
+        run(small_config())
+
+
+def test_tree_depth_cap_holds_from_the_initial_population():
+    cfg = small_config(encoding="tree", max_depth=1, evaluation_budget=10, seed=1)
+    record = run(cfg)
+    assert tree_depth(tree_from_text(record.best_genotype["text"])) <= 1
+
+
 def test_population_best_never_decreases():
     # replay the exact run and check elitism of the steady-state replacement
     from boolevo.engine import _initialise, _RunState, sst_step
@@ -243,8 +260,7 @@ def test_genotype_serialization_round_trip():
     data = serialize_genotype(bits, "bitstring", 7, ROTATION, 3)
     assert data["hex"]
     back = deserialize_genotype(data)
-    assert isinstance(back, BitstringGenotype)
-    assert np.array_equal(back.bits, bits) and back.mode == ROTATION
+    assert back.dtype == np.uint8 and np.array_equal(back, bits)
 
     odd = np.array([1, 0, 1], dtype=np.uint8)
     data = serialize_genotype(odd, "bitstring", 2, GENERAL, 3)
@@ -253,15 +269,14 @@ def test_genotype_serialization_round_trip():
     values = rng.random(16)
     data = serialize_genotype(values, "float", 5, GENERAL, 2)
     back = deserialize_genotype(data)
-    assert isinstance(back, FloatGenotype)
-    assert np.array_equal(back.values, values)  # exact via repr round trip
+    assert back.dtype == np.float64
+    assert np.array_equal(back, values)  # exact via repr round trip
     assert json.loads(json.dumps(data))["values"] == data["values"]
 
     tree = ("IF", 1, 2, "NOT", 3)
     data = serialize_genotype(tree, "tree", 3, GENERAL, 3)
     assert data["text"] == "IF(x1, x2, NOT(x3))"
-    back = deserialize_genotype(data)
-    assert isinstance(back, GpTree) and back.root == tree
+    assert deserialize_genotype(data) == tree
 
 
 @pytest.mark.parametrize(

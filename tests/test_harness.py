@@ -151,7 +151,6 @@ def test_verify_quadratic_level_odd_n():
 
 
 def test_verify_flags_best_known_comparison():
-    from boolevo.encodings import BitstringGenotype
     from boolevo.engine import RunConfig, run
 
     record = run(
