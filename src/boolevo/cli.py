@@ -11,68 +11,51 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 
-from .engine import RunConfig, run
+from .encodings import ENCODINGS, MODES
+from .engine import ALGORITHMS, RunConfig, run
 from .harness import Campaign, SummaryRow, run_campaign, verify_hex
+from .localsearch import VARIANTS
 from .orbits import compute_orbits, orbit_count
 from .truthtable import bounds
 
+_RUN_FIELDS = {field.name for field in fields(RunConfig)}
+
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    # the parser's argument_default is SUPPRESS: a flag left out leaves its
+    # RunConfig default in force
     parser.add_argument("--n", type=int, required=True, help="number of variables")
-    parser.add_argument(
-        "--encoding", choices=("bitstring", "float", "tree"), default="bitstring"
-    )
+    parser.add_argument("--encoding", choices=ENCODINGS)
     parser.add_argument(
         "--mode",
-        choices=("general", "rs"),
-        default="general",
+        choices=MODES,
         help="search the full space or only rotation-symmetric functions",
     )
-    parser.add_argument("--algorithm", choices=("sst", "de"), default="sst")
-    parser.add_argument("--population-size", type=int, default=50)
-    parser.add_argument("--budget", type=int, default=100_000, dest="evaluation_budget")
-    parser.add_argument("--p-mutation", type=float, default=0.5)
-    # 4 divides 2**n for every n >= 2 and the orbit count for every odd n
-    # from 3 to 15, so float searches run with their defaults
-    parser.add_argument("--decode", type=int, default=4, help="bits per float entry")
-    parser.add_argument("--max-depth", type=int, default=7)
-    parser.add_argument("--max-nodes", type=int, default=500)
-    parser.add_argument("--de-weight", type=float, default=0.5)
-    parser.add_argument("--de-crossover", type=float, default=0.9)
-    parser.add_argument("--ls", choices=("ls1", "ls2", "ls3"), default=None)
-    parser.add_argument("--ls-fraction", type=float, default=0.05)
-    parser.add_argument("--ls-trials", type=int, default=25)
-    parser.add_argument("--target-nl", type=int, default=None, dest="target_nonlinearity")
-    parser.add_argument("--time-limit", type=float, default=None)
-    parser.add_argument("--label", default=None)
+    parser.add_argument("--algorithm", choices=ALGORITHMS)
+    parser.add_argument("--population-size", type=int)
+    parser.add_argument("--budget", type=int, dest="evaluation_budget")
+    parser.add_argument("--p-mutation", type=float)
+    parser.add_argument("--decode", type=int, help="bits per float entry")
+    parser.add_argument("--max-depth", type=int)
+    parser.add_argument("--max-nodes", type=int)
+    parser.add_argument("--de-weight", type=float)
+    parser.add_argument("--de-crossover", type=float)
+    parser.add_argument("--ls", choices=VARIANTS)
+    parser.add_argument("--ls-fraction", type=float)
+    parser.add_argument("--ls-trials", type=int)
+    parser.add_argument("--target-nl", type=int, dest="target_nonlinearity")
+    parser.add_argument("--time-limit", type=float)
+    parser.add_argument("--label")
 
 
-def _config_from_args(args, seed) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        encoding=args.encoding,
-        mode=args.mode,
-        algorithm=args.algorithm,
-        population_size=args.population_size,
-        evaluation_budget=args.evaluation_budget,
-        p_mutation=args.p_mutation,
-        decode=args.decode,
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
-        de_weight=args.de_weight,
-        de_crossover=args.de_crossover,
-        ls=args.ls,
-        ls_fraction=args.ls_fraction,
-        ls_trials=args.ls_trials,
-        target_nonlinearity=args.target_nonlinearity,
-        time_limit=args.time_limit,
-        seed=seed,
-        label=args.label,
-    )
+def _config_from_args(args) -> RunConfig:
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``boolevo`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="boolevo",
         description="Evolve Boolean functions with high nonlinearity.",
@@ -80,12 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    search = commands.add_parser("search", help="run one evolutionary search")
+    search = commands.add_parser(
+        "search", help="run one evolutionary search", argument_default=argparse.SUPPRESS
+    )
     _add_run_options(search)
-    search.add_argument("--seed", type=int, default=None)
+    search.add_argument("--seed", type=int)
     search.add_argument("--out", default=None, help="append the run record here (JSON lines)")
 
-    campaign = commands.add_parser("campaign", help="repeat a search over many seeds")
+    campaign = commands.add_parser(
+        "campaign",
+        help="repeat a search over many seeds",
+        argument_default=argparse.SUPPRESS,
+    )
     _add_run_options(campaign)
     campaign.add_argument("--runs", type=int, default=30)
     campaign.add_argument("--seed-base", type=int, default=0)
@@ -105,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_cmd = commands.add_parser("bounds", help="nonlinearity bounds for odd n")
     bounds_cmd.add_argument("--n", type=int, required=True)
 
-    return parser
+    return parser, commands.choices
 
 
 def _load_ini_defaults(path: str, command: str) -> dict:
@@ -141,13 +130,6 @@ def _apply_ini_defaults(subparser, defaults: dict, command: str) -> None:
             action.required = False
 
 
-def _find_command(argv: list[str]) -> str | None:
-    for token in argv:
-        if token in ("search", "campaign", "verify", "orbits", "bounds"):
-            return token
-    return None
-
-
 def _summary_lines(rows: list[SummaryRow]) -> list[str]:
     out = []
     for row in rows:
@@ -161,20 +143,19 @@ def _summary_lines(rows: list[SummaryRow]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     try:
         if known.config:
-            command = _find_command(argv)
+            command = next((token for token in argv if token in commands), None)
             if command is None:
                 parser.error("a subcommand is required")
             defaults = _load_ini_defaults(known.config, command)
             if defaults:
-                sub = parser._subparsers._group_actions[0].choices[command]  # type: ignore[union-attr]
-                _apply_ini_defaults(sub, defaults, command)
+                _apply_ini_defaults(commands[command], defaults, command)
         args = parser.parse_args(argv)
         return _dispatch(args)
     except (ValueError, LookupError, OSError) as error:
@@ -184,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "search":
-        record = run(_config_from_args(args, args.seed))
+        record = run(_config_from_args(args))
         print(f"label          {record.label}")
         print(f"seed           {record.seed}")
         print(f"evaluations    {record.evaluations}")
@@ -200,7 +181,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "campaign":
-        config = _config_from_args(args, None)
+        config = _config_from_args(args)
         campaign = Campaign(
             config=config,
             num_runs=args.runs,

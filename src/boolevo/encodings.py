@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orbits import compute_orbits, expand
-from .truthtable import TruthTable, _check_dimension
+from .truthtable import TruthTable, _check_bits, _check_dimension
 
 #: Operator name -> arity.  AND2 is the masking conjunction a AND NOT b,
 #: IF(a, b, c) returns b where a is true and c elsewhere.
@@ -50,12 +50,36 @@ Tree = tuple
 
 GENERAL = "general"
 ROTATION = "rs"
+MODES = (GENERAL, ROTATION)
 ENCODINGS = ("bitstring", "float", "tree")
+
+#: Bits per float entry unless a run says otherwise.  4 tiles 2**n for every
+#: n >= 2 and the orbit count for every odd n from 3 to 15.
+DEFAULT_DECODE = 4
 
 
 def target_length(n: int, mode: str = GENERAL) -> int:
     """Bits a genotype decodes to: one per table row, or one per rotation orbit."""
     return compute_orbits(n).num_orbits if mode == ROTATION else 1 << n
+
+
+def check_space(
+    n: int, encoding: str, mode: str = GENERAL, decode: int = DEFAULT_DECODE
+) -> None:
+    """Raise a one-line error unless ``n``, ``encoding`` and ``mode`` name a space.
+
+    Trees only target the general space, and a float vector needs a
+    ``decode`` that tiles the target length (see :func:`float_dimension`).
+    """
+    _check_dimension(n)
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if encoding == "tree" and mode == ROTATION:
+        raise ValueError("tree genotypes only target the general space")
+    if encoding == "float":
+        float_dimension(n, decode, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +295,9 @@ def float_dimension(n: int, decode: int, mode: str = GENERAL) -> int:
 # the one validator and the one decoder
 
 
-def check_genotype(genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = 3):
+def check_genotype(
+    genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = DEFAULT_DECODE
+):
     """Validated raw genotype, or a one-line :class:`ValueError`.
 
     Bitstrings come back as a new uint8 array and float vectors as a new
@@ -279,39 +305,31 @@ def check_genotype(genotype, encoding: str, n: int, mode: str = GENERAL, decode:
     checked before any cast, so ``0.7`` is not a bit and NaN is not in
     ``[0, 1]``.
     """
-    _check_dimension(n)
-    if mode not in (GENERAL, ROTATION):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_space(n, encoding, mode, decode)
     if encoding == "tree":
-        if mode == ROTATION:
-            raise ValueError("tree genotypes only target the general space")
         _validate_tree(genotype, n)
         return genotype
-    if encoding == "bitstring":
-        length = target_length(n, mode)
-    elif encoding == "float":
+    if encoding == "float":
         length = float_dimension(n, decode, mode)
     else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+        length = target_length(n, mode)
     values = np.asarray(genotype)
     if values.shape != (length,):
         raise ValueError(
             f"{mode} {encoding} genotype at n={n} needs {length} entries, "
             f"got shape {values.shape}"
         )
-    if values.dtype.kind not in "biuf":
-        raise ValueError(f"{encoding} genotype entries must be numbers")
     if encoding == "bitstring":
-        if not ((values == 0) | (values == 1)).all():
-            raise ValueError("bitstring entries must be 0 or 1")
-        return values.astype(np.uint8)
+        return _check_bits(values, "bitstring entries")
+    if values.dtype.kind not in "biuf":
+        raise ValueError("float genotype entries must be numbers")
     if not ((values >= 0.0) & (values <= 1.0)).all():
         raise ValueError("float genotype entries must be finite and lie in [0, 1]")
     return values.astype(np.float64)
 
 
 def genotype_table(
-    genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = 3
+    genotype, encoding: str, n: int, mode: str = GENERAL, decode: int = DEFAULT_DECODE
 ) -> TruthTable:
     """Truth table of a raw genotype, validated first by :func:`check_genotype`.
 
@@ -381,22 +399,18 @@ def random_genotype(
     n: int,
     rng: np.random.Generator,
     mode: str = GENERAL,
-    decode: int = 3,
+    decode: int = DEFAULT_DECODE,
     max_depth: int = 7,
     max_nodes: int = 500,
 ):
     """Uniform random raw genotype of the requested encoding."""
-    _check_dimension(n)
-    if mode not in (GENERAL, ROTATION):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_space(n, kind, mode, decode)
     if kind == "bitstring":
         return rng.integers(0, 2, target_length(n, mode), dtype=np.uint8)
     if kind == "float":
         return rng.random(float_dimension(n, decode, mode))
-    if kind == "tree":
-        # ramped half and half: depth ramps over 2..max_depth (just max_depth
-        # when that is 1), half grow half full
-        depth = int(rng.integers(min(2, max_depth), max_depth + 1))
-        method = "grow" if rng.integers(2) else "full"
-        return random_tree(n, rng, depth, method, max_nodes)
-    raise ValueError(f"unknown encoding kind {kind!r}")
+    # ramped half and half: depth ramps over 2..max_depth (just max_depth
+    # when that is 1), half grow half full
+    depth = int(rng.integers(min(2, max_depth), max_depth + 1))
+    method = "grow" if rng.integers(2) else "full"
+    return random_tree(n, rng, depth, method, max_nodes)

@@ -9,6 +9,7 @@ reaches the target nonlinearity.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -16,11 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .encodings import (
-    ENCODINGS,
+    DEFAULT_DECODE,
+    ENCODINGS,  # noqa: F401  (still importable from here)
     GENERAL,
     ROTATION,
     check_genotype,
-    float_dimension,
+    check_space,
     genotype_table,
     random_genotype,
     target_length,
@@ -31,7 +33,6 @@ from .evaluation import BudgetExhausted, FitnessEvaluator, Individual
 from .localsearch import LsConfig, apply_ls
 from .operators import make_operators
 from .truthtable import (
-    _check_dimension,
     bits_from_hex,
     bits_to_hex,
     spectrum_key,
@@ -40,6 +41,7 @@ from .truthtable import (
 
 SST = "sst"
 DE = "de"
+ALGORITHMS = (SST, DE)
 
 
 @dataclass
@@ -53,7 +55,7 @@ class RunConfig:
     population_size: int = 50
     evaluation_budget: int = 100_000
     p_mutation: float = 0.5
-    decode: int = 3
+    decode: int = DEFAULT_DECODE
     max_depth: int = 7
     max_nodes: int = 500
     de_weight: float = 0.5
@@ -67,17 +69,11 @@ class RunConfig:
     label: Optional[str] = None
 
     def validate(self) -> None:
-        _check_dimension(self.n)
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.mode not in (GENERAL, ROTATION):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.algorithm not in (SST, DE):
+        check_space(self.n, self.encoding, self.mode, self.decode)
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == DE and self.encoding != "float":
             raise ValueError("differential evolution operates on float genotypes")
-        if self.encoding == "tree" and self.mode == ROTATION:
-            raise ValueError("tree genotypes only target the general space")
         minimum_pop = 4 if self.algorithm == DE else 3
         if self.population_size < minimum_pop:
             raise ValueError(
@@ -91,14 +87,13 @@ class RunConfig:
             raise ValueError("differential weight must be in (0, 2]")
         if not 0.0 <= self.de_crossover <= 1.0:
             raise ValueError("crossover rate must be in [0, 1]")
-        if self.encoding == "float":
-            float_dimension(self.n, self.decode, self.mode)  # raises if it cannot tile
         if self.ls is not None:
             LsConfig(self.ls, self.ls_fraction, self.ls_trials)
             if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
                 raise ValueError("bit-flip local search needs the bitstring encoding")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
+        # NaN fails both comparisons; a NaN deadline would never pass
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time limit must be a positive finite number")
         if self.max_depth < 1 or self.max_nodes < 1:
             raise ValueError("tree limits must be positive")
 
@@ -147,7 +142,7 @@ def serialize_genotype(genotype, encoding: str, n: int, mode: str, decode: int) 
 def deserialize_genotype(data: dict):
     """Inverse of :func:`serialize_genotype`: the raw genotype, validated."""
     encoding, n = data["encoding"], data["n"]
-    mode, decode = data.get("mode", GENERAL), data.get("decode", 3)
+    mode, decode = data.get("mode", GENERAL), data.get("decode", DEFAULT_DECODE)
     if encoding == "bitstring" and "hex" in data:
         genotype = bits_from_hex(data["hex"], target_length(n, mode))
     elif encoding == "bitstring":

@@ -26,9 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from .encodings import (
-    ENCODINGS,
+    DEFAULT_DECODE,
     GENERAL,
     ROTATION,
+    check_space,
     float_bits,
     target_length,
     tree_truth_bits,
@@ -104,16 +105,11 @@ class FitnessEvaluator:
         n: int,
         encoding: str,
         mode: str = GENERAL,
-        decode: int = 3,
+        decode: int = DEFAULT_DECODE,
         budget: int | None = None,
         time_limit: float | None = None,
     ):
-        if encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {encoding!r}")
-        if mode not in (GENERAL, ROTATION):
-            raise ValueError(f"unknown mode {mode!r}")
-        if encoding == "tree" and mode == ROTATION:
-            raise ValueError("tree genotypes only target the general space")
+        check_space(n, encoding, mode, decode)
         self.n = n
         self.encoding = encoding
         self.mode = mode

@@ -61,10 +61,6 @@ class SummaryRow:
     max_nonlinearity: int
 
 
-def _execute(config: RunConfig) -> RunRecord:
-    return run(config)
-
-
 def run_campaign(
     campaign: Campaign, out_dir: Optional[str] = None
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
@@ -79,10 +75,11 @@ def run_campaign(
         raise ValueError("worker count must be positive")
     configs = campaign.run_configs()
     if campaign.workers == 1:
-        records = [_execute(config) for config in configs]
+        # run is looked up at call time, so a caller may wrap harness.run
+        records = [run(config) for config in configs]
     else:
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
-            records = list(pool.map(_execute, configs))
+            records = list(pool.map(run, configs))
     rows = summarize(records)
     if out_dir is not None:
         directory = Path(out_dir)

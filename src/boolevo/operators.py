@@ -211,12 +211,6 @@ _TREE_CROSSOVERS = (
 )
 
 
-def mutate_tree(
-    tree: Tree, n: int, rng: np.random.Generator, max_depth: int = 7, max_nodes: int = 500
-) -> Tree:
-    return subtree_mutation(tree, n, rng, max_depth, max_nodes)
-
-
 def crossover_tree(
     a: Tree,
     b: Tree,
@@ -251,7 +245,7 @@ def make_operators(encoding: str, n: int, max_depth: int = 7, max_nodes: int = 5
     if encoding == "tree":
 
         def mutate(tree, rng):
-            return mutate_tree(tree, n, rng, max_depth, max_nodes)
+            return subtree_mutation(tree, n, rng, max_depth, max_nodes)
 
         def crossover(a, b, rng):
             return crossover_tree(a, b, rng, max_depth, max_nodes)

@@ -14,7 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .truthtable import MAX_DIMENSION, TruthTable, _check_dimension, hadamard_transform
+from .truthtable import (
+    MAX_DIMENSION,
+    TruthTable,
+    _check_bits,
+    _check_dimension,
+    hadamard_transform,
+)
 
 
 def rotate_index(index: int, n: int) -> int:
@@ -82,7 +88,7 @@ def compute_orbits(n: int) -> OrbitTable:
 
 def expand(table: OrbitTable, orbit_bits: np.ndarray) -> TruthTable:
     """Blow one bit per orbit up to a full rotation-symmetric truth table."""
-    orbit_bits = np.asarray(orbit_bits, dtype=np.uint8)
+    orbit_bits = _check_bits(orbit_bits, "orbit bits")
     if orbit_bits.shape != (table.num_orbits,):
         raise ValueError(
             f"need {table.num_orbits} orbit bits for n={table.n}, "

@@ -31,6 +31,16 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"number of variables must be in 1..{MAX_DIMENSION}, got {n}")
 
 
+def _check_bits(values, what: str) -> np.ndarray:
+    """uint8 copy of 0/1 entries, compared before the cast so that 0.7 is no bit."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be numbers")
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
+    return values.astype(np.uint8)
+
+
 def bits_to_hex(bits: np.ndarray) -> str:
     """Encode a bit vector whose length is a multiple of 4 as lowercase hex.
 
@@ -75,14 +85,12 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        bits = np.array(self.bits, dtype=np.uint8, copy=True)
+        bits = _check_bits(self.bits, "truth table entries")
         if bits.shape != (1 << self.n,):
             raise ValueError(
                 f"truth table for n={self.n} needs {1 << self.n} bits, "
                 f"got shape {bits.shape}"
             )
-        if bits.size and int(bits.max()) > 1:
-            raise ValueError("truth table entries must be 0 or 1")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from boolevo.cli import main
+from boolevo.engine import RunConfig, run
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +31,18 @@ def test_search_prints_and_writes_record(tmp_path, capsys):
     record = json.loads(line)
     assert record["seed"] == 3
     assert record["label"] == "TT"
+
+
+def test_search_record_matches_library_run(tmp_path, capsys):
+    # a flag left out takes the RunConfig default, so the echoed config agrees
+    out = tmp_path / "run.jsonl"
+    code, _, _ = run_cli(
+        capsys, "search", "--n", "5", "--population-size", "6", "--budget", "200",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 0
+    config = RunConfig(n=5, population_size=6, evaluation_budget=200, seed=1)
+    assert out.read_text() == run(config).to_json() + "\n"
 
 
 def test_search_is_reproducible(tmp_path, capsys):
@@ -156,6 +169,13 @@ def test_invalid_run_configuration_exits_nonzero(capsys):
     )
     assert code == 1
     assert "decode" in stderr
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "0"])
+def test_time_limit_must_be_positive_and_finite(capsys, limit):
+    code, _, stderr = run_cli(capsys, "search", "--n", "4", "--time-limit", limit)
+    assert code == 1
+    assert stderr == "error: time limit must be a positive finite number\n"
 
 
 @pytest.mark.parametrize("n, mode", [("7", "general"), ("9", "rs")])

@@ -52,7 +52,12 @@ def test_config_validation_rejects_bad_combinations():
         small_config(evaluation_budget=5).validate()
     with pytest.raises(ValueError):
         small_config(ls="ls9").validate()
+    # a NaN deadline never passes, so NaN must not get through either
+    for limit in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time limit"):
+            small_config(time_limit=limit).validate()
     small_config().validate()
+    small_config(time_limit=0.5).validate()
     small_config(encoding="float", decode=2).validate()
 
 

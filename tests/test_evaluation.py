@@ -100,6 +100,11 @@ def test_evaluator_rejects_bad_setup():
         FitnessEvaluator(3, "tree", ROTATION)
     with pytest.raises(ValueError):
         FitnessEvaluator(3, "bitstring", "weird")
+    # a decode that cannot tile the space fails here, not at the first evaluate
+    with pytest.raises(ValueError, match="decode=3 does not divide"):
+        FitnessEvaluator(7, "float", decode=3)
+    with pytest.raises(ValueError, match="decode=4 does not divide the rs target"):
+        FitnessEvaluator(4, "float", ROTATION)  # 6 orbits
 
 
 def test_budget_enforced_exactly():

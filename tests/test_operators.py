@@ -13,12 +13,12 @@ from boolevo.operators import (
     make_operators,
     mutate_bitstring,
     mutate_float,
-    mutate_tree,
     one_point_crossover,
     one_point_tree_crossover,
     shuffle_mutation,
     size_fair_crossover,
     subtree_crossover,
+    subtree_mutation,
     uniform_crossover,
     uniform_tree_crossover,
 )
@@ -119,7 +119,7 @@ def test_subtree_mutation_respects_depth():
     rng = np.random.default_rng(59)
     for _ in range(100):
         t = random_tree(4, rng, max_depth=6)
-        child = mutate_tree(t, 4, rng, max_depth=6, max_nodes=500)
+        child = subtree_mutation(t, 4, rng, max_depth=6, max_nodes=500)
         assert tree_depth(child) <= 6
         assert len(child) <= 500
 
@@ -219,7 +219,7 @@ def test_tree_operators_produce_valid_trees():
         b = random_tree(3, rng, max_depth=4)
         child = crossover_tree(a, b, rng)
         tree_table_pointwise(child, 3)  # raises if malformed
-        child = mutate_tree(a, 3, rng)
+        child = subtree_mutation(a, 3, rng, max_depth=7, max_nodes=500)
         tree_table_pointwise(child, 3)
 
 

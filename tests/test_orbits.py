@@ -86,6 +86,8 @@ def test_expand_round_trip_and_symmetry():
 def test_expand_validates_length():
     with pytest.raises(ValueError):
         expand(compute_orbits(3), np.zeros(5, dtype=np.uint8))
+    with pytest.raises(ValueError, match="0 or 1"):
+        expand(compute_orbits(3), [0.9, 1, 0, 1])  # not read as 0
 
 
 def test_is_rotation_symmetric_negative():

@@ -46,6 +46,8 @@ def test_truth_table_validation():
         TruthTable(2, [0, 1, 1])  # wrong length
     with pytest.raises(ValueError):
         TruthTable(2, [0, 1, 2, 0])  # not a bit
+    with pytest.raises(ValueError, match="0 or 1"):
+        TruthTable(3, [0.7] * 8)  # compared before the cast, not read as 0
 
 
 def test_truth_table_is_immutable():
