@@ -56,6 +56,9 @@ ENCODINGS = ("bitstring", "float", "tree")
 #: Bits per float entry unless a run says otherwise.  4 tiles 2**n for every
 #: n >= 2 and the orbit count for every odd n from 3 to 15.
 DEFAULT_DECODE = 4
+#: Tree depth and size caps unless a run says otherwise.
+DEFAULT_MAX_DEPTH = 7
+DEFAULT_MAX_NODES = 500
 
 
 def target_length(n: int, mode: str = GENERAL) -> int:
@@ -356,9 +359,9 @@ def genotype_table(
 def random_tree(
     n: int,
     rng: np.random.Generator,
-    max_depth: int = 7,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     method: str = "grow",
-    max_nodes: int = 500,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Tree:
     """Random tree by the grow or full method, within depth and size caps."""
     if method not in ("grow", "full"):
@@ -400,8 +403,8 @@ def random_genotype(
     rng: np.random.Generator,
     mode: str = GENERAL,
     decode: int = DEFAULT_DECODE,
-    max_depth: int = 7,
-    max_nodes: int = 500,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ):
     """Uniform random raw genotype of the requested encoding."""
     check_space(n, kind, mode, decode)

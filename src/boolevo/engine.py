@@ -9,7 +9,6 @@ reaches the target nonlinearity.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -18,7 +17,8 @@ import numpy as np
 
 from .encodings import (
     DEFAULT_DECODE,
-    ENCODINGS,  # noqa: F401  (still importable from here)
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     GENERAL,
     ROTATION,
     check_genotype,
@@ -29,8 +29,14 @@ from .encodings import (
     tree_from_text,
     tree_to_text,
 )
-from .evaluation import BudgetExhausted, FitnessEvaluator, Individual
-from .localsearch import LsConfig, apply_ls
+from .evaluation import (
+    BudgetExhausted,
+    FitnessEvaluator,
+    Individual,
+    check_time_limit,
+    key_to_fitness,
+)
+from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, LsConfig, apply_ls
 from .operators import make_operators
 from .truthtable import (
     bits_from_hex,
@@ -56,13 +62,13 @@ class RunConfig:
     evaluation_budget: int = 100_000
     p_mutation: float = 0.5
     decode: int = DEFAULT_DECODE
-    max_depth: int = 7
-    max_nodes: int = 500
+    max_depth: int = DEFAULT_MAX_DEPTH
+    max_nodes: int = DEFAULT_MAX_NODES
     de_weight: float = 0.5
     de_crossover: float = 0.9
     ls: Optional[str] = None
-    ls_fraction: float = 0.05
-    ls_trials: int = 25
+    ls_fraction: float = DEFAULT_LS_FRACTION
+    ls_trials: int = DEFAULT_LS_TRIALS
     target_nonlinearity: Optional[int] = None
     time_limit: Optional[float] = None
     seed: Optional[int] = None
@@ -91,9 +97,7 @@ class RunConfig:
             LsConfig(self.ls, self.ls_fraction, self.ls_trials)
             if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
                 raise ValueError("bit-flip local search needs the bitstring encoding")
-        # NaN fails both comparisons; a NaN deadline would never pass
-        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
-            raise ValueError("time limit must be a positive finite number")
+        check_time_limit(self.time_limit)
         if self.max_depth < 1 or self.max_nodes < 1:
             raise ValueError("tree limits must be positive")
 
@@ -221,13 +225,14 @@ class _RunState:
     def note(self, individual: Individual) -> None:
         if self.best is None or individual.key > self.best.key:
             self.best = individual
-            self.trajectory.append([self.evaluator.evaluations, individual.fitness])
+            fitness = key_to_fitness(individual.key, self.config.n)
+            self.trajectory.append([self.evaluator.evaluations, fitness])
 
     def target_reached(self) -> bool:
         return (
             self.config.target_nonlinearity is not None
             and self.best is not None
-            and self.best.nl >= self.config.target_nonlinearity
+            and self.best.key >> self.config.n >= self.config.target_nonlinearity
         )
 
 
@@ -243,10 +248,8 @@ def _initialise(state: _RunState) -> None:
             max_depth=cfg.max_depth,
             max_nodes=cfg.max_nodes,
         )
-        key, nl = state.evaluator.evaluate(genotype)
-        individual = Individual.make(genotype, key, nl, cfg.n)
-        state.pop.append(individual)
-        state.note(individual)
+        state.pop.append(Individual(genotype, state.evaluator.evaluate(genotype)))
+        state.note(state.pop[-1])
 
 
 def _draw_distinct(rng, size: int, count: int, taboo=()) -> list[int]:
@@ -274,18 +277,15 @@ def sst_step(state: _RunState) -> None:
     parents (in draw order), and the child always replaces the eliminated
     slot after being evaluated.
     """
-    cfg = state.config
     pop = state.pop
     slots = _draw_distinct(state.rng, len(pop), 3)
     loser = select_loser(pop, slots)
     parents = [slot for slot in slots if slot != loser]
     child = state.crossover(pop[parents[0]].genotype, pop[parents[1]].genotype, state.rng)
-    if state.rng.random() < cfg.p_mutation:
+    if state.rng.random() < state.config.p_mutation:
         child = state.mutate(child, state.rng)
-    key, nl = state.evaluator.evaluate(child)
-    individual = Individual.make(child, key, nl, cfg.n)
-    pop[loser] = individual
-    state.note(individual)
+    pop[loser] = Individual(child, state.evaluator.evaluate(child))
+    state.note(pop[loser])
 
 
 def de_step(state: _RunState) -> None:
@@ -301,11 +301,10 @@ def de_step(state: _RunState) -> None:
         cross = state.rng.random(dim) < cfg.de_crossover
         cross[int(state.rng.integers(dim))] = True
         trial = np.where(cross, mutant, pop[target].genotype)
-        key, nl = state.evaluator.evaluate(trial)
+        key = state.evaluator.evaluate(trial)
         if key >= pop[target].key:
-            individual = Individual.make(trial, key, nl, cfg.n)
-            pop[target] = individual
-            state.note(individual)
+            pop[target] = Individual(trial, key)
+            state.note(pop[target])
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -357,7 +356,7 @@ def run(config: RunConfig) -> RunRecord:
         best.genotype, config.encoding, config.n, config.mode, config.decode
     )
     # cross-check the fast kernel with the reference butterfly
-    if spectrum_key(walsh_transform(truth).values, config.n)[0] != best.key:
+    if spectrum_key(walsh_transform(truth).values, config.n) != best.key:
         raise RuntimeError(
             f"run with seed {config.seed}: the reference spectrum of the best "
             f"truth table disagrees with its fitness key {best.key}"
@@ -369,17 +368,14 @@ def run(config: RunConfig) -> RunRecord:
         seed=config.seed,
         config=config_echo,
         evaluations=evaluator.evaluations,
-        best_fitness=best.fitness,
-        best_nonlinearity=best.nl,
+        best_fitness=key_to_fitness(best.key, config.n),
+        best_nonlinearity=best.key >> config.n,
         best_genotype=serialize_genotype(
             best.genotype, config.encoding, config.n, config.mode, config.decode
         ),
         best_truth_table=truth.to_hex() if config.n >= 2 else "".join(map(str, truth.bits)),
         trajectory=state.trajectory,
-        target_reached=(
-            config.target_nonlinearity is not None
-            and best.nl >= config.target_nonlinearity
-        ),
+        target_reached=state.target_reached(),
         stop_reason=stop_reason,
         wall_time_s=wall,
     )

@@ -2,8 +2,9 @@
 
 The evolutionary loops never rank individuals by the float fitness directly;
 they use an exact integer key ``(nl << n) + (2**n - num_max)`` so comparisons
-cannot suffer rounding artefacts.  ``key / 2**n`` reproduces the float
-fitness exactly (both terms are dyadic rationals).
+cannot suffer rounding artefacts.  The key is the only evaluation result:
+``key >> n`` is the nonlinearity and ``key / 2**n`` the float fitness, exactly
+(both terms are dyadic rationals).
 
 General-space spectra use the Kronecker factorisation of the Hadamard
 matrix (Fino & Algazi, IEEE Trans. Computers, 1976): with ``a = n // 2`` and
@@ -19,6 +20,7 @@ threshold above which float32 integers could round.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,18 +75,19 @@ def key_to_fitness(key: int, n: int) -> float:
     return key / (1 << n)
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """Raise a one-line error unless the limit is None or positive and finite."""
+    # NaN fails both comparisons; a NaN deadline would never pass
+    if time_limit is not None and not 0 < time_limit < math.inf:
+        raise ValueError("time limit must be a positive finite number")
+
+
 @dataclass(frozen=True)
 class Individual:
-    """A genotype with its cached evaluation results."""
+    """A genotype with its fitness key."""
 
     genotype: object
-    key: int        # exact ranking key, (nl << n) + (2**n - num_max)
-    nl: int
-    fitness: float  # key / 2**n, exact
-
-    @classmethod
-    def make(cls, genotype, key: int, nl: int, n: int) -> "Individual":
-        return cls(genotype, key, nl, key_to_fitness(key, n))
+    key: int  # exact ranking key, (nl << n) + (2**n - num_max)
 
 
 class FitnessEvaluator:
@@ -110,6 +113,7 @@ class FitnessEvaluator:
         time_limit: float | None = None,
     ):
         check_space(n, encoding, mode, decode)
+        check_time_limit(time_limit)
         self.n = n
         self.encoding = encoding
         self.mode = mode
@@ -135,8 +139,8 @@ class FitnessEvaluator:
             if time.perf_counter() > self._deadline:
                 raise BudgetExhausted(EXHAUSTED_TIME)
 
-    def evaluate(self, genotype) -> tuple[int, int]:
-        """Charge one evaluation and return ``(fitness key, nonlinearity)``."""
+    def evaluate(self, genotype) -> int:
+        """Charge one evaluation and return the fitness key."""
         self.charge()
         return spectrum_key(self._spectrum(genotype), self.n)
 
@@ -148,16 +152,12 @@ class FitnessEvaluator:
         if self.encoding == "float":
             genotype = float_bits(genotype, self.decode)
         if self.mode == ROTATION:
-            return self._spectrum_orbit(genotype)
+            return _SIGNS[genotype] @ self._patterns
         return self._spectrum_general(genotype)
 
     def _spectrum_general(self, bits: np.ndarray) -> np.ndarray:
         signs = _SIGNS[bits].reshape(len(self._ha), len(self._hb))
         return (self._ha @ signs @ self._hb).reshape(-1)
-
-    def _spectrum_orbit(self, orbit_bits: np.ndarray) -> np.ndarray:
-        signs = 1.0 - 2.0 * orbit_bits.astype(np.float32)
-        return signs @ self._patterns
 
     def _flip_row(self, position: int) -> np.ndarray:
         """Spectrum delta direction for flipping one genotype bit."""
@@ -188,30 +188,24 @@ class BitFlipSession:
                 f"expected {evaluator.genotype_length} genotype bits, "
                 f"got shape {self.bits.shape}"
             )
-        if evaluator.mode == ROTATION:
-            self.spectrum = evaluator._spectrum_orbit(self.bits)
-        else:
-            self.spectrum = evaluator._spectrum_general(self.bits)
-        self.spectrum = np.array(self.spectrum, dtype=np.float64)
-        self.key, self.nl = spectrum_key(self.spectrum, evaluator.n)
-        self._pending: int | None = None
-        self._pending_spectrum: np.ndarray | None = None
+        self.spectrum = np.array(evaluator._spectrum(self.bits), dtype=np.float64)
+        self.key = spectrum_key(self.spectrum, evaluator.n)
+        # (position, spectrum, key) of the last probed flip
+        self._pending: tuple[int, np.ndarray, int] | None = None
 
-    def try_flip(self, position: int) -> tuple[int, int]:
-        """Probe flipping one bit; charges one evaluation."""
+    def try_flip(self, position: int) -> int:
+        """Probe flipping one bit and return its key; charges one evaluation."""
         self.evaluator.charge()
         sign = 1.0 - 2.0 * float(self.bits[position])
         candidate = self.spectrum - (2.0 * sign) * self.evaluator._flip_row(position)
-        self._pending = position
-        self._pending_spectrum = candidate
-        return spectrum_key(candidate, self.evaluator.n)
+        key = spectrum_key(candidate, self.evaluator.n)
+        self._pending = (position, candidate, key)
+        return key
 
     def commit(self) -> None:
         """Adopt the most recently probed flip."""
         if self._pending is None:
             raise RuntimeError("no probed flip to commit")
-        self.bits[self._pending] ^= 1
-        self.spectrum = self._pending_spectrum
-        self.key, self.nl = spectrum_key(self.spectrum, self.evaluator.n)
+        position, self.spectrum, self.key = self._pending
+        self.bits[position] ^= 1
         self._pending = None
-        self._pending_spectrum = None

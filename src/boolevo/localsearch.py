@@ -24,6 +24,9 @@ import numpy as np
 from .evaluation import BitFlipSession, FitnessEvaluator, Individual
 
 VARIANTS = ("ls1", "ls2", "ls3")
+#: Share of the population treated per round and failures that stop ``ls1``.
+DEFAULT_LS_FRACTION = 0.05
+DEFAULT_LS_TRIALS = 25
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,8 @@ class LsConfig:
     """Which stage to run, on what share of the population, how stubbornly."""
 
     variant: str = "ls1"
-    fraction: float = 0.05
-    trials: int = 25
+    fraction: float = DEFAULT_LS_FRACTION
+    trials: int = DEFAULT_LS_TRIALS
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -48,7 +51,7 @@ def ls_mutation(
     evaluator: FitnessEvaluator,
     mutate,
     rng: np.random.Generator,
-    trials: int = 25,
+    trials: int = DEFAULT_LS_TRIALS,
     note=None,
 ) -> Individual:
     """Mutation hill climber; stops after ``trials`` straight failures."""
@@ -56,9 +59,9 @@ def ls_mutation(
     failures = 0
     while failures < trials:
         genotype = mutate(current.genotype, rng)
-        key, nl = evaluator.evaluate(genotype)
+        key = evaluator.evaluate(genotype)
         if key > current.key:
-            current = Individual.make(genotype, key, nl, evaluator.n)
+            current = Individual(genotype, key)
             failures = 0
             if note is not None:
                 note(current)
@@ -81,14 +84,13 @@ def ls_bitflip(
     while improved:
         improved = False
         for position in range(session.bits.shape[0]):
-            key, nl = session.try_flip(position)
-            if key > session.key:
+            if session.try_flip(position) > session.key:
                 session.commit()
                 improved = True
                 if note is not None:
-                    note(Individual.make(session.bits.copy(), session.key, session.nl, evaluator.n))
+                    note(Individual(session.bits.copy(), session.key))
     if session.key > individual.key:
-        return Individual.make(session.bits.copy(), session.key, session.nl, evaluator.n)
+        return Individual(session.bits.copy(), session.key)
     return individual
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .encodings import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     OPERATOR_ARITY,
     Tree,
     _random_node,
@@ -215,8 +217,8 @@ def crossover_tree(
     a: Tree,
     b: Tree,
     rng: np.random.Generator,
-    max_depth: int = 7,
-    max_nodes: int = 500,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Tree:
     """One of five tree crossovers, chosen uniformly per call.
 
@@ -236,7 +238,9 @@ def crossover_tree(
 # dispatch
 
 
-def make_operators(encoding: str, n: int, max_depth: int = 7, max_nodes: int = 500):
+def make_operators(
+    encoding: str, n: int, max_depth: int = DEFAULT_MAX_DEPTH, max_nodes: int = DEFAULT_MAX_NODES
+):
     """Bind ``(mutate, crossover)`` callables for one encoding."""
     if encoding == "bitstring":
         return mutate_bitstring, crossover_bitstring

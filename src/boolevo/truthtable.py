@@ -165,31 +165,30 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(table.n, hadamard_transform(signs))
 
 
-def spectrum_key(spectrum: np.ndarray, n: int) -> tuple[int, int]:
-    """Exact ``(fitness key, nonlinearity)`` of a vector of Walsh values.
+def spectrum_key(spectrum: np.ndarray, n: int) -> int:
+    """Exact fitness key of a vector of Walsh values.
 
     The key is ``(nl << n) + (2**n - count)``, where ``count`` is how often
     the peak ``max |W| = 2**n - 2 * nl`` occurs.  The second term rewards
     spectra whose extreme value occurs rarely; it is always in
     ``0..2**n - 1``, so it can never lift the key past the next
-    nonlinearity level.
+    nonlinearity level: ``nl == key >> n`` and the fitness is ``key / 2**n``.
     """
     mags = np.abs(spectrum)
     peak = int(mags.max())
     count = int(np.count_nonzero(mags == peak))
     nl = (1 << (n - 1)) - peak // 2
-    return (nl << n) + ((1 << n) - count), nl
+    return (nl << n) + ((1 << n) - count)
 
 
 def nonlinearity(spectrum: WalshSpectrum) -> int:
     """Minimum Hamming distance to the affine functions."""
-    return spectrum_key(spectrum.values, spectrum.n)[1]
+    return spectrum_key(spectrum.values, spectrum.n) >> spectrum.n
 
 
 def fitness(table: TruthTable) -> float:
     """Nonlinearity plus the tie-break of :func:`spectrum_key`, as ``key / 2**n``."""
-    key, _ = spectrum_key(walsh_transform(table).values, table.n)
-    return key / (1 << table.n)
+    return spectrum_key(walsh_transform(table).values, table.n) / (1 << table.n)
 
 
 def balancedness(table: TruthTable) -> tuple[bool, int]:
@@ -213,7 +212,8 @@ class PropertyReport:
 
 def property_report(table: TruthTable) -> PropertyReport:
     size = 1 << table.n
-    key, nl = spectrum_key(walsh_transform(table).values, table.n)
+    key = spectrum_key(walsh_transform(table).values, table.n)
+    nl = key >> table.n
     balanced, hw = balancedness(table)
     return PropertyReport(
         n=table.n,
@@ -221,7 +221,7 @@ def property_report(table: TruthTable) -> PropertyReport:
         balanced=balanced,
         hamming_weight=hw,
         max_abs_walsh=size - 2 * nl,
-        num_max_values=size - (key - (nl << table.n)),
+        num_max_values=size - key % size,
         fitness=key / size,
     )
 

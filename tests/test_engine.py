@@ -79,7 +79,7 @@ def test_labels():
 
 
 def fake_pop(keys):
-    return [Individual(None, k, 0, 0.0) for k in keys]
+    return [Individual(None, k) for k in keys]
 
 
 def test_select_loser_lowest_key():

@@ -1,8 +1,11 @@
 """Fast evaluation paths must agree bit-for-bit with the reference transform,
 and budgets must be enforced exactly."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from oracles import nonlinearity_by_distance
 
 from boolevo.encodings import ROTATION, float_bits, random_tree, tree_truth_bits
 from boolevo.evaluation import (
@@ -21,7 +24,7 @@ def reference_key(bits, n):
     mags = [abs(int(w)) for w in walsh_transform(TruthTable(n, bits)).values]
     peak = max(mags)
     nl = (1 << (n - 1)) - peak // 2
-    return (nl << n) + ((1 << n) - mags.count(peak)), nl
+    return (nl << n) + ((1 << n) - mags.count(peak))
 
 
 def test_spectrum_key_matches_reference_profile():
@@ -30,8 +33,8 @@ def test_spectrum_key_matches_reference_profile():
         for _ in range(10):
             bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
             spec = walsh_transform(TruthTable(n, bits)).values
-            key, nl = spectrum_key(spec.astype(np.float64), n)
-            assert (key, nl) == reference_key(bits, n)
+            key = spectrum_key(spec.astype(np.float64), n)
+            assert key == reference_key(bits, n)
             assert key_to_fitness(key, n) == fitness(TruthTable(n, bits))
 
 
@@ -85,11 +88,12 @@ def test_tree_path_exact():
         assert np.array_equal(got, want)
 
 
-def test_evaluate_returns_key_and_nl():
+def test_evaluate_returns_the_key():
     ev = FitnessEvaluator(3, "bitstring")
     bits = np.array([0, 1, 1, 1, 1, 1, 1, 0], dtype=np.uint8)
-    key, nl = ev.evaluate(bits)
-    assert (key, nl) == reference_key(bits, 3)
+    key = ev.evaluate(bits)
+    assert key == reference_key(bits, 3)
+    assert key >> 3 == nonlinearity_by_distance(bits)
     assert ev.evaluations == 1
 
 
@@ -105,6 +109,10 @@ def test_evaluator_rejects_bad_setup():
         FitnessEvaluator(7, "float", decode=3)
     with pytest.raises(ValueError, match="decode=4 does not divide the rs target"):
         FitnessEvaluator(4, "float", ROTATION)  # 6 orbits
+    # a NaN or infinite deadline would never pass
+    for limit in (float("nan"), float("inf"), 0):
+        with pytest.raises(ValueError, match="time limit must be a positive finite number"):
+            FitnessEvaluator(5, "bitstring", time_limit=limit)
 
 
 def test_budget_enforced_exactly():
@@ -139,15 +147,15 @@ def test_bitflip_session_matches_full_reevaluation():
         reference = bits.copy()
         for _ in range(60):
             j = int(rng.integers(length))
-            probe_key, probe_nl = session.try_flip(j)
+            probe_key = session.try_flip(j)
             flipped = reference.copy()
             flipped[j] ^= 1
             want = spectrum_key(np.asarray(ev._spectrum(flipped), np.float64), n)
-            assert (probe_key, probe_nl) == want
+            assert probe_key == want
             if rng.random() < 0.5:
                 session.commit()
                 reference = flipped
-                assert (session.key, session.nl) == want
+                assert session.key == want
         assert np.array_equal(session.bits, reference)
 
 
@@ -170,7 +178,8 @@ def test_bitflip_session_needs_probe_before_commit():
         session.commit()
 
 
-def test_individual_make():
-    ind = Individual.make((1,), key=(2 << 3) + 5, nl=2, n=3)
-    assert ind.fitness == 2 + 5 / 8
-    assert ind.nl == 2
+def test_individual_holds_genotype_and_key():
+    assert [field.name for field in fields(Individual)] == ["genotype", "key"]
+    ind = Individual((1,), key=(2 << 3) + 5)
+    assert key_to_fitness(ind.key, 3) == 2 + 5 / 8
+    assert ind.key >> 3 == 2

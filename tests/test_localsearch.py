@@ -27,8 +27,7 @@ def key_of(bits, n, mode="general"):
 
 
 def make_individual(bits, n, mode="general"):
-    key, nl = key_of(bits, n, mode)
-    return Individual.make(bits, key, nl, n)
+    return Individual(bits, key_of(bits, n, mode))
 
 
 def test_ls_config_validation():
@@ -56,8 +55,7 @@ def test_ls_mutation_never_worsens_any_encoding():
         mutate, _ = make_operators(encoding, n)
         for _ in range(25):
             genotype = sample()
-            key, nl = ev.evaluate(genotype)
-            start = Individual.make(genotype, key, nl, n)
+            start = Individual(genotype, ev.evaluate(genotype))
             out = ls_mutation(start, ev, mutate, rng, trials=10)
             assert out.key >= start.key
 
@@ -65,14 +63,13 @@ def test_ls_mutation_never_worsens_any_encoding():
 def test_ls_mutation_improvement_resets_the_counter():
     # a counting fake: improves exactly once, after 3 failures
     class FakeEvaluator:
-        n = 3
         evaluations = 0
 
         def evaluate(self, genotype):
             self.evaluations += 1
             if self.evaluations == 4:
-                return (100, 2)
-            return (0, 0)
+                return 100
+            return 0
 
     calls = []
 
@@ -80,7 +77,7 @@ def test_ls_mutation_improvement_resets_the_counter():
         calls.append(1)
         return genotype
 
-    start = Individual.make(np.zeros(8, np.uint8), 50, 1, 3)
+    start = Individual(np.zeros(8, np.uint8), 50)
     out = ls_mutation(start, FakeEvaluator(), mutate, np.random.default_rng(0), trials=5)
     # 3 failures, improvement at 4, then 5 fresh failures: 9 candidates total
     assert len(calls) == 9
@@ -90,13 +87,13 @@ def test_ls_mutation_improvement_resets_the_counter():
 def brute_force_first_improvement(bits, n, mode):
     """Independent replay of the ascending first-improvement flip climber."""
     bits = bits.copy()
-    key, _ = key_of(bits, n, mode)
+    key = key_of(bits, n, mode)
     improved = True
     while improved:
         improved = False
         for j in range(bits.shape[0]):
             bits[j] ^= 1
-            cand, _ = key_of(bits, n, mode)
+            cand = key_of(bits, n, mode)
             if cand > key:
                 key = cand
                 improved = True
@@ -125,11 +122,11 @@ def test_ls_bitflip_result_is_one_flip_optimal():
         for _ in range(10):
             bits = rng.integers(0, 2, ev.genotype_length, dtype=np.uint8)
             out = ls_bitflip(make_individual(bits, n, mode), ev)
-            base_key, _ = key_of(out.genotype, n, mode)
+            base_key = key_of(out.genotype, n, mode)
             for j in range(out.genotype.shape[0]):
                 flipped = out.genotype.copy()
                 flipped[j] ^= 1
-                assert key_of(flipped, n, mode)[0] <= base_key
+                assert key_of(flipped, n, mode) <= base_key
 
 
 def test_ls_bitflip_improves_nonlinearity_not_just_key():
@@ -138,8 +135,8 @@ def test_ls_bitflip_improves_nonlinearity_not_just_key():
     ev = FitnessEvaluator(4, "bitstring")
     bits = rng.integers(0, 2, 16, dtype=np.uint8)
     out = ls_bitflip(make_individual(bits, 4), ev)
-    assert out.nl == nonlinearity_by_distance(out.genotype)
-    assert out.nl >= nonlinearity_by_distance(bits)
+    assert out.key >> 4 == nonlinearity_by_distance(out.genotype)
+    assert out.key >> 4 >= nonlinearity_by_distance(bits)
 
 
 def test_improve_dispatches_variants():
@@ -156,7 +153,7 @@ def test_improve_dispatches_variants():
     for j in range(32):
         flipped = out.genotype.copy()
         flipped[j] ^= 1
-        assert key_of(flipped, 5)[0] <= out.key
+        assert key_of(flipped, 5) <= out.key
 
 
 def test_apply_ls_touches_best_plus_fraction():
