@@ -56,6 +56,9 @@ ENCODINGS = ("bitstring", "float", "tree")
 #: Bits per float entry unless a run says otherwise.  4 tiles 2**n for every
 #: n >= 2 and the orbit count for every odd n from 3 to 15.
 DEFAULT_DECODE = 4
+#: Most bits per float entry: :func:`float_bits` reads them from a cached
+#: table of ``2**decode + 1`` rows, 1 MiB at this cap.
+MAX_DECODE = 16
 #: Tree depth and size caps unless a run says otherwise.
 DEFAULT_MAX_DEPTH = 7
 DEFAULT_MAX_NODES = 500
@@ -267,25 +270,41 @@ def tree_truth_bits(tree: Tree, n: int) -> np.ndarray:
 # float quantisation
 
 
+@lru_cache(maxsize=None)
+def _cell_bits(decode: int) -> np.ndarray:
+    """Read-only table whose row ``c`` holds the ``decode`` bits of cell ``c``.
+
+    The extra last row repeats the all-ones top cell, so 1.0 lands there.
+    """
+    levels = 1 << decode
+    cells = np.minimum(np.arange(levels + 1), levels - 1)
+    shifts = np.arange(decode - 1, -1, -1)
+    table = ((cells[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def float_bits(values: np.ndarray, decode: int) -> np.ndarray:
     """Quantise floats in [0, 1] to ``decode`` bits each, most significant first.
 
     Each entry maps to cell ``floor(value * 2**decode)`` with the top cell
-    closed, so 1.0 yields all-ones rather than overflowing.
+    closed, so 1.0 yields all-ones rather than overflowing.  The cell is a
+    truncating cast, which equals the floor on ``[0, 1]``, and its bits are
+    one row of a cached table: the same bits as shifting the cell, with no
+    random draw.
     """
-    levels = 1 << decode
-    cells = np.floor(values * levels).astype(np.int64)
-    np.minimum(cells, levels - 1, out=cells)
-    shifts = np.arange(decode - 1, -1, -1, dtype=np.int64)
-    bits = (cells[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    cells = (values * (1 << decode)).astype(np.intp)
+    return _cell_bits(decode)[cells].reshape(-1)
 
 
 def float_dimension(n: int, decode: int, mode: str = GENERAL) -> int:
     """Vector length for a float genotype, or raise if ``decode`` cannot tile it."""
     _check_dimension(n)
-    if not isinstance(decode, (int, np.integer)) or decode < 1:
-        raise ValueError(f"decode must be a positive int, got {decode!r}")
+    # a bool or numpy int would pass here and then echo into a run record
+    # as true or as a value json cannot write
+    is_int = isinstance(decode, int) and not isinstance(decode, bool)
+    if not is_int or not 1 <= decode <= MAX_DECODE:
+        raise ValueError(f"decode must be a positive int up to {MAX_DECODE}, got {decode!r}")
     target = target_length(n, mode)
     if target % decode:
         raise ValueError(

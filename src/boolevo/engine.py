@@ -33,6 +33,7 @@ from .evaluation import (
     BudgetExhausted,
     FitnessEvaluator,
     Individual,
+    check_int,
     check_time_limit,
     key_to_fitness,
 )
@@ -81,25 +82,27 @@ class RunConfig:
         if self.algorithm == DE and self.encoding != "float":
             raise ValueError("differential evolution operates on float genotypes")
         minimum_pop = 4 if self.algorithm == DE else 3
-        if self.population_size < minimum_pop:
-            raise ValueError(
-                f"{self.algorithm} needs a population of at least {minimum_pop}"
-            )
-        if self.evaluation_budget < self.population_size:
-            raise ValueError("budget must cover at least the initial population")
+        check_int(f"{self.algorithm} population size", self.population_size, minimum_pop)
+        # the budget must cover at least the initial population
+        check_int("evaluation budget", self.evaluation_budget, self.population_size)
         if not 0.0 <= self.p_mutation <= 1.0:
             raise ValueError("mutation probability must be in [0, 1]")
         if not 0.0 < self.de_weight <= 2.0:
             raise ValueError("differential weight must be in (0, 2]")
         if not 0.0 <= self.de_crossover <= 1.0:
             raise ValueError("crossover rate must be in [0, 1]")
+        check_int("ls trials", self.ls_trials, 1)
         if self.ls is not None:
             LsConfig(self.ls, self.ls_fraction, self.ls_trials)
             if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
                 raise ValueError("bit-flip local search needs the bitstring encoding")
         check_time_limit(self.time_limit)
-        if self.max_depth < 1 or self.max_nodes < 1:
-            raise ValueError("tree limits must be positive")
+        check_int("max depth", self.max_depth, 1)
+        check_int("max nodes", self.max_nodes, 1)
+        if self.target_nonlinearity is not None:
+            check_int("target nonlinearity", self.target_nonlinearity, 0)
+        if self.seed is not None:
+            check_int("seed", self.seed, 0)
 
     def derived_label(self) -> str:
         if self.label:

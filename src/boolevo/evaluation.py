@@ -8,14 +8,22 @@ cannot suffer rounding artefacts.  The key is the only evaluation result:
 
 General-space spectra use the Kronecker factorisation of the Hadamard
 matrix (Fino & Algazi, IEEE Trans. Computers, 1976): with ``a = n // 2`` and
-``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}``, so the spectrum of a sign
-vector ``s`` is ``Ha @ s.reshape(2**a, 2**b) @ Hb`` and the row of ``H_{2^n}``
-for position ``hi * 2**b + lo`` is ``Ha[hi] (x) Hb[lo]``.  Rotation-symmetric
-spectra are one product of the orbit sign vector with the orbit sign patterns.
+``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}`` and the row of ``H_{2^n}``
+for position ``hi * 2**b + lo`` is ``Ha[hi] (x) Hb[lo]``.  The product runs
+on the bits themselves rather than on their signs: since
+``W = H(1 - 2f) = 2**n * [a = 0] - 2 * Hf``, the spectrum is
+``Ha @ f.reshape(2**a, 2**b) @ (-2 * Hb)`` with ``2**n`` added at index 0,
+the ``-2`` folded once into the cached right factor.  Rotation-symmetric
+spectra are one product of the orbit sign vector with the orbit sign
+patterns.
 
-Every spectrum path is exact in float32: each partial sum of either product
-is an integer of magnitude at most ``2**n <= 2**16``, far below the ``2**24``
-threshold above which float32 integers could round.
+Every spectrum path is exact in float32, whose integers round only above
+``2**24``.  In the general path each partial sum of ``Ha @ B`` is an
+integer of magnitude at most ``2**a``; the unscaled product ``Hf`` is at
+most ``2**n``, so each partial sum of the product with ``-2 * Hb`` is at
+most ``2**(n + 1) <= 2**17``, and adding ``2**n`` at index 0 gives ``W(0)``,
+itself at most ``2**n`` in magnitude.  In the rotation path each partial sum
+is at most ``2**n <= 2**16``.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ class BudgetExhausted(Exception):
         self.reason = reason
 
 
-#: Sign of each truth-table bit, indexed by the bit.
+#: Sign of each truth-table bit, indexed by the bit (rotation path).
 _SIGNS = np.array([1.0, -1.0], dtype=np.float32)
 
 
@@ -80,6 +88,12 @@ def check_time_limit(time_limit: float | None) -> None:
     # NaN fails both comparisons; a NaN deadline would never pass
     if time_limit is not None and not 0 < time_limit < math.inf:
         raise ValueError("time limit must be a positive finite number")
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise a one-line error unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +127,8 @@ class FitnessEvaluator:
         time_limit: float | None = None,
     ):
         check_space(n, encoding, mode, decode)
+        if budget is not None:
+            check_int("budget", budget, 0)
         check_time_limit(time_limit)
         self.n = n
         self.encoding = encoding
@@ -126,6 +142,7 @@ class FitnessEvaluator:
         else:
             self._ha = _hadamard_factor(n // 2)
             self._hb = _hadamard_factor(n - n // 2)
+            self._hb_scaled = np.float32(-2) * self._hb
         #: bits in a bitstring genotype for this search space
         self.genotype_length = target_length(n, mode)
 
@@ -156,8 +173,10 @@ class FitnessEvaluator:
         return self._spectrum_general(genotype)
 
     def _spectrum_general(self, bits: np.ndarray) -> np.ndarray:
-        signs = _SIGNS[bits].reshape(len(self._ha), len(self._hb))
-        return (self._ha @ signs @ self._hb).reshape(-1)
+        table = bits.astype(np.float32).reshape(len(self._ha), len(self._hb))
+        spectrum = (self._ha @ table @ self._hb_scaled).reshape(-1)
+        spectrum[0] += 1 << self.n
+        return spectrum
 
     def _flip_row(self, position: int) -> np.ndarray:
         """Spectrum delta direction for flipping one genotype bit."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import BitFlipSession, FitnessEvaluator, Individual
+from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int
 
 VARIANTS = ("ls1", "ls2", "ls3")
 #: Share of the population treated per round and failures that stop ``ls1``.
@@ -42,8 +42,7 @@ class LsConfig:
             raise ValueError(f"unknown local search variant {self.variant!r}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("ls fraction must be in (0, 1]")
-        if self.trials < 1:
-            raise ValueError("ls trials must be at least 1")
+        check_int("ls trials", self.trials, 1)
 
 
 def ls_mutation(

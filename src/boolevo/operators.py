@@ -35,12 +35,19 @@ def bit_mutation(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def shuffle_mutation(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Shuffle the bits inside a random window [start, end]."""
+    """Shuffle the bits inside a random window [start, end].
+
+    The window is reordered by a permutation of its indices.  That makes the
+    same Fisher-Yates draws, and so the same child, as
+    ``rng.permutation(window)``, but it shuffles an int64 ``arange`` rather
+    than swapping uint8 entries one by one.
+    """
     child = bits.copy()
     a = int(rng.integers(child.shape[0]))
     b = int(rng.integers(child.shape[0]))
     start, end = min(a, b), max(a, b)
-    child[start : end + 1] = rng.permutation(child[start : end + 1])
+    window = child[start : end + 1]
+    child[start : end + 1] = window[rng.permutation(len(window))]
     return child
 
 
@@ -64,9 +71,15 @@ def one_point_crossover(
 def uniform_crossover(
     a: np.ndarray, b: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Each position independently from either parent."""
-    take_a = rng.integers(0, 2, a.shape[0]).astype(bool)
-    return np.where(take_a, a, b)
+    """Each position independently from either parent.
+
+    The draws are those of ``np.where(mask, a, b)``: one ``integers(0, 2)``
+    per position, 1 taking ``a``.  The select is the bit identity
+    ``b ^ ((a ^ b) & mask)``, which gives the same child on 0/1 bits without
+    a branch per entry.
+    """
+    take_a = rng.integers(0, 2, a.shape[0]).astype(np.uint8)
+    return b ^ ((a ^ b) & take_a)
 
 
 def crossover_bitstring(

@@ -120,3 +120,33 @@ def rotations(i: int, n: int) -> set[int]:
         seen.add(v)
         v = ((v & 1) << (n - 1)) | (v >> 1)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# earlier formulas of rewritten library code, kept to pin the rewrites
+
+
+def uniform_crossover_by_where(a, b, rng) -> np.ndarray:
+    """Uniform crossover as a boolean select, one integers(0, 2) draw per bit."""
+    take_a = rng.integers(0, 2, a.shape[0]).astype(bool)
+    return np.where(take_a, a, b)
+
+
+def shuffle_mutation_by_window_permutation(bits, rng) -> np.ndarray:
+    """Window shuffle that permutes the window's entries themselves."""
+    child = bits.copy()
+    a = int(rng.integers(child.shape[0]))
+    b = int(rng.integers(child.shape[0]))
+    start, end = min(a, b), max(a, b)
+    child[start : end + 1] = rng.permutation(child[start : end + 1])
+    return child
+
+
+def float_bits_by_floor_and_shift(values, decode: int) -> np.ndarray:
+    """Cell floor(value * 2**decode), top cell closed, bits most significant first."""
+    levels = 1 << decode
+    cells = np.floor(values * levels).astype(np.int64)
+    np.minimum(cells, levels - 1, out=cells)
+    shifts = np.arange(decode - 1, -1, -1, dtype=np.int64)
+    bits = (cells[:, None] >> shifts[None, :]) & 1
+    return bits.reshape(-1).astype(np.uint8)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import tree_table_pointwise
+from oracles import float_bits_by_floor_and_shift, tree_table_pointwise
 
 from boolevo.encodings import (
     GENERAL,
@@ -90,15 +90,36 @@ def test_decode_float_cell_boundaries():
     ]
 
 
+def test_float_bits_matches_floor_and_shift():
+    # the bit-table lookup must agree with the floor-and-shift formula,
+    # cell edges and both ends of [0, 1] included
+    rng = np.random.default_rng(59)
+    for decode in range(1, 9):
+        edges = np.arange((1 << decode) + 1) / (1 << decode)
+        for length in (2, 128, 8192):
+            values = rng.random(length)
+            values[0], values[-1] = 0.0, 1.0
+            for vector in (values, np.concatenate([edges, values])):
+                got = float_bits(vector, decode)
+                want = float_bits_by_floor_and_shift(vector, decode)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_float_genotype_validation():
     checked = check_genotype([0, 0.5, 1, 0.25], "float", 3, decode=2)
     assert checked.dtype == np.float64 and checked.tolist() == [0, 0.5, 1, 0.25]
     for bad in (-0.1, 1.2, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
             check_genotype([0.5, bad, 0.5, 0.5], "float", 3, decode=2)
-    for decode in (0, -2, 2.0):
+    for decode in (0, -2, 2.0, True, np.int64(2)):
         with pytest.raises(ValueError, match="positive int"):
             check_genotype([0.5] * 4, "float", 3, decode=decode)
+    # float_bits' bit table has 2**decode + 1 rows; decode 32 and 64 tile n=6
+    # but would ask for tables of 2**32 and 2**64 rows
+    for decode in (32, 64):
+        with pytest.raises(ValueError, match="positive int up to 16"):
+            float_dimension(6, decode)
+    assert float_dimension(4, 16) == 1
 
 
 def test_decode_float_genotype_exact_length_required():

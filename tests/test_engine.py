@@ -56,6 +56,25 @@ def test_config_validation_rejects_bad_combinations():
     for limit in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time limit"):
             small_config(time_limit=limit).validate()
+    # integer options must be ints: a NaN budget is never reached, a NaN
+    # trial count stops LS1 at once and would echo NaN into the record
+    nan = float("nan")
+    for bad in (
+        dict(evaluation_budget=nan, time_limit=0.2),
+        dict(evaluation_budget=600.0),
+        dict(ls="ls1", ls_trials=nan),
+        dict(ls_trials=nan),
+        dict(population_size=10.5),
+        dict(population_size=True, evaluation_budget=True),
+        dict(max_depth=2.5, encoding="tree"),
+        dict(max_nodes=nan, encoding="tree"),
+        dict(max_depth=0),
+        dict(target_nonlinearity=nan),
+        dict(seed=2.5),
+        dict(seed=np.int64(7)),  # json cannot write it into the record
+    ):
+        with pytest.raises(ValueError, match="must be an integer of at least"):
+            small_config(**bad).validate()
     small_config().validate()
     small_config(time_limit=0.5).validate()
     small_config(encoding="float", decode=2).validate()

@@ -40,10 +40,14 @@ def test_spectrum_key_matches_reference_profile():
 
 def test_general_bitstring_path_exact():
     rng = np.random.default_rng(42)
-    for n in (1, 2, 3, 7, 11, 12, 13):
+    for n in (1, 2, 3, 7, 11, 12, 13, 16):
         ev = FitnessEvaluator(n, "bitstring")
-        for _ in range(5):
-            bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+        size = 1 << n
+        # the constant functions put W(0) = +-2**n, the one entry that the
+        # kernel's 2**n correction touches
+        tables = [np.zeros(size, dtype=np.uint8), np.ones(size, dtype=np.uint8)]
+        tables += [rng.integers(0, 2, size, dtype=np.uint8) for _ in range(5)]
+        for bits in tables:
             got = np.asarray(ev._spectrum(bits), dtype=np.int64)
             want = walsh_transform(TruthTable(n, bits)).values
             assert np.array_equal(got, want)
@@ -113,6 +117,10 @@ def test_evaluator_rejects_bad_setup():
     for limit in (float("nan"), float("inf"), 0):
         with pytest.raises(ValueError, match="time limit must be a positive finite number"):
             FitnessEvaluator(5, "bitstring", time_limit=limit)
+    # a NaN budget would never be reached
+    for budget in (float("nan"), 10.5, 100.0, -1, True):
+        with pytest.raises(ValueError, match="budget must be an integer of at least 0"):
+            FitnessEvaluator(5, "bitstring", budget=budget)
 
 
 def test_budget_enforced_exactly():

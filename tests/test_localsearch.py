@@ -38,6 +38,10 @@ def test_ls_config_validation():
         LsConfig("ls1", fraction=0.0)
     with pytest.raises(ValueError):
         LsConfig("ls1", trials=0)
+    # a NaN trial count would stop LS1 before its first probe
+    for trials in (float("nan"), 2.5, True):
+        with pytest.raises(ValueError, match="ls trials must be an integer"):
+            LsConfig("ls1", trials=trials)
 
 
 def test_ls_mutation_never_worsens_any_encoding():

@@ -22,7 +22,11 @@ from boolevo.operators import (
     uniform_crossover,
     uniform_tree_crossover,
 )
-from oracles import tree_table_pointwise
+from oracles import (
+    shuffle_mutation_by_window_permutation,
+    tree_table_pointwise,
+    uniform_crossover_by_where,
+)
 
 
 def test_bit_mutation_flips_exactly_one():
@@ -73,6 +77,30 @@ def test_uniform_crossover_positions_from_parents():
         seen_a |= bool((child == 0).any())
         seen_b |= bool((child == 1).any())
     assert seen_a and seen_b
+
+
+def test_uniform_crossover_matches_boolean_select():
+    # the XOR select must give the np.where child from the same draws
+    for length in (2, 128, 8192):
+        parents = np.random.default_rng(length).integers(0, 2, (2, length), dtype=np.uint8)
+        rng, oracle_rng = np.random.default_rng(57), np.random.default_rng(57)
+        for _ in range(20):
+            child = uniform_crossover(parents[0], parents[1], rng)
+            want = uniform_crossover_by_where(parents[0], parents[1], oracle_rng)
+            assert child.dtype == want.dtype and np.array_equal(child, want)
+        assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
+
+
+def test_shuffle_mutation_matches_window_permutation():
+    # permuting indices makes the same Fisher-Yates draws as permuting entries
+    for length in (2, 128, 8192):
+        bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
+        rng, oracle_rng = np.random.default_rng(58), np.random.default_rng(58)
+        for _ in range(50):
+            child = shuffle_mutation(bits, rng)
+            want = shuffle_mutation_by_window_permutation(bits, oracle_rng)
+            assert child.dtype == want.dtype and np.array_equal(child, want)
+        assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
 
 
 def test_crossover_bitstring_mixes_both_kinds():
