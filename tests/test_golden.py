@@ -42,6 +42,9 @@ GOLDEN = {
         n=5, encoding="tree", population_size=20, evaluation_budget=400,
         ls="ls1", ls_fraction=0.1, seed=19,
     ),
+    "fp-de-ls1-n7": dict(
+        _N7, encoding="float", decode=4, algorithm="de", ls="ls1", evaluation_budget=600
+    ),
 }
 
 
