@@ -1,13 +1,16 @@
 """Search loops: steady-state tournament evolution and differential evolution.
 
 A run is fully described by a :class:`RunConfig`; :func:`run` replays
-byte-identically from the same seed.  Runs stop when the evaluation budget
-is spent, the optional wall-clock limit passes, or the best individual
-reaches the target nonlinearity.
+byte-identically from the same seed.  A run stops when its evaluation
+budget is spent, when its optional wall-clock limit passes, or at the first
+evaluation, in any phase, whose result reaches the target nonlinearity.
+One loop serves SST and DE: a step is one SST child or one DE trial, and
+local search follows every ``population_size`` steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -30,14 +33,16 @@ from .encodings import (
     tree_to_text,
 )
 from .evaluation import (
+    EXHAUSTED_TARGET,
     BudgetExhausted,
     FitnessEvaluator,
     Individual,
     check_int,
     check_time_limit,
+    is_real,
     key_to_fitness,
 )
-from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, LsConfig, apply_ls
+from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, VARIANTS, LsConfig, apply_ls
 from .operators import make_operators
 from .truthtable import (
     bits_from_hex,
@@ -76,6 +81,8 @@ class RunConfig:
     label: Optional[str] = None
 
     def validate(self) -> None:
+        # n echoes into the record, so a numpy int must not get through
+        check_int("number of variables", self.n, 1)
         check_space(self.n, self.encoding, self.mode, self.decode)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -85,17 +92,16 @@ class RunConfig:
         check_int(f"{self.algorithm} population size", self.population_size, minimum_pop)
         # the budget must cover at least the initial population
         check_int("evaluation budget", self.evaluation_budget, self.population_size)
-        if not 0.0 <= self.p_mutation <= 1.0:
-            raise ValueError("mutation probability must be in [0, 1]")
-        if not 0.0 < self.de_weight <= 2.0:
-            raise ValueError("differential weight must be in (0, 2]")
-        if not 0.0 <= self.de_crossover <= 1.0:
-            raise ValueError("crossover rate must be in [0, 1]")
-        check_int("ls trials", self.ls_trials, 1)
-        if self.ls is not None:
-            LsConfig(self.ls, self.ls_fraction, self.ls_trials)
-            if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
-                raise ValueError("bit-flip local search needs the bitstring encoding")
+        if not (is_real(self.p_mutation) and 0.0 <= self.p_mutation <= 1.0):
+            raise ValueError(f"mutation probability must be in [0, 1], got {self.p_mutation!r}")
+        if not (is_real(self.de_weight) and 0.0 < self.de_weight <= 2.0):
+            raise ValueError(f"differential weight must be in (0, 2], got {self.de_weight!r}")
+        if not (is_real(self.de_crossover) and 0.0 <= self.de_crossover <= 1.0):
+            raise ValueError(f"crossover rate must be in [0, 1], got {self.de_crossover!r}")
+        # the ls options echo into every record, so they are checked without ls too
+        LsConfig(VARIANTS[0] if self.ls is None else self.ls, self.ls_fraction, self.ls_trials)
+        if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
+            raise ValueError("bit-flip local search needs the bitstring encoding")
         check_time_limit(self.time_limit)
         check_int("max depth", self.max_depth, 1)
         check_int("max nodes", self.max_nodes, 1)
@@ -224,19 +230,17 @@ class _RunState:
         self.pop: list[Individual] = []
         self.best: Optional[Individual] = None
         self.trajectory: list[list] = []
+        self.next_target = 0  # DE's target slot for its next trial
 
     def note(self, individual: Individual) -> None:
+        """Record a new best; stop the run at the evaluation that reaches the target."""
         if self.best is None or individual.key > self.best.key:
             self.best = individual
             fitness = key_to_fitness(individual.key, self.config.n)
             self.trajectory.append([self.evaluator.evaluations, fitness])
-
-    def target_reached(self) -> bool:
-        return (
-            self.config.target_nonlinearity is not None
-            and self.best is not None
-            and self.best.key >> self.config.n >= self.config.target_nonlinearity
-        )
+            target = self.config.target_nonlinearity
+            if target is not None and individual.key >> self.config.n >= target:
+                raise BudgetExhausted(EXHAUSTED_TARGET)
 
 
 def _initialise(state: _RunState) -> None:
@@ -292,22 +296,29 @@ def sst_step(state: _RunState) -> None:
 
 
 def de_step(state: _RunState) -> None:
-    """One generation of rand/1/bin differential evolution."""
+    """One rand/1/bin differential-evolution trial against the next target slot.
+
+    Targets cycle through the population in slot order, so ``len(pop)``
+    consecutive steps make one generation.  A trial at least as good as its
+    target replaces it at once, so later trials of the same generation may
+    draw it.
+    """
     cfg = state.config
     pop = state.pop
     size = len(pop)
-    for target in range(size):
-        r1, r2, r3 = _draw_distinct(state.rng, size, 3, taboo=(target,))
-        mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
-        np.clip(mutant, 0.0, 1.0, out=mutant)
-        dim = mutant.shape[0]
-        cross = state.rng.random(dim) < cfg.de_crossover
-        cross[int(state.rng.integers(dim))] = True
-        trial = np.where(cross, mutant, pop[target].genotype)
-        key = state.evaluator.evaluate(trial)
-        if key >= pop[target].key:
-            pop[target] = Individual(trial, key)
-            state.note(pop[target])
+    target = state.next_target
+    state.next_target = (target + 1) % size
+    r1, r2, r3 = _draw_distinct(state.rng, size, 3, taboo=(target,))
+    mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
+    np.clip(mutant, 0.0, 1.0, out=mutant)
+    dim = mutant.shape[0]
+    cross = state.rng.random(dim) < cfg.de_crossover
+    cross[int(state.rng.integers(dim))] = True
+    trial = np.where(cross, mutant, pop[target].genotype)
+    key = state.evaluator.evaluate(trial)
+    if key >= pop[target].key:
+        pop[target] = Individual(trial, key)
+        state.note(pop[target])
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -326,29 +337,16 @@ def run(config: RunConfig) -> RunRecord:
     ls_config = (
         LsConfig(config.ls, config.ls_fraction, config.ls_trials) if config.ls else None
     )
+    # read from the module on each run: benchmarks/tracer.py wraps both steps
+    step = sst_step if config.algorithm == SST else de_step
     start = time.perf_counter()
-    stop_reason = "budget"
-    steps_in_generation = 0
+    # every exit is an exception: budget, time, or the target reached in note
     try:
         _initialise(state)
-        while True:
-            if state.target_reached():
-                stop_reason = "target"
-                break
-            if config.algorithm == SST:
-                sst_step(state)
-                steps_in_generation += 1
-                if ls_config is not None and steps_in_generation >= config.population_size:
-                    steps_in_generation = 0
-                    apply_ls(
-                        state.pop, ls_config, evaluator, state.mutate, rng, state.note
-                    )
-            else:
-                de_step(state)
-                if ls_config is not None:
-                    apply_ls(
-                        state.pop, ls_config, evaluator, state.mutate, rng, state.note
-                    )
+        for steps in itertools.count(1):
+            step(state)
+            if ls_config is not None and steps % config.population_size == 0:
+                apply_ls(state.pop, ls_config, evaluator, state.mutate, rng, state.note)
     except BudgetExhausted as exhausted:
         stop_reason = exhausted.reason
     wall = time.perf_counter() - start
@@ -378,7 +376,7 @@ def run(config: RunConfig) -> RunRecord:
         ),
         best_truth_table=truth.to_hex() if config.n >= 2 else "".join(map(str, truth.bits)),
         trajectory=state.trajectory,
-        target_reached=state.target_reached(),
+        target_reached=stop_reason == EXHAUSTED_TARGET,
         stop_reason=stop_reason,
         wall_time_s=wall,
     )

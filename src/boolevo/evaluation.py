@@ -50,10 +50,11 @@ from .truthtable import hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
 EXHAUSTED_TIME = "time"
+EXHAUSTED_TARGET = "target"
 
 
 class BudgetExhausted(Exception):
-    """Raised when a run may not spend any further fitness evaluations."""
+    """Raised to stop a run: its budget or time is spent, or it reached its target."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -83,10 +84,20 @@ def key_to_fitness(key: int, n: int) -> float:
     return key / (1 << n)
 
 
+def is_real(value) -> bool:
+    """The one type test for float options: a Python int or float, not a bool.
+
+    numpy's float64 subclasses float and serialises; a float32 does not, so
+    it would fail only when the finished run's record is written, and a
+    string would fail at the range comparison with a traceback.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_time_limit(time_limit: float | None) -> None:
     """Raise a one-line error unless the limit is None or positive and finite."""
     # NaN fails both comparisons; a NaN deadline would never pass
-    if time_limit is not None and not 0 < time_limit < math.inf:
+    if time_limit is not None and not (is_real(time_limit) and 0 < time_limit < math.inf):
         raise ValueError("time limit must be a positive finite number")
 
 

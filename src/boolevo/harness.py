@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -78,6 +77,10 @@ def run_campaign(
         # run is looked up at call time, so a caller may wrap harness.run
         records = [run(config) for config in configs]
     else:
+        # imported here: it pulls in multiprocessing, which costs every
+        # `import boolevo` tens of ms, and single-worker campaigns never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
             records = list(pool.map(run, configs))
     rows = summarize(records)

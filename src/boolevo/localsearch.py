@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int
+from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int, is_real
 
 VARIANTS = ("ls1", "ls2", "ls3")
 #: Share of the population treated per round and failures that stop ``ls1``.
@@ -40,8 +40,8 @@ class LsConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown local search variant {self.variant!r}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("ls fraction must be in (0, 1]")
+        if not (is_real(self.fraction) and 0.0 < self.fraction <= 1.0):
+            raise ValueError(f"ls fraction must be in (0, 1], got {self.fraction!r}")
         check_int("ls trials", self.trials, 1)
 
 

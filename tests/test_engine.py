@@ -75,8 +75,26 @@ def test_config_validation_rejects_bad_combinations():
     ):
         with pytest.raises(ValueError, match="must be an integer of at least"):
             small_config(**bad).validate()
+    # float options must be Python numbers: json cannot write a float32 into
+    # the finished record, a bool would echo as true, a string fails to compare
+    for bad in (
+        dict(p_mutation=np.float32(0.5)),
+        dict(p_mutation=True),
+        dict(p_mutation="0.5"),
+        dict(de_weight=np.float32(0.5)),
+        dict(de_crossover=np.float32(0.5)),
+        dict(ls_fraction=np.float32(0.5)),  # echoed even without local search
+        dict(ls="ls1", ls_fraction=np.float32(0.5)),
+        dict(time_limit=np.float32(5.0)),
+        dict(time_limit="5"),
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            small_config(**bad).validate()
+    with pytest.raises(ValueError, match="must be an integer of at least"):
+        small_config(n=np.int64(5)).validate()
     small_config().validate()
     small_config(time_limit=0.5).validate()
+    small_config(p_mutation=np.float64(0.5), time_limit=1).validate()
     small_config(encoding="float", decode=2).validate()
 
 
@@ -140,7 +158,45 @@ def test_run_stops_at_target():
     record = run(small_config(target_nonlinearity=0, evaluation_budget=50_000))
     assert record.target_reached
     assert record.stop_reason == "target"
-    assert record.evaluations <= 11  # init population of 10 then the check
+    assert record.evaluations == 1  # the first evaluation reaches nl 0
+    assert record.trajectory == [[1, record.best_fitness]]
+
+
+# config, target, and the evaluation at which the target-free run first reaches it
+TARGET_CASES = {
+    # the third initial individual; init covers evaluations 1..50
+    "init": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=2), 56, 3),
+    # LS1 after the first 50 SST steps, which end at evaluation 100
+    "sst-ls1": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=0), 56, 112),
+    # the eighth flip probe of the first LS2 sweep (128 probes from 101)
+    "sst-ls2": (dict(n=7, ls="ls2", population_size=50, seed=0), 54, 108),
+    # trial 4 of generation 6 (generations are evaluations 21..40, 41..60, ...)
+    "de": (
+        dict(n=7, encoding="float", decode=4, algorithm=DE, population_size=20, seed=1),
+        53,
+        124,
+    ),
+    # LS1 after the first DE generation, which ends at evaluation 40
+    "de-ls1": (
+        dict(n=7, encoding="float", decode=4, algorithm=DE, ls="ls1", population_size=20,
+             seed=11),
+        54,
+        54,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TARGET_CASES))
+def test_target_run_is_target_free_run_cut_at_first_hit(case):
+    kwargs, target, first_hit = TARGET_CASES[case]
+    free = run(RunConfig(evaluation_budget=600, **kwargs))
+    hit = next(i for i, (_, fit) in enumerate(free.trajectory) if fit >= target)
+    assert free.trajectory[hit][0] == first_hit
+    record = run(RunConfig(evaluation_budget=600, target_nonlinearity=target, **kwargs))
+    assert record.trajectory == free.trajectory[: hit + 1]
+    assert record.evaluations == first_hit
+    assert record.stop_reason == "target" and record.target_reached
+    assert record.best_nonlinearity >= target
 
 
 def test_run_time_limit():
