@@ -8,6 +8,7 @@ decoder and `check_genotype` the one validator it runs first.
 import numpy as np
 
 from boolevo import (
+    Draws,
     check_genotype,
     genotype_table,
     nonlinearity,
@@ -17,14 +18,14 @@ from boolevo import (
 )
 from boolevo.encodings import float_bits
 
-rng = np.random.default_rng(3)
+rng = Draws(3)
 
 # 1. bitstring: the table itself, or one bit per orbit in rotation mode
-bits = rng.integers(0, 2, 32, dtype=np.uint8)
+bits = rng.bits(32)
 print("bitstring genotype of length", len(bits), "-> n=5 table",
       genotype_table(bits, "bitstring", 5).to_hex())
 
-orbit_bits = rng.integers(0, 2, 20, dtype=np.uint8)
+orbit_bits = rng.bits(20)
 tt = genotype_table(orbit_bits, "bitstring", 7, mode="rs")
 print("20 orbit bits -> rotation-symmetric n=7 table", tt.to_hex())
 print()
@@ -35,11 +36,11 @@ print("floats [0.8, 0.1, 0.55] at 3 bits each ->",
       float_bits(np.array([0.8, 0.1, 0.55]), 3).tolist())
 
 # dimension x decode must exactly tile the target: 32 entries x 4 bits = 128
-values = rng.random(32)
+values = rng.uniforms(32)
 print("32 floats at 4 bits -> n=7 table",
       genotype_table(values, "float", 7, decode=4).to_hex()[:16], "...")
 try:
-    genotype_table(rng.random(20), "float", 7, decode=3)
+    genotype_table(rng.uniforms(20), "float", 7, decode=3)
 except ValueError as e:
     print("20 x 3 bits rejected:", e)
 print()

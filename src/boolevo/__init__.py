@@ -32,6 +32,8 @@ from .orbits import (  # noqa: F401
     rotate_index,
 )
 
+from .draws import Draws  # noqa: F401
+
 from .encodings import (  # noqa: F401
     GENERAL,
     ROTATION,

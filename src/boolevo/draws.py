@@ -1,0 +1,84 @@
+"""The one source of randomness of a run.
+
+A :class:`Draws` wraps one ``numpy.random.default_rng(seed)``.  Scalar draws
+(:meth:`~Draws.below`, :meth:`~Draws.uniform`) read raw 64-bit words from a
+Python list that is refilled a block at a time, so each costs a fraction of
+a scalar ``Generator`` call.  Vector draws (:meth:`~Draws.bits`,
+:meth:`~Draws.uniforms`, :meth:`~Draws.permutation`, :meth:`~Draws.sample`)
+go to the wrapped generator and its bit generator, which the blocks share.
+
+``below`` is Lemire's exact bounded draw ("Fast random integer generation in
+an interval", ACM TOMACS 2019) and ``uniform`` is numpy's own double, so
+every draw is exactly uniform.  The stream is not the one that calling the
+``Generator`` methods one by one would give.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+#: Raw words fetched per refill.  Part of the stream: vector draws read the
+#: words after the current block, so another size changes every record.
+BLOCK_WORDS = 4096
+
+_WORD = 1 << 64
+_LOW = _WORD - 1
+_DOUBLE_UNIT = 2.0**-53
+
+
+class Draws:
+    """Every random decision of one run, replayable from ``seed``."""
+
+    __slots__ = ("_generator", "_words")
+
+    def __init__(self, seed) -> None:
+        self._generator = np.random.default_rng(seed)
+        self._words: list[int] = []  # unread words of the block, next one last
+
+    def _refill(self) -> None:
+        raw = self._generator.bit_generator.random_raw(BLOCK_WORDS)
+        self._words.extend(raw[::-1].tolist())
+
+    def below(self, k: int) -> int:
+        """Uniform int in ``[0, k)``, for ``1 <= k <= 2**64``."""
+        if not 0 < k <= _WORD:
+            raise ValueError(f"below needs 1 <= k <= 2**64, got {k!r}")
+        words = self._words
+        if not words:
+            self._refill()
+        m = words.pop() * k
+        if m & _LOW < k:
+            # reject the (2**64 - k) % k low products that would bias the result
+            threshold = (_WORD - k) % k
+            while m & _LOW < threshold:
+                if not words:
+                    self._refill()
+                m = words.pop() * k
+        return m >> 64
+
+    def uniform(self) -> float:
+        """Uniform float in ``[0, 1)``: the top 53 bits of one word."""
+        words = self._words
+        if not words:
+            self._refill()
+        return (words.pop() >> 11) * _DOUBLE_UNIT
+
+    def bits(self, length: int) -> np.ndarray:
+        """``length`` uniform 0/1 entries as uint8, unpacked from raw words.
+
+        The words are read as little-endian bytes on every platform.
+        """
+        words = self._generator.bit_generator.random_raw((length + 63) // 64)
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=length)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` uniform float64 values in ``[0, 1)``."""
+        return self._generator.random(count)
+
+    def permutation(self, x):
+        """A random permutation of ``range(x)`` for an int, else of the array ``x``."""
+        return self._generator.permutation(x)
+
+    def sample(self, k: int, m: int) -> np.ndarray:
+        """``m`` distinct values from ``range(k)``, in random order."""
+        return self._generator.choice(k, size=m, replace=False)

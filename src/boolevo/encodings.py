@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .draws import Draws
 from .orbits import compute_orbits, expand
 from .truthtable import TruthTable, _check_bits, _check_dimension
 
@@ -377,7 +378,7 @@ def genotype_table(
 
 def random_tree(
     n: int,
-    rng: np.random.Generator,
+    rng: Draws,
     max_depth: int = DEFAULT_MAX_DEPTH,
     method: str = "grow",
     max_nodes: int = DEFAULT_MAX_NODES,
@@ -391,22 +392,23 @@ def random_tree(
         if len(candidate) <= max_nodes:
             return candidate
         depth = max(1, depth - 1)
-    return (int(rng.integers(1, n + 1)),)
+    return (1 + rng.below(n),)
 
 
-def _random_node(n: int, rng: np.random.Generator, budget: int, method: str) -> Tree:
+def _random_node(n: int, rng: Draws, budget: int, method: str) -> Tree:
     # one draw per node, in preorder; the stack holds the depth budgets of the
     # nodes still to draw, and siblings share a budget
+    below = rng.below
     tokens: list = []
     pending = [budget]
     while pending:
         budget = pending.pop()
         if budget <= 0:
-            pick = int(rng.integers(n))
+            pick = below(n)
         elif method == "full":
-            pick = n + int(rng.integers(len(OPERATOR_NAMES)))
+            pick = n + below(len(OPERATOR_NAMES))
         else:
-            pick = int(rng.integers(n + len(OPERATOR_NAMES)))
+            pick = below(n + len(OPERATOR_NAMES))
         if pick < n:
             tokens.append(pick + 1)
         else:
@@ -419,7 +421,7 @@ def _random_node(n: int, rng: np.random.Generator, budget: int, method: str) -> 
 def random_genotype(
     kind: str,
     n: int,
-    rng: np.random.Generator,
+    rng: Draws,
     mode: str = GENERAL,
     decode: int = DEFAULT_DECODE,
     max_depth: int = DEFAULT_MAX_DEPTH,
@@ -428,11 +430,12 @@ def random_genotype(
     """Uniform random raw genotype of the requested encoding."""
     check_space(n, kind, mode, decode)
     if kind == "bitstring":
-        return rng.integers(0, 2, target_length(n, mode), dtype=np.uint8)
+        return rng.bits(target_length(n, mode))
     if kind == "float":
-        return rng.random(float_dimension(n, decode, mode))
+        return rng.uniforms(float_dimension(n, decode, mode))
     # ramped half and half: depth ramps over 2..max_depth (just max_depth
     # when that is 1), half grow half full
-    depth = int(rng.integers(min(2, max_depth), max_depth + 1))
-    method = "grow" if rng.integers(2) else "full"
+    lowest = min(2, max_depth)
+    depth = lowest + rng.below(max_depth + 1 - lowest)
+    method = "grow" if rng.below(2) else "full"
     return random_tree(n, rng, depth, method, max_nodes)

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .draws import Draws
 from .encodings import (
     DEFAULT_DECODE,
     DEFAULT_MAX_DEPTH,
@@ -220,7 +221,7 @@ class RunRecord:
 
 
 class _RunState:
-    def __init__(self, config: RunConfig, evaluator: FitnessEvaluator, rng):
+    def __init__(self, config: RunConfig, evaluator: FitnessEvaluator, rng: Draws):
         self.config = config
         self.evaluator = evaluator
         self.rng = rng
@@ -259,10 +260,10 @@ def _initialise(state: _RunState) -> None:
         state.note(state.pop[-1])
 
 
-def _draw_distinct(rng, size: int, count: int, taboo=()) -> list[int]:
+def _draw_distinct(rng: Draws, size: int, count: int, taboo=()) -> list[int]:
     drawn: list[int] = []
     while len(drawn) < count:
-        candidate = int(rng.integers(size))
+        candidate = rng.below(size)
         if candidate not in drawn and candidate not in taboo:
             drawn.append(candidate)
     return drawn
@@ -289,7 +290,7 @@ def sst_step(state: _RunState) -> None:
     loser = select_loser(pop, slots)
     parents = [slot for slot in slots if slot != loser]
     child = state.crossover(pop[parents[0]].genotype, pop[parents[1]].genotype, state.rng)
-    if state.rng.random() < state.config.p_mutation:
+    if state.rng.uniform() < state.config.p_mutation:
         child = state.mutate(child, state.rng)
     pop[loser] = Individual(child, state.evaluator.evaluate(child))
     state.note(pop[loser])
@@ -312,8 +313,8 @@ def de_step(state: _RunState) -> None:
     mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
     np.clip(mutant, 0.0, 1.0, out=mutant)
     dim = mutant.shape[0]
-    cross = state.rng.random(dim) < cfg.de_crossover
-    cross[int(state.rng.integers(dim))] = True
+    cross = state.rng.uniforms(dim) < cfg.de_crossover
+    cross[state.rng.below(dim)] = True
     trial = np.where(cross, mutant, pop[target].genotype)
     key = state.evaluator.evaluate(trial)
     if key >= pop[target].key:
@@ -324,7 +325,7 @@ def de_step(state: _RunState) -> None:
 def run(config: RunConfig) -> RunRecord:
     """Execute one configured search run to completion."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = Draws(config.seed)
     evaluator = FitnessEvaluator(
         config.n,
         config.encoding,

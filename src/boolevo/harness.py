@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import RunConfig, RunRecord, run
+from .evaluation import check_int
 from .orbits import is_rotation_symmetric
 from .truthtable import (
     BEST_KNOWN_NONLINEARITY,
@@ -68,10 +69,13 @@ def run_campaign(
     Writes ``runs.jsonl`` (one canonical record per line, run order),
     ``summary.csv`` and ``boxplot.csv`` into ``out_dir`` when given.
     """
-    if campaign.num_runs < 1:
+    if campaign.num_runs == 0:
         raise ValueError("a campaign needs at least one run")
-    if campaign.workers < 1:
+    if campaign.workers == 0:
         raise ValueError("worker count must be positive")
+    # True, 2.5 or -1 would otherwise reach range() or the pool
+    check_int("num_runs", campaign.num_runs, 1)
+    check_int("workers", campaign.workers, 1)
     configs = campaign.run_configs()
     if campaign.workers == 1:
         # run is looked up at call time, so a caller may wrap harness.run

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .draws import Draws
 from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int, is_real
 
 VARIANTS = ("ls1", "ls2", "ls3")
@@ -49,7 +48,7 @@ def ls_mutation(
     individual: Individual,
     evaluator: FitnessEvaluator,
     mutate,
-    rng: np.random.Generator,
+    rng: Draws,
     trials: int = DEFAULT_LS_TRIALS,
     note=None,
 ) -> Individual:
@@ -98,7 +97,7 @@ def improve(
     config: LsConfig,
     evaluator: FitnessEvaluator,
     mutate,
-    rng: np.random.Generator,
+    rng: Draws,
     note=None,
 ) -> Individual:
     """Run the configured stage(s) on one individual."""
@@ -115,7 +114,7 @@ def apply_ls(
     config: LsConfig,
     evaluator: FitnessEvaluator,
     mutate,
-    rng: np.random.Generator,
+    rng: Draws,
     note=None,
 ) -> None:
     """Improve the current best plus random others, in place.
@@ -130,7 +129,7 @@ def apply_ls(
     chosen = [best_index]
     if count > 1:
         others = [i for i in range(len(pop)) if i != best_index]
-        picks = rng.choice(len(others), size=count - 1, replace=False)
+        picks = rng.sample(len(others), count - 1)
         chosen.extend(others[int(p)] for p in picks)
     for index in chosen:
         pop[index] = improve(pop[index], config, evaluator, mutate, rng, note)

@@ -2,14 +2,16 @@
 
 All operators take and return raw genotypes (uint8 arrays, float64 arrays,
 flat preorder token tuples for trees) and draw every random decision from
-the generator they are handed, so runs replay exactly from a seed.  Tree
-operators address nodes by preorder index and build children by splicing.
+the :class:`~boolevo.draws.Draws` they are handed, so runs replay exactly
+from a seed.  Tree operators address nodes by preorder index and build
+children by splicing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .draws import Draws
 from .encodings import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_NODES,
@@ -27,14 +29,14 @@ from .encodings import (
 # bitstring
 
 
-def bit_mutation(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def bit_mutation(bits: np.ndarray, rng: Draws) -> np.ndarray:
     """Flip one uniformly chosen bit."""
     child = bits.copy()
-    child[int(rng.integers(child.shape[0]))] ^= 1
+    child[rng.below(child.shape[0])] ^= 1
     return child
 
 
-def shuffle_mutation(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def shuffle_mutation(bits: np.ndarray, rng: Draws) -> np.ndarray:
     """Shuffle the bits inside a random window [start, end].
 
     The window is reordered by a permutation of its indices.  That makes the
@@ -43,50 +45,49 @@ def shuffle_mutation(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     than swapping uint8 entries one by one.
     """
     child = bits.copy()
-    a = int(rng.integers(child.shape[0]))
-    b = int(rng.integers(child.shape[0]))
+    a = rng.below(child.shape[0])
+    b = rng.below(child.shape[0])
     start, end = min(a, b), max(a, b)
     window = child[start : end + 1]
     child[start : end + 1] = window[rng.permutation(len(window))]
     return child
 
 
-def mutate_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def mutate_bitstring(bits: np.ndarray, rng: Draws) -> np.ndarray:
     """Apply bit-flip or window-shuffle mutation, chosen uniformly."""
-    if rng.integers(2):
+    if rng.below(2):
         return shuffle_mutation(bits, rng)
     return bit_mutation(bits, rng)
 
 
 def one_point_crossover(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, rng: Draws
 ) -> np.ndarray:
     """First part of ``a`` up to a random breakpoint, rest of ``b``."""
     if a.shape[0] < 2:
         return a.copy()
-    cut = int(rng.integers(1, a.shape[0]))
+    cut = 1 + rng.below(a.shape[0] - 1)
     return np.concatenate([a[:cut], b[cut:]])
 
 
 def uniform_crossover(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, rng: Draws
 ) -> np.ndarray:
     """Each position independently from either parent.
 
-    The draws are those of ``np.where(mask, a, b)``: one ``integers(0, 2)``
-    per position, 1 taking ``a``.  The select is the bit identity
-    ``b ^ ((a ^ b) & mask)``, which gives the same child on 0/1 bits without
-    a branch per entry.
+    The mask is one uniform bit per position, 1 taking ``a``.  The select is
+    the bit identity ``b ^ ((a ^ b) & mask)``, which gives the child of
+    ``np.where(mask, a, b)`` on 0/1 bits without a branch per entry.
     """
-    take_a = rng.integers(0, 2, a.shape[0]).astype(np.uint8)
+    take_a = rng.bits(a.shape[0])
     return b ^ ((a ^ b) & take_a)
 
 
 def crossover_bitstring(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, rng: Draws
 ) -> np.ndarray:
     """One-point or uniform crossover, chosen uniformly."""
-    if rng.integers(2):
+    if rng.below(2):
         return uniform_crossover(a, b, rng)
     return one_point_crossover(a, b, rng)
 
@@ -95,19 +96,19 @@ def crossover_bitstring(
 # float
 
 
-def mutate_float(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def mutate_float(values: np.ndarray, rng: Draws) -> np.ndarray:
     """Resample one uniformly chosen coordinate in [0, 1]."""
     child = values.copy()
-    child[int(rng.integers(child.shape[0]))] = rng.random()
+    child[rng.below(child.shape[0])] = rng.uniform()
     return child
 
 
 def crossover_float(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, rng: Draws
 ) -> np.ndarray:
     """Arithmetic mean or per-coordinate uniform mix, chosen uniformly."""
-    if rng.integers(2):
-        take_a = rng.integers(0, 2, a.shape[0]).astype(bool)
+    if rng.below(2):
+        take_a = rng.bits(a.shape[0]).view(bool)
         return np.where(take_a, a, b)
     return 0.5 * (a + b)
 
@@ -123,12 +124,12 @@ def _within_limits(tree: Tree, max_depth: int, max_nodes: int) -> bool:
 
 
 def subtree_mutation(
-    tree: Tree, n: int, rng: np.random.Generator, max_depth: int, max_nodes: int
+    tree: Tree, n: int, rng: Draws, max_depth: int, max_nodes: int
 ) -> Tree:
     """Replace a random node with a fresh grow-tree fitted to the depth cap."""
     depths = node_depths(tree)
     for _ in range(_TREE_RETRIES):
-        index = int(rng.integers(len(tree)))
+        index = rng.below(len(tree))
         budget = max_depth - depths[index]
         child = replace_at(tree, index, _random_node(n, rng, budget, "grow"))
         if _within_limits(child, max_depth, max_nodes):
@@ -136,14 +137,14 @@ def subtree_mutation(
     return tree
 
 
-def subtree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
+def subtree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Swap a random subtree of ``a`` for a random subtree of ``b``."""
-    index_a = int(rng.integers(len(a)))
-    index_b = int(rng.integers(len(b)))
+    index_a = rng.below(len(a))
+    index_b = rng.below(len(b))
     return replace_at(a, index_a, subtree_at(b, index_b))
 
 
-def uniform_tree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
+def uniform_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Mix the parents node by node over their common shape.
 
     Where both parents carry operators of the same arity the child takes one
@@ -157,22 +158,22 @@ def uniform_tree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
         unpaired -= 1
         arity = OPERATOR_ARITY.get(a[i], 0)
         if arity and arity == OPERATOR_ARITY.get(b[j], 0):
-            child.append(a[i] if rng.integers(2) else b[j])
+            child.append(a[i] if rng.below(2) else b[j])
             i, j = i + 1, j + 1
             unpaired += arity
         else:
             end_a, end_b = subtree_end(a, i), subtree_end(b, j)
-            child.extend(a[i:end_a] if rng.integers(2) else b[j:end_b])
+            child.extend(a[i:end_a] if rng.below(2) else b[j:end_b])
             i, j = end_a, end_b
     return tuple(child)
 
 
-def size_fair_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
+def size_fair_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Subtree swap where the donor is at most twice-plus-one the removed size."""
-    index_a = int(rng.integers(len(a)))
+    index_a = rng.below(len(a))
     limit = 2 * (subtree_end(a, index_a) - index_a) + 1
     donors = [j for j in range(len(b)) if subtree_end(b, j) - j <= limit]
-    donor = donors[int(rng.integers(len(donors)))]
+    donor = donors[rng.below(len(donors))]
     return replace_at(a, index_a, subtree_at(b, donor))
 
 
@@ -202,17 +203,17 @@ def _joint_preorder(a: Tree, b: Tree, any_arity: bool) -> list[tuple[int, int]]:
     return pairs
 
 
-def _swap_at_pair(a: Tree, b: Tree, pairs: list, rng: np.random.Generator) -> Tree:
-    i, j = pairs[int(rng.integers(len(pairs)))]
+def _swap_at_pair(a: Tree, b: Tree, pairs: list, rng: Draws) -> Tree:
+    i, j = pairs[rng.below(len(pairs))]
     return replace_at(a, i, subtree_at(b, j))
 
 
-def one_point_tree_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
+def one_point_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Swap at one point of the common region, where the arities agree."""
     return _swap_at_pair(a, b, _joint_preorder(a, b, any_arity=False), rng)
 
 
-def context_preserving_crossover(a: Tree, b: Tree, rng: np.random.Generator) -> Tree:
+def context_preserving_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Swap subtrees that sit at identical coordinates in both parents."""
     return _swap_at_pair(a, b, _joint_preorder(a, b, any_arity=True), rng)
 
@@ -229,7 +230,7 @@ _TREE_CROSSOVERS = (
 def crossover_tree(
     a: Tree,
     b: Tree,
-    rng: np.random.Generator,
+    rng: Draws,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Tree:
@@ -240,7 +241,7 @@ def crossover_tree(
     immutable tuples, so the parent itself is a safe copy).
     """
     for _ in range(_TREE_RETRIES):
-        op = _TREE_CROSSOVERS[int(rng.integers(len(_TREE_CROSSOVERS)))]
+        op = _TREE_CROSSOVERS[rng.below(len(_TREE_CROSSOVERS))]
         child = op(a, b, rng)
         if _within_limits(child, max_depth, max_nodes):
             return child

@@ -127,16 +127,16 @@ def rotations(i: int, n: int) -> set[int]:
 
 
 def uniform_crossover_by_where(a, b, rng) -> np.ndarray:
-    """Uniform crossover as a boolean select, one integers(0, 2) draw per bit."""
-    take_a = rng.integers(0, 2, a.shape[0]).astype(bool)
+    """Uniform crossover as a boolean select on one uniform bit per position."""
+    take_a = rng.bits(a.shape[0]).astype(bool)
     return np.where(take_a, a, b)
 
 
 def shuffle_mutation_by_window_permutation(bits, rng) -> np.ndarray:
     """Window shuffle that permutes the window's entries themselves."""
     child = bits.copy()
-    a = int(rng.integers(child.shape[0]))
-    b = int(rng.integers(child.shape[0]))
+    a = rng.below(child.shape[0])
+    b = rng.below(child.shape[0])
     start, end = min(a, b), max(a, b)
     child[start : end + 1] = rng.permutation(child[start : end + 1])
     return child

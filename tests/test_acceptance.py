@@ -19,6 +19,7 @@ from oracles import (
     tree_table_pointwise,
 )
 
+from boolevo.draws import Draws
 from boolevo.encodings import ROTATION, random_tree, tree_truth_bits
 from boolevo.engine import RunConfig
 from boolevo.evaluation import FitnessEvaluator, Individual, spectrum_key
@@ -75,7 +76,7 @@ def test_criterion_02_energy_conservation_exact():
     checked = 0
     for n in range(1, 11):
         for _ in range(50):
-            bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+            bits = rng.bits(1 << n)
             values = walsh_transform(TruthTable(n, bits)).values.astype(np.int64)
             checked += 1
             if int(np.sum(values * values)) != 1 << (2 * n):
@@ -228,7 +229,7 @@ def test_criterion_08_rotation_symmetric_n9_with_local_search():
 
 
 def test_criterion_09_local_search_monotone_and_flip_optimal():
-    rng = np.random.default_rng(1009)
+    rng = Draws(1009)
     violations = 0
     checked = 0
 
@@ -245,14 +246,14 @@ def test_criterion_09_local_search_monotone_and_flip_optimal():
     variants = ("ls1", "ls2", "ls3")
     for i in range(400):  # bitstring, general space
         n = 4 + i % 4
-        bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+        bits = rng.bits(1 << n)
         check("bitstring", "general", n, bits, LsConfig(variants[i % 3], trials=10))
     for i in range(300):  # bitstring, rotation-symmetric space
         n = (5, 7, 9)[i % 3]
-        bits = rng.integers(0, 2, compute_orbits(n).num_orbits, dtype=np.uint8)
+        bits = rng.bits(compute_orbits(n).num_orbits)
         check("bitstring", ROTATION, n, bits, LsConfig(variants[i % 3], trials=10))
     for i in range(150):  # float vectors
-        check("float", "general", 5, rng.random(16), LsConfig("ls1", trials=10))
+        check("float", "general", 5, rng.uniforms(16), LsConfig("ls1", trials=10))
     for i in range(150):  # trees
         check("tree", "general", 5, random_tree(5, rng, 5), LsConfig("ls1", trials=10))
 
@@ -262,7 +263,7 @@ def test_criterion_09_local_search_monotone_and_flip_optimal():
         n = (5, 7, 9)[i % 3]
         table = compute_orbits(n)
         ev = FitnessEvaluator(n, "bitstring", ROTATION)
-        bits = rng.integers(0, 2, table.num_orbits, dtype=np.uint8)
+        bits = rng.bits(table.num_orbits)
         out = ls_bitflip(Individual(bits, ev.evaluate(bits)), ev)
         base = spectrum_key(
             walsh_transform(expand(table, out.genotype)).values.astype(np.float64), n
@@ -316,11 +317,11 @@ def test_criterion_10_campaign_output_reproducible(tmp_path):
 
 
 def test_criterion_11_tree_evaluator_vs_interpreter():
-    rng = np.random.default_rng(1011)
+    rng = Draws(1011)
     mismatches = 0
     for _ in range(1000):
-        n = int(rng.integers(1, 7))
-        tree = random_tree(n, rng, max_depth=int(rng.integers(1, 7)))
+        n = 1 + rng.below(6)
+        tree = random_tree(n, rng, max_depth=1 + rng.below(6))
         fast = tree_truth_bits(tree, n).tolist()
         slow = tree_table_pointwise(tree, n)
         if fast != slow:

@@ -1,0 +1,91 @@
+"""The run's randomness source against exact oracles over numpy's raw words."""
+
+import numpy as np
+import pytest
+
+from boolevo.draws import BLOCK_WORDS, Draws
+
+SEEDS = (0, 7, 2**40 + 3)
+
+
+def raw_words(seed, count):
+    return np.random.default_rng(seed).bit_generator.random_raw(count).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_is_numpys_double_across_a_refill(seed):
+    count = BLOCK_WORDS + 904
+    draws = Draws(seed)
+    got = [draws.uniform() for _ in range(count)]
+    assert got == np.random.default_rng(seed).random(count).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 50, 500, 1000])
+def test_below_small_k_is_the_high_word_of_the_product(k):
+    # rejection needs a low product below k: odds about 2**-50 per draw here
+    count = BLOCK_WORDS + 100
+    draws = Draws(11)
+    got = [draws.below(k) for _ in range(count)]
+    assert got == [(w * k) >> 64 for w in raw_words(11, count)]
+
+
+def test_below_rejection_branch_matches_reference_loop():
+    # k = 2**63 + 1 rejects low products below (2**64 - k) % k = 2**63 - 1,
+    # so about half of all words
+    k = 2**63 + 1
+    threshold = (2**64 - k) % k
+    words = iter(raw_words(5, 3 * BLOCK_WORDS))
+    want = []
+    rejected = 0
+    for _ in range(BLOCK_WORDS):
+        m = next(words) * k
+        while m % 2**64 < threshold:
+            rejected += 1
+            m = next(words) * k
+        want.append(m >> 64)
+    draws = Draws(5)
+    got = [draws.below(k) for _ in range(BLOCK_WORDS)]
+    assert got == want
+    assert all(0 <= value < k for value in got)
+    assert BLOCK_WORDS // 3 < rejected < BLOCK_WORDS
+
+
+def test_below_rejects_empty_and_oversized_ranges():
+    draws = Draws(0)
+    for k in (0, -3, 2**64 + 1):
+        with pytest.raises(ValueError, match="below needs"):
+            draws.below(k)
+    assert 0 <= draws.below(2**64) < 2**64
+
+
+@pytest.mark.parametrize("length", [20, 64, 8192])
+def test_bits_are_uint8_zeros_and_ones(length):
+    bits = Draws(3).bits(length)
+    assert bits.dtype == np.uint8 and bits.shape == (length,)
+    assert set(np.unique(bits).tolist()) == {0, 1}
+    # each raw word gives its bytes low first, each byte its bits high first
+    words = raw_words(3, (length + 63) // 64)
+    want = [(words[i // 64] >> (8 * (i % 64 // 8) + 7 - i % 8)) & 1 for i in range(length)]
+    assert bits.tolist() == want
+
+
+def test_sample_is_distinct_and_in_range():
+    draws = Draws(4)
+    for k, m in ((5, 5), (49, 2), (1000, 300)):
+        picks = draws.sample(k, m).tolist()
+        assert len(picks) == m == len(set(picks))
+        assert all(0 <= pick < k for pick in picks)
+
+
+def test_same_seed_same_stream_across_scalar_and_vector_draws():
+    def mixed(draws):
+        return (
+            [draws.below(9) for _ in range(BLOCK_WORDS + 10)],
+            draws.uniforms(3).tolist(),
+            draws.permutation(6).tolist(),
+            draws.bits(12).tolist(),
+            draws.uniform(),
+        )
+
+    assert mixed(Draws(21)) == mixed(Draws(21))
+    assert mixed(Draws(21)) != mixed(Draws(22))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import float_bits_by_floor_and_shift, tree_table_pointwise
 
+from boolevo.draws import Draws
 from boolevo.encodings import (
     GENERAL,
     ROTATION,
@@ -249,10 +250,10 @@ def test_operator_semantics():
 
 
 def test_tree_evaluator_matches_pointwise_interpreter():
-    rng = np.random.default_rng(32)
+    rng = Draws(32)
     for _ in range(300):
-        n = int(rng.integers(1, 7))
-        tree = random_tree(n, rng, max_depth=int(rng.integers(1, 6)))
+        n = 1 + rng.below(6)
+        tree = random_tree(n, rng, max_depth=1 + rng.below(5))
         assert tree_truth_bits(tree, n).tolist() == tree_table_pointwise(tree, n)
 
 
@@ -287,7 +288,7 @@ def test_tree_text_round_trip():
     assert text == "IF(x1, AND2(x2, x3), NOT(x4))"
     assert tree_from_text(text) == t
     assert tree_to_text((3,)) == "x3" and tree_from_text(" x3 ") == (3,)
-    rng = np.random.default_rng(33)
+    rng = Draws(33)
     for _ in range(50):
         t = random_tree(5, rng, max_depth=4)
         assert tree_from_text(tree_to_text(t)) == t
@@ -301,9 +302,9 @@ def test_tree_text_round_trip():
 
 
 def test_random_tree_respects_limits():
-    rng = np.random.default_rng(34)
+    rng = Draws(34)
     for _ in range(100):
-        depth = int(rng.integers(1, 8))
+        depth = 1 + rng.below(7)
         t = random_tree(4, rng, max_depth=depth, method="grow")
         assert tree_depth(t) <= depth
         assert len(t) <= 500
@@ -313,7 +314,7 @@ def test_random_tree_respects_limits():
 
 
 def test_random_genotype_kinds():
-    rng = np.random.default_rng(35)
+    rng = Draws(35)
     g = random_genotype("bitstring", 4, rng)
     assert g.dtype == np.uint8 and g.shape == (16,)
     assert np.array_equal(check_genotype(g, "bitstring", 4), g)
@@ -333,6 +334,6 @@ def test_random_genotype_kinds():
 
 @pytest.mark.parametrize("max_depth", [1, 2, 3])
 def test_random_genotype_respects_the_depth_cap(max_depth):
-    rng = np.random.default_rng(36)
+    rng = Draws(36)
     trees = [random_genotype("tree", 5, rng, max_depth=max_depth) for _ in range(200)]
     assert max(map(tree_depth, trees)) == max_depth

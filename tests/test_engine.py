@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
 from boolevo.engine import (
     DE,
@@ -164,24 +165,24 @@ def test_run_stops_at_target():
 
 # config, target, and the evaluation at which the target-free run first reaches it
 TARGET_CASES = {
-    # the third initial individual; init covers evaluations 1..50
-    "init": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=2), 56, 3),
+    # the 11th initial individual; init covers evaluations 1..50
+    "init": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=2), 56, 11),
     # LS1 after the first 50 SST steps, which end at evaluation 100
-    "sst-ls1": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=0), 56, 112),
-    # the eighth flip probe of the first LS2 sweep (128 probes from 101)
-    "sst-ls2": (dict(n=7, ls="ls2", population_size=50, seed=0), 54, 108),
-    # trial 4 of generation 6 (generations are evaluations 21..40, 41..60, ...)
+    "sst-ls1": (dict(n=7, ls="ls1", population_size=50, seed=0), 53, 114),
+    # the 62nd flip probe of the first LS2 sweep (128 probes from 101)
+    "sst-ls2": (dict(n=7, ls="ls2", population_size=50, seed=0), 54, 162),
+    # trial 11 of generation 2 (generations are evaluations 21..40, 41..60, ...)
     "de": (
         dict(n=7, encoding="float", decode=4, algorithm=DE, population_size=20, seed=1),
-        53,
-        124,
+        52,
+        51,
     ),
-    # LS1 after the first DE generation, which ends at evaluation 40
+    # LS1 after the fifth DE generation, whose LS round covers evaluations 242..273
     "de-ls1": (
         dict(n=7, encoding="float", decode=4, algorithm=DE, ls="ls1", population_size=20,
              seed=11),
         54,
-        54,
+        248,
     ),
 }
 
@@ -254,7 +255,7 @@ def test_population_best_never_decreases():
     from boolevo.evaluation import FitnessEvaluator
 
     cfg = small_config()
-    state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), np.random.default_rng(3))
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(3))
     _initialise(state)
     best = max(ind.key for ind in state.pop)
     for _ in range(400):
@@ -270,7 +271,7 @@ def test_de_slots_never_worsen():
     from boolevo.evaluation import FitnessEvaluator
 
     cfg = small_config(encoding="float", decode=2, algorithm=DE, population_size=8)
-    state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), np.random.default_rng(4))
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), Draws(4))
     _initialise(state)
     for _ in range(30):
         keys = [ind.key for ind in state.pop]
@@ -286,7 +287,7 @@ def test_de_forced_coordinate_with_zero_crossover_rate():
     cfg = small_config(
         encoding="float", decode=2, algorithm=DE, population_size=6, de_crossover=0.0
     )
-    state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), np.random.default_rng(5))
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), Draws(5))
     _initialise(state)
     snapshots = [ind.genotype.copy() for ind in state.pop]
     de_step(state)

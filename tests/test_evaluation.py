@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import nonlinearity_by_distance
 
+from boolevo.draws import Draws
 from boolevo.encodings import ROTATION, float_bits, random_tree, tree_truth_bits
 from boolevo.evaluation import (
     BitFlipSession,
@@ -83,7 +84,7 @@ def test_float_path_exact():
 
 
 def test_tree_path_exact():
-    rng = np.random.default_rng(45)
+    rng = Draws(45)
     ev = FitnessEvaluator(5, "tree")
     for _ in range(20):
         tree = random_tree(5, rng, max_depth=5)

@@ -61,10 +61,16 @@ def test_campaign_records_round_trip(tmp_path):
 
 
 def test_campaign_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a campaign needs at least one run"):
         run_campaign(tiny_campaign(num_runs=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="worker count must be positive"):
         run_campaign(tiny_campaign(workers=0))
+    # a bool would run one run, a float would fail inside range() or the pool
+    for bad in (True, 2.5, -1, "3"):
+        with pytest.raises(ValueError, match="num_runs must be an integer of at least 1"):
+            run_campaign(tiny_campaign(num_runs=bad))
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+            run_campaign(tiny_campaign(workers=bad))
 
 
 def fake_record(label, fitness, nl=4):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import nonlinearity_by_distance
 
+from boolevo.draws import Draws
 from boolevo.encodings import ROTATION, random_tree
 from boolevo.evaluation import (
     BudgetExhausted,
@@ -45,11 +46,11 @@ def test_ls_config_validation():
 
 
 def test_ls_mutation_never_worsens_any_encoding():
-    rng = np.random.default_rng(81)
+    rng = Draws(81)
     cases = [
-        ("bitstring", "general", lambda: rng.integers(0, 2, 32, dtype=np.uint8)),
-        ("bitstring", ROTATION, lambda: rng.integers(0, 2, 20, dtype=np.uint8)),
-        ("float", "general", lambda: rng.random(16)),
+        ("bitstring", "general", lambda: rng.bits(32)),
+        ("bitstring", ROTATION, lambda: rng.bits(20)),
+        ("float", "general", lambda: rng.uniforms(16)),
         ("tree", "general", lambda: random_tree(5, rng, 4)),
     ]
     for encoding, mode, sample in cases:
@@ -82,7 +83,7 @@ def test_ls_mutation_improvement_resets_the_counter():
         return genotype
 
     start = Individual(np.zeros(8, np.uint8), 50)
-    out = ls_mutation(start, FakeEvaluator(), mutate, np.random.default_rng(0), trials=5)
+    out = ls_mutation(start, FakeEvaluator(), mutate, Draws(0), trials=5)
     # 3 failures, improvement at 4, then 5 fresh failures: 9 candidates total
     assert len(calls) == 9
     assert out.key == 100
@@ -144,10 +145,10 @@ def test_ls_bitflip_improves_nonlinearity_not_just_key():
 
 
 def test_improve_dispatches_variants():
-    rng = np.random.default_rng(85)
+    rng = Draws(85)
     ev = FitnessEvaluator(5, "bitstring")
     mutate, _ = make_operators("bitstring", 5)
-    bits = rng.integers(0, 2, 32, dtype=np.uint8)
+    bits = rng.bits(32)
     start = make_individual(bits, 5)
     for variant in ("ls1", "ls2", "ls3"):
         out = improve(start, LsConfig(variant, trials=5), ev, mutate, rng)
@@ -161,11 +162,11 @@ def test_improve_dispatches_variants():
 
 
 def test_apply_ls_touches_best_plus_fraction():
-    rng = np.random.default_rng(86)
+    rng = Draws(86)
     ev = FitnessEvaluator(5, "bitstring")
     mutate, _ = make_operators("bitstring", 5)
     pop = [
-        make_individual(rng.integers(0, 2, 32, dtype=np.uint8), 5) for _ in range(20)
+        make_individual(rng.bits(32), 5) for _ in range(20)
     ]
     keys_before = [ind.key for ind in pop]
     best_before = max(keys_before)

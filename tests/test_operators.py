@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boolevo.draws import Draws
 from boolevo.encodings import random_tree, tree_depth
 from boolevo.operators import (
     bit_mutation,
@@ -30,16 +31,16 @@ from oracles import (
 
 
 def test_bit_mutation_flips_exactly_one():
-    rng = np.random.default_rng(51)
-    bits = rng.integers(0, 2, 40, dtype=np.uint8)
+    rng = Draws(51)
+    bits = rng.bits(40)
     for _ in range(30):
         child = bit_mutation(bits, rng)
         assert int(np.sum(child != bits)) == 1
 
 
 def test_shuffle_mutation_preserves_weight():
-    rng = np.random.default_rng(52)
-    bits = rng.integers(0, 2, 40, dtype=np.uint8)
+    rng = Draws(52)
+    bits = rng.bits(40)
     for _ in range(50):
         child = shuffle_mutation(bits, rng)
         assert child.sum() == bits.sum()
@@ -47,8 +48,8 @@ def test_shuffle_mutation_preserves_weight():
 
 
 def test_mutate_bitstring_leaves_parent_untouched():
-    rng = np.random.default_rng(53)
-    bits = rng.integers(0, 2, 16, dtype=np.uint8)
+    rng = Draws(53)
+    bits = rng.bits(16)
     before = bits.copy()
     for _ in range(20):
         mutate_bitstring(bits, rng)
@@ -56,7 +57,7 @@ def test_mutate_bitstring_leaves_parent_untouched():
 
 
 def test_one_point_crossover_structure():
-    rng = np.random.default_rng(54)
+    rng = Draws(54)
     a = np.zeros(10, dtype=np.uint8)
     b = np.ones(10, dtype=np.uint8)
     for _ in range(30):
@@ -68,7 +69,7 @@ def test_one_point_crossover_structure():
 
 
 def test_uniform_crossover_positions_from_parents():
-    rng = np.random.default_rng(55)
+    rng = Draws(55)
     a = np.zeros(64, dtype=np.uint8)
     b = np.ones(64, dtype=np.uint8)
     seen_a = seen_b = False
@@ -83,28 +84,28 @@ def test_uniform_crossover_matches_boolean_select():
     # the XOR select must give the np.where child from the same draws
     for length in (2, 128, 8192):
         parents = np.random.default_rng(length).integers(0, 2, (2, length), dtype=np.uint8)
-        rng, oracle_rng = np.random.default_rng(57), np.random.default_rng(57)
+        rng, oracle_rng = Draws(57), Draws(57)
         for _ in range(20):
             child = uniform_crossover(parents[0], parents[1], rng)
             want = uniform_crossover_by_where(parents[0], parents[1], oracle_rng)
             assert child.dtype == want.dtype and np.array_equal(child, want)
-        assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
+        assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_shuffle_mutation_matches_window_permutation():
     # permuting indices makes the same Fisher-Yates draws as permuting entries
     for length in (2, 128, 8192):
         bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
-        rng, oracle_rng = np.random.default_rng(58), np.random.default_rng(58)
+        rng, oracle_rng = Draws(58), Draws(58)
         for _ in range(50):
             child = shuffle_mutation(bits, rng)
             want = shuffle_mutation_by_window_permutation(bits, oracle_rng)
             assert child.dtype == want.dtype and np.array_equal(child, want)
-        assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
+        assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_crossover_bitstring_mixes_both_kinds():
-    rng = np.random.default_rng(56)
+    rng = Draws(56)
     a = np.zeros(16, dtype=np.uint8)
     b = np.ones(16, dtype=np.uint8)
     children = {crossover_bitstring(a, b, rng).tobytes() for _ in range(50)}
@@ -112,8 +113,8 @@ def test_crossover_bitstring_mixes_both_kinds():
 
 
 def test_mutate_float_one_coordinate():
-    rng = np.random.default_rng(57)
-    values = rng.random(10)
+    rng = Draws(57)
+    values = rng.uniforms(10)
     for _ in range(20):
         child = mutate_float(values, rng)
         assert int(np.sum(child != values)) <= 1
@@ -121,9 +122,9 @@ def test_mutate_float_one_coordinate():
 
 
 def test_crossover_float_stays_in_unit_box():
-    rng = np.random.default_rng(58)
-    a = rng.random(10)
-    b = rng.random(10)
+    rng = Draws(58)
+    a = rng.uniforms(10)
+    b = rng.uniforms(10)
     arithmetic_seen = uniform_seen = False
     for _ in range(40):
         child = crossover_float(a, b, rng)
@@ -144,7 +145,7 @@ def random_pair(rng, n=4, depth=5):
 
 
 def test_subtree_mutation_respects_depth():
-    rng = np.random.default_rng(59)
+    rng = Draws(59)
     for _ in range(100):
         t = random_tree(4, rng, max_depth=6)
         child = subtree_mutation(t, 4, rng, max_depth=6, max_nodes=500)
@@ -153,7 +154,7 @@ def test_subtree_mutation_respects_depth():
 
 
 def test_subtree_crossover_inserts_donor_subtree():
-    rng = np.random.default_rng(60)
+    rng = Draws(60)
     for _ in range(50):
         a, b = random_pair(rng)
         child = subtree_crossover(a, b, rng)
@@ -161,7 +162,7 @@ def test_subtree_crossover_inserts_donor_subtree():
 
 
 def test_uniform_tree_crossover_on_identical_shapes():
-    rng = np.random.default_rng(61)
+    rng = Draws(61)
     a = ("AND", 1, 2)
     b = ("OR", 3, 4)
     children = {uniform_tree_crossover(a, b, rng) for _ in range(200)}
@@ -174,7 +175,7 @@ def test_uniform_tree_crossover_on_identical_shapes():
 
 
 def test_uniform_tree_crossover_takes_whole_subtrees_where_shapes_diverge():
-    rng = np.random.default_rng(68)
+    rng = Draws(68)
     a = ("AND", "NOT", 1, 2)
     b = ("OR", 3, "XOR", 4, 1)
     children = {uniform_tree_crossover(a, b, rng) for _ in range(200)}
@@ -189,7 +190,7 @@ def test_uniform_tree_crossover_takes_whole_subtrees_where_shapes_diverge():
 
 
 def test_size_fair_crossover_bounds_donor():
-    rng = np.random.default_rng(62)
+    rng = Draws(62)
     for _ in range(100):
         a, b = random_pair(rng)
         # removed subtree of size m admits donors of size at most 2m+1, so the
@@ -199,7 +200,7 @@ def test_size_fair_crossover_bounds_donor():
 
 
 def test_one_point_tree_crossover_stays_in_common_region():
-    rng = np.random.default_rng(63)
+    rng = Draws(63)
     a = ("AND", 1, "NOT", 2)
     b = ("OR", "NOT", 3, 4)
     for _ in range(50):
@@ -213,7 +214,7 @@ def test_one_point_tree_crossover_stays_in_common_region():
 
 
 def test_context_preserving_crossover_uses_shared_coordinates():
-    rng = np.random.default_rng(64)
+    rng = Draws(64)
     a = ("AND", 1, "NOT", 2)
     b = ("IF", 3, "OR", 4, 1, 2)
     children = set()
@@ -231,7 +232,7 @@ def test_context_preserving_crossover_uses_shared_coordinates():
 
 
 def test_crossover_tree_respects_limits_or_returns_parent():
-    rng = np.random.default_rng(65)
+    rng = Draws(65)
     for _ in range(200):
         a = random_tree(4, rng, max_depth=4)
         b = random_tree(4, rng, max_depth=4)
@@ -241,7 +242,7 @@ def test_crossover_tree_respects_limits_or_returns_parent():
 
 
 def test_tree_operators_produce_valid_trees():
-    rng = np.random.default_rng(66)
+    rng = Draws(66)
     for _ in range(100):
         a = random_tree(3, rng, max_depth=4)
         b = random_tree(3, rng, max_depth=4)
@@ -252,7 +253,7 @@ def test_tree_operators_produce_valid_trees():
 
 
 def test_make_operators_dispatch():
-    rng = np.random.default_rng(67)
+    rng = Draws(67)
     mutate, crossover = make_operators("bitstring", 4)
     child = crossover(np.zeros(16, np.uint8), np.ones(16, np.uint8), rng)
     assert child.shape == (16,)
