@@ -76,7 +76,7 @@ def test_criterion_02_energy_conservation_exact():
     checked = 0
     for n in range(1, 11):
         for _ in range(50):
-            bits = rng.bits(1 << n)
+            bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
             values = walsh_transform(TruthTable(n, bits)).values.astype(np.int64)
             checked += 1
             if int(np.sum(values * values)) != 1 << (2 * n):
