@@ -45,6 +45,9 @@ GOLDEN = {
     "fp-de-ls1-n7": dict(
         _N7, encoding="float", decode=4, algorithm="de", ls="ls1", evaluation_budget=600
     ),
+    "tt-ri-ls2-n9": dict(
+        n=9, mode="rs", ls="ls2", population_size=20, evaluation_budget=1_200, seed=20
+    ),
 }
 
 
