@@ -23,7 +23,12 @@ integer of magnitude at most ``2**a``; the unscaled product ``Hf`` is at
 most ``2**n``, so each partial sum of the product with ``-2 * Hb`` is at
 most ``2**(n + 1) <= 2**17``, and adding ``2**n`` at index 0 gives ``W(0)``,
 itself at most ``2**n`` in magnitude.  In the rotation path each partial sum
-is at most ``2**n <= 2**16``.
+is at most ``2**n <= 2**16``.  :class:`BitFlipSession` keeps its spectrum in
+float32 too: a flip adds ``-2 * sign_j`` times a Hadamard row (entries
+``+-1``) or an orbit sign pattern (entries at most the orbit size, ``n``),
+so each product is an integer of magnitude at most ``2 * n``, and every
+candidate entry is the Walsh value of the flipped table, at most
+``2**n <= 2**16 < 2**24`` in magnitude.
 """
 
 from __future__ import annotations
@@ -63,6 +68,11 @@ class BudgetExhausted(Exception):
 
 #: Sign of each truth-table bit, indexed by the bit (rotation path).
 _SIGNS = np.array([1.0, -1.0], dtype=np.float32)
+
+#: Most floats in one block of candidate spectra of :class:`BitFlipSession`
+#: (128 KiB of float32): 64 flips at n = 9, 8 at n = 12, 4 at n = 13.  Blocks
+#: of twice that size made LS2 at n = 9 slower, not faster.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -189,23 +199,32 @@ class FitnessEvaluator:
         spectrum[0] += 1 << self.n
         return spectrum
 
-    def _flip_row(self, position: int) -> np.ndarray:
-        """Spectrum delta direction for flipping one genotype bit."""
+    def _flip_deltas(self, start: int, bits: np.ndarray) -> np.ndarray:
+        """Spectrum change of flipping each of ``bits``, genotype positions
+        ``start, start + 1, ...``: one row ``-2 * sign_j * row_j`` per bit."""
+        scale = 4 * bits.astype(np.float32) - 2  # -2 * sign_j
         if self.mode == ROTATION:
-            return self._patterns[position]
-        hi, lo = divmod(position, len(self._hb))
-        return (self._ha[hi, :, None] * self._hb[lo]).reshape(-1)
+            return self._patterns[start:start + len(bits)] * scale[:, None]
+        hi, lo = divmod(np.arange(start, start + len(bits)), len(self._hb))
+        rows = (self._ha[hi] * scale[:, None])[:, :, None] * self._hb[lo][:, None, :]
+        return rows.reshape(len(bits), -1)
 
 
 class BitFlipSession:
     """Incremental re-evaluation of single-bit flips of a bitstring genotype.
 
     Flipping genotype bit ``j`` moves the spectrum by ``-2 * sign_j * row_j``
-    where ``row_j`` is the Hadamard row (general mode) or orbit sign pattern
-    (rotation mode) for that position, so each probe is one vector update
-    instead of a full transform.  Probes charge the evaluator exactly like
-    full evaluations; the setup recomputes the incumbent's spectrum without
-    charging because its fitness is already known.
+    where ``row_j`` is the Hadamard row ``Ha[hi] (x) Hb[lo]`` (general mode)
+    or the orbit sign pattern (rotation mode) for that position, so a flip
+    needs one vector update instead of a full transform.  A probe that
+    misses the current block forms the candidate spectra of its position and
+    the next ones, up to :data:`BLOCK_ELEMENTS` floats, in one broadcast and
+    keys them all with one :func:`spectrum_key` call; the next probes in the
+    block are list lookups.  A commit moves the spectrum by the committed
+    row alone and drops the block.  Every probe, looked up or not, charges
+    the evaluator exactly like a full evaluation; the setup recomputes the
+    incumbent's spectrum without charging because its fitness is already
+    known.
     """
 
     def __init__(self, evaluator: FitnessEvaluator, bits: np.ndarray):
@@ -218,24 +237,38 @@ class BitFlipSession:
                 f"expected {evaluator.genotype_length} genotype bits, "
                 f"got shape {self.bits.shape}"
             )
-        self.spectrum = np.array(evaluator._spectrum(self.bits), dtype=np.float64)
+        self.spectrum = np.array(evaluator._spectrum(self.bits), dtype=np.float32)
         self.key = spectrum_key(self.spectrum, evaluator.n)
-        # (position, spectrum, key) of the last probed flip
-        self._pending: tuple[int, np.ndarray, int] | None = None
+        self._block_rows = max(1, BLOCK_ELEMENTS // len(self.spectrum))
+        # keys of flipping positions _block_start, _block_start + 1, ...
+        self._block_start = 0
+        self._block_keys: list[int] = []
+        # (position, key) of the last probed flip
+        self._pending: tuple[int, int] | None = None
 
     def try_flip(self, position: int) -> int:
         """Probe flipping one bit and return its key; charges one evaluation."""
+        length = len(self.bits)
+        if type(position) is not int or not 0 <= position < length:
+            raise ValueError(f"flip position must be an int in 0..{length - 1}, got {position!r}")
         self.evaluator.charge()
-        sign = 1.0 - 2.0 * float(self.bits[position])
-        candidate = self.spectrum - (2.0 * sign) * self.evaluator._flip_row(position)
-        key = spectrum_key(candidate, self.evaluator.n)
-        self._pending = (position, candidate, key)
+        offset = position - self._block_start
+        if not 0 <= offset < len(self._block_keys):
+            stop = min(position + self._block_rows, length)
+            block = self.evaluator._flip_deltas(position, self.bits[position:stop])
+            block += self.spectrum
+            self._block_start, self._block_keys = position, spectrum_key(block, self.evaluator.n)
+            offset = 0
+        key = self._block_keys[offset]
+        self._pending = (position, key)
         return key
 
     def commit(self) -> None:
         """Adopt the most recently probed flip."""
         if self._pending is None:
             raise RuntimeError("no probed flip to commit")
-        position, self.spectrum, self.key = self._pending
+        position, self.key = self._pending
+        self.spectrum += self.evaluator._flip_deltas(position, self.bits[position:position + 1])[0]
         self.bits[position] ^= 1
         self._pending = None
+        self._block_keys = []

@@ -6,8 +6,10 @@ Variants:
   stopping after a fixed number of consecutive failures.
 * ``ls2`` (bitstring only) sweeps the genotype positions in ascending order,
   committing every strictly improving single-bit flip, until a whole sweep
-  passes without improvement.  It rides :class:`BitFlipSession`, so each
-  probe is an incremental spectrum update but is still charged to the budget.
+  passes without improvement.  It rides :class:`BitFlipSession`: one float32
+  product updates the spectrum for a block of consecutive flips and one
+  :func:`spectrum_key` call keys them all, so most probes are lookups, but
+  each probe is still charged to the budget.
 * ``ls3`` runs ``ls1`` and then ``ls2``.
 
 All stages only ever replace an individual with a strictly better one, so

@@ -172,7 +172,20 @@ def size_fair_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Subtree swap where the donor is at most twice-plus-one the removed size."""
     index_a = rng.below(len(a))
     limit = 2 * (subtree_end(a, index_a) - index_a) + 1
-    donors = [j for j in range(len(b)) if subtree_end(b, j) - j <= limit]
+    # one reverse pass over b: a subtree ends where its last child's ends
+    donors = []
+    ends = []  # subtree ends of the nodes whose parent is still to come
+    for j in range(len(b) - 1, -1, -1):
+        arity = OPERATOR_ARITY.get(b[j], 0)
+        if arity:
+            end = ends[-arity]  # the first child is on top
+            del ends[-arity:]
+        else:
+            end = j + 1
+        ends.append(end)
+        if end - j <= limit:
+            donors.append(j)
+    donors.reverse()
     donor = donors[rng.below(len(donors))]
     return replace_at(a, index_a, subtree_at(b, donor))
 

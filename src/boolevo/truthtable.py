@@ -165,20 +165,27 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(table.n, hadamard_transform(signs))
 
 
-def spectrum_key(spectrum: np.ndarray, n: int) -> int:
-    """Exact fitness key of a vector of Walsh values.
+def spectrum_key(spectrum: np.ndarray, n: int):
+    """Exact fitness key of Walsh values, keyed along the last axis.
 
     The key is ``(nl << n) + (2**n - count)``, where ``count`` is how often
     the peak ``max |W| = 2**n - 2 * nl`` occurs.  The second term rewards
     spectra whose extreme value occurs rarely; it is always in
     ``0..2**n - 1``, so it can never lift the key past the next
     nonlinearity level: ``nl == key >> n`` and the fitness is ``key / 2**n``.
+
+    A vector of Walsh values gives one int; a 2-D block of spectra, one per
+    row, gives a list with the key of each row.
     """
     mags = np.abs(spectrum)
-    peak = int(mags.max())
-    count = int(np.count_nonzero(mags == peak))
-    nl = (1 << (n - 1)) - peak // 2
-    return (nl << n) + ((1 << n) - count)
+    if mags.ndim == 1:
+        peak = np.maximum.reduce(mags)
+        count = int(np.count_nonzero(mags == peak))
+        return (((1 << (n - 1)) - int(peak) // 2) << n) + ((1 << n) - count)
+    peaks = np.maximum.reduce(mags, axis=-1, keepdims=True)
+    counts = np.add.reduce(mags == peaks, axis=-1, dtype=np.int32)
+    nls = (1 << (n - 1)) - peaks[:, 0].astype(np.int64) // 2
+    return ((nls << n) + ((1 << n) - counts)).tolist()
 
 
 def nonlinearity(spectrum: WalshSpectrum) -> int:

@@ -150,3 +150,23 @@ def float_bits_by_floor_and_shift(values, decode: int) -> np.ndarray:
     shifts = np.arange(decode - 1, -1, -1, dtype=np.int64)
     bits = (cells[:, None] >> shifts[None, :]) & 1
     return bits.reshape(-1).astype(np.uint8)
+
+
+def _subtree_end(tree, pos: int) -> int:
+    """End of the subtree at preorder ``pos``, by recursive descent."""
+    tag = tree[pos]
+    pos += 1
+    if type(tag) is not int:
+        for _ in range({"NOT": 1, "IF": 3}.get(tag, 2)):
+            pos = _subtree_end(tree, pos)
+    return pos
+
+
+def size_fair_crossover_by_subtree_walks(a, b, rng):
+    """Size-fair crossover that measures every candidate donor with its own walk."""
+    index_a = rng.below(len(a))
+    end_a = _subtree_end(a, index_a)
+    limit = 2 * (end_a - index_a) + 1
+    donors = [j for j in range(len(b)) if _subtree_end(b, j) - j <= limit]
+    donor = donors[rng.below(len(donors))]
+    return a[:index_a] + b[donor:_subtree_end(b, donor)] + a[end_a:]

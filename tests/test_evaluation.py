@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from oracles import nonlinearity_by_distance
 
+import boolevo.evaluation as evaluation
 from boolevo.draws import Draws
 from boolevo.encodings import ROTATION, float_bits, random_tree, tree_truth_bits
 from boolevo.evaluation import (
+    BLOCK_ELEMENTS,
     BitFlipSession,
     BudgetExhausted,
     FitnessEvaluator,
@@ -37,6 +39,19 @@ def test_spectrum_key_matches_reference_profile():
             key = spectrum_key(spec.astype(np.float64), n)
             assert key == reference_key(bits, n)
             assert key_to_fitness(key, n) == fitness(TruthTable(n, bits))
+
+
+def test_spectrum_key_keys_each_row_of_a_block():
+    rng = np.random.default_rng(42)
+    for n in (1, 2, 5, 9):
+        tables = rng.integers(0, 2, (6, 1 << n), dtype=np.uint8)
+        tables[0] = 0  # a single peak, at W(0) = 2**n
+        block = np.array([walsh_transform(TruthTable(n, t)).values for t in tables])
+        for dtype in (np.int64, np.float32):
+            keys = spectrum_key(block.astype(dtype), n)
+            assert keys == [reference_key(t, n) for t in tables]
+            assert all(type(key) is int for key in keys)
+            assert type(spectrum_key(block[1].astype(dtype), n)) is int
 
 
 def test_general_bitstring_path_exact():
@@ -178,6 +193,122 @@ def test_bitflip_session_charges_budget():
     with pytest.raises(BudgetExhausted):
         session.try_flip(3)
     assert ev.evaluations == 3
+
+
+def flipped_key(bits, position, n, mode="general"):
+    """Fresh key of the table with one genotype bit flipped, by the reference transform."""
+    flipped = bits.copy()
+    flipped[position] ^= 1
+    if mode == ROTATION:
+        flipped = expand(compute_orbits(n), flipped).bits
+    return reference_key(flipped, n)
+
+
+def test_bitflip_session_rejects_bad_positions_without_charging():
+    ev = FitnessEvaluator(5, "bitstring", budget=10)
+    session = BitFlipSession(ev, np.zeros(32, dtype=np.uint8))
+    for position in (32, -1, 2.0, True, np.int64(3), "3", None):
+        with pytest.raises(ValueError, match=r"flip position must be an int in 0\.\.31"):
+            session.try_flip(position)
+    assert ev.evaluations == 0
+    assert session.try_flip(31) == flipped_key(session.bits, 31, 5)
+    assert ev.evaluations == 1
+
+
+@pytest.mark.parametrize(
+    "n,mode", [(7, "general"), (9, "general"), (9, ROTATION), (12, "general")]
+)
+def test_bitflip_session_commit_inside_a_block(n, mode):
+    ev = FitnessEvaluator(n, "bitstring", mode)
+    bits = np.random.default_rng(47).integers(0, 2, ev.genotype_length, dtype=np.uint8)
+    session = BitFlipSession(ev, bits)
+    middle = min(session._block_rows, ev.genotype_length) // 2
+    for position in range(middle + 1):
+        assert session.try_flip(position) == flipped_key(bits, position, n, mode)
+    session.commit()
+    bits[middle] ^= 1
+    assert session.key == reference_key(
+        expand(compute_orbits(n), bits).bits if mode == ROTATION else bits, n
+    )
+    # the probe after a commit sees the committed bit, not the old block
+    for position in (middle, middle + 1, 0):
+        assert session.try_flip(position) == flipped_key(bits, position, n, mode)
+    assert np.array_equal(session.bits, bits)
+
+
+def test_bitflip_session_block_runs_past_the_last_position():
+    n = 7
+    ev = FitnessEvaluator(n, "bitstring")
+    length = ev.genotype_length
+    bits = np.random.default_rng(48).integers(0, 2, length, dtype=np.uint8)
+    session = BitFlipSession(ev, bits)
+    assert session._block_rows > 3
+    for position in (length - 3, length - 2, length - 1, 0, length - 1):
+        assert session.try_flip(position) == flipped_key(bits, position, n)
+
+
+@pytest.mark.parametrize("n,mode", [(8, "general"), (9, ROTATION), (13, "general")])
+def test_bitflip_session_random_order_probes(n, mode):
+    ev = FitnessEvaluator(n, "bitstring", mode)
+    length = ev.genotype_length
+    rng = np.random.default_rng(49)
+    bits = rng.integers(0, 2, length, dtype=np.uint8)
+    session = BitFlipSession(ev, bits)
+    for position in rng.integers(0, length, 40).tolist():
+        assert session.try_flip(position) == flipped_key(bits, position, n, mode)
+    assert ev.evaluations == 40
+
+
+def test_bitflip_session_budget_runs_out_inside_a_block():
+    ev = FitnessEvaluator(9, "bitstring", budget=5)
+    bits = np.random.default_rng(50).integers(0, 2, 512, dtype=np.uint8)
+    session = BitFlipSession(ev, bits)
+    assert session._block_rows > 5
+    for position in range(5):
+        assert session.try_flip(position) == flipped_key(bits, position, 9)
+    with pytest.raises(BudgetExhausted) as info:
+        session.try_flip(5)
+    assert info.value.reason == "budget"
+    assert ev.evaluations == 5
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_bitflip_session_float32_exact_at_large_n(n):
+    # every candidate entry is a Walsh value, |W| <= 2**n < 2**24
+    ev = FitnessEvaluator(n, "bitstring")
+    length = ev.genotype_length
+    rng = np.random.default_rng(51)
+    for bits in (np.zeros(length, np.uint8), rng.integers(0, 2, length, dtype=np.uint8)):
+        session = BitFlipSession(ev, bits)
+        assert session.spectrum.dtype == np.float32
+        for position in [0, 1, length // 2, length - 1] + rng.integers(0, length, 4).tolist():
+            assert session.try_flip(position) == flipped_key(bits, position, n)
+        session.commit()
+        bits[position] ^= 1
+        want = walsh_transform(TruthTable(n, bits)).values
+        assert np.array_equal(session.spectrum.astype(np.int64), want)
+
+
+@pytest.mark.parametrize("n,mode", [(3, "general"), (7, "general"), (9, "general"),
+                                    (9, ROTATION), (12, "general"), (13, "general")])
+def test_bitflip_session_blocks_stay_under_the_cap(n, mode, monkeypatch):
+    shapes = []
+
+    def recording_key(spectrum, n):
+        shapes.append(np.shape(spectrum))
+        return spectrum_key(spectrum, n)
+
+    monkeypatch.setattr(evaluation, "spectrum_key", recording_key)
+    ev = FitnessEvaluator(n, "bitstring", mode)
+    length = ev.genotype_length
+    session = BitFlipSession(ev, np.zeros(length, dtype=np.uint8))
+    for position in range(length):
+        session.try_flip(position)
+    blocks = shapes[1:]  # the first call keys the incumbent
+    assert all(rows * cols <= BLOCK_ELEMENTS for rows, cols in blocks)
+    rows = max(1, BLOCK_ELEMENTS // (1 << n))
+    starts = range(0, length, rows)
+    assert [r for r, _ in blocks] == [min(rows, length - start) for start in starts]
 
 
 def test_bitflip_session_needs_probe_before_commit():

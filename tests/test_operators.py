@@ -25,6 +25,7 @@ from boolevo.operators import (
 )
 from oracles import (
     shuffle_mutation_by_window_permutation,
+    size_fair_crossover_by_subtree_walks,
     tree_table_pointwise,
     uniform_crossover_by_where,
 )
@@ -197,6 +198,18 @@ def test_size_fair_crossover_bounds_donor():
         # child can exceed the parent by at most m+1 <= size(a)+1 nodes
         child = size_fair_crossover(a, b, rng)
         assert len(child) <= 2 * len(a) + 1
+
+
+def test_size_fair_crossover_matches_per_donor_subtree_walks():
+    # the one reverse pass must admit the donors that a walk per node admits
+    tree_rng = Draws(63)
+    rng, oracle_rng = Draws(64), Draws(64)
+    for depth in (1, 2, 4, 6, 8):
+        for _ in range(60):
+            a, b = random_pair(tree_rng, n=7, depth=depth)
+            want = size_fair_crossover_by_subtree_walks(a, b, oracle_rng)
+            assert size_fair_crossover(a, b, rng) == want
+    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_one_point_tree_crossover_stays_in_common_region():
