@@ -254,8 +254,8 @@ class BitFlipSession:
         self.evaluator.charge()
         offset = position - self._block_start
         if not 0 <= offset < len(self._block_keys):
-            stop = min(position + self._block_rows, length)
-            block = self.evaluator._flip_deltas(position, self.bits[position:stop])
+            bits = self.bits[position:position + self._block_rows]
+            block = self.evaluator._flip_deltas(position, bits)
             block += self.spectrum
             self._block_start, self._block_keys = position, spectrum_key(block, self.evaluator.n)
             offset = 0
