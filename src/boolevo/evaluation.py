@@ -6,29 +6,27 @@ cannot suffer rounding artefacts.  The key is the only evaluation result:
 ``key >> n`` is the nonlinearity and ``key / 2**n`` the float fitness, exactly
 (both terms are dyadic rationals).
 
-General-space spectra use the Kronecker factorisation of the Hadamard
-matrix (Fino & Algazi, IEEE Trans. Computers, 1976): with ``a = n // 2`` and
-``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}`` and the row of ``H_{2^n}``
-for position ``hi * 2**b + lo`` is ``Ha[hi] (x) Hb[lo]``.  The product runs
-on the bits themselves rather than on their signs: since
-``W = H(1 - 2f) = 2**n * [a = 0] - 2 * Hf``, the spectrum is
-``Ha @ f.reshape(2**a, 2**b) @ (-2 * Hb)`` with ``2**n`` added at index 0,
-the ``-2`` folded once into the cached right factor.  Rotation-symmetric
-spectra are one product of the orbit sign vector with the orbit sign
-patterns.
+Every spectrum is computed from the genotype's bits rather than their signs:
+since ``W = H(1 - 2f) = 2**n * [a = 0] - 2 * Hf``, the spectrum of genotype
+bits ``g`` is ``2**n * [a = 0] + g @ R``, where row ``R_j`` is ``-2`` times the
+Walsh row of genotype position ``j``, and flipping bit ``j`` moves the
+spectrum by ``(1 - 2 * g_j) * R_j``.  In the general space ``R`` is applied
+as Kronecker factors (Fino & Algazi, IEEE Trans. Computers, 1976): with
+``a = n // 2`` and ``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}``, so
+``R_j = Ha[hi] (x) (-2 * Hb)[lo]`` for position ``hi * 2**b + lo`` and the
+product is ``Ha @ g.reshape(2**a, 2**b) @ (-2 * Hb)``.  In the
+rotation-symmetric space ``R`` is ``-2`` times the orbit sign patterns (Stanica,
+Maitra & Clark, FSE 2004), one cached float32 matrix.
 
-Every spectrum path is exact in float32, whose integers round only above
-``2**24``.  In the general path each partial sum of ``Ha @ B`` is an
-integer of magnitude at most ``2**a``; the unscaled product ``Hf`` is at
-most ``2**n``, so each partial sum of the product with ``-2 * Hb`` is at
-most ``2**(n + 1) <= 2**17``, and adding ``2**n`` at index 0 gives ``W(0)``,
-itself at most ``2**n`` in magnitude.  In the rotation path each partial sum
-is at most ``2**n <= 2**16``.  :class:`BitFlipSession` keeps its spectrum in
-float32 too: a flip adds ``-2 * sign_j`` times a Hadamard row (entries
-``+-1``) or an orbit sign pattern (entries at most the orbit size, ``n``),
-so each product is an integer of magnitude at most ``2 * n``, and every
-candidate entry is the Walsh value of the flipped table, at most
-``2**n <= 2**16 < 2**24`` in magnitude.
+Every path is exact in float32, whose integers round only above ``2**24``.
+Each partial sum of either product, in any order, adds one ``+-1`` or
+``+-2`` term for each input of a subset of the ``2**n`` inputs, so it is at
+most ``2**(n + 1) <= 2**17`` in magnitude, and adding ``2**n`` at index 0
+gives ``W(0)`` itself.  Every
+flip-row entry is ``-2`` times a Hadamard entry or an orbit sign pattern
+entry (at most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and
+every candidate spectrum entry of :class:`BitFlipSession` is a Walsh value,
+at most ``2**n <= 2**16``.
 """
 
 from __future__ import annotations
@@ -66,9 +64,6 @@ class BudgetExhausted(Exception):
         self.reason = reason
 
 
-#: Sign of each truth-table bit, indexed by the bit (rotation path).
-_SIGNS = np.array([1.0, -1.0], dtype=np.float32)
-
 #: Most floats in one block of candidate spectra of :class:`BitFlipSession`
 #: (128 KiB of float32): 64 flips at n = 9, 8 at n = 12, 4 at n = 13.  Blocks
 #: of twice that size made LS2 at n = 9 slower, not faster.
@@ -84,10 +79,11 @@ def _hadamard_factor(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _patterns_float(n: int) -> np.ndarray:
-    p = orbit_sign_patterns(n).astype(np.float32)
-    p.flags.writeable = False
-    return p
+def _orbit_rows(n: int) -> np.ndarray:
+    """Float32 ``-2 * P``, the rotation-symmetric rows ``R``."""
+    rows = (-2 * orbit_sign_patterns(n)).astype(np.float32)
+    rows.flags.writeable = False
+    return rows
 
 
 def key_to_fitness(key: int, n: int) -> float:
@@ -159,21 +155,19 @@ class FitnessEvaluator:
         self.evaluations = 0
         self._deadline = None if time_limit is None else time.perf_counter() + time_limit
         if mode == ROTATION:
-            self._patterns = _patterns_float(n)
+            self._orbit_rows = _orbit_rows(n)
         else:
             self._ha = _hadamard_factor(n // 2)
-            self._hb = _hadamard_factor(n - n // 2)
-            self._hb_scaled = np.float32(-2) * self._hb
+            self._hb = np.float32(-2) * _hadamard_factor(n - n // 2)
         #: bits in a bitstring genotype for this search space
         self.genotype_length = target_length(n, mode)
 
-    def charge(self, count: int = 1) -> None:
-        """Account for ``count`` fitness evaluations, or refuse to."""
-        if self.budget is not None and self.evaluations + count > self.budget:
+    def charge(self) -> None:
+        """Account for one fitness evaluation, or refuse to."""
+        if self.budget is not None and self.evaluations >= self.budget:
             raise BudgetExhausted(EXHAUSTED_EVALUATIONS)
-        before = self.evaluations
-        self.evaluations += count
-        if self._deadline is not None and before // 1024 != self.evaluations // 1024:
+        self.evaluations += 1
+        if self._deadline is not None and self.evaluations % 1024 == 0:
             if time.perf_counter() > self._deadline:
                 raise BudgetExhausted(EXHAUSTED_TIME)
 
@@ -182,41 +176,39 @@ class FitnessEvaluator:
         self.charge()
         return spectrum_key(self._spectrum(genotype), self.n)
 
-    # -- spectrum paths ----------------------------------------------------
+    # -- spectrum algebra ---------------------------------------------------
 
     def _spectrum(self, genotype) -> np.ndarray:
+        """Float32 spectrum ``2**n * [a = 0] + bits @ R`` of a genotype."""
         if self.encoding == "tree":
-            return self._spectrum_general(tree_truth_bits(genotype, self.n))
-        if self.encoding == "float":
+            genotype = tree_truth_bits(genotype, self.n)
+        elif self.encoding == "float":
             genotype = float_bits(genotype, self.decode)
+        bits = genotype.astype(np.float32)
         if self.mode == ROTATION:
-            return _SIGNS[genotype] @ self._patterns
-        return self._spectrum_general(genotype)
-
-    def _spectrum_general(self, bits: np.ndarray) -> np.ndarray:
-        table = bits.astype(np.float32).reshape(len(self._ha), len(self._hb))
-        spectrum = (self._ha @ table @ self._hb_scaled).reshape(-1)
+            spectrum = bits @ self._orbit_rows
+        else:
+            spectrum = (self._ha @ bits.reshape(len(self._ha), -1) @ self._hb).reshape(-1)
         spectrum[0] += 1 << self.n
         return spectrum
 
     def _flip_deltas(self, start: int, bits: np.ndarray) -> np.ndarray:
         """Spectrum change of flipping each of ``bits``, genotype positions
-        ``start, start + 1, ...``: one row ``-2 * sign_j * row_j`` per bit."""
-        scale = 4 * bits.astype(np.float32) - 2  # -2 * sign_j
+        ``start, start + 1, ...``: one row ``(1 - 2 * bit_j) * R_j`` per bit."""
+        scale = (1 - 2 * bits.astype(np.float32))[:, None]
         if self.mode == ROTATION:
-            return self._patterns[start:start + len(bits)] * scale[:, None]
+            return self._orbit_rows[start:start + len(bits)] * scale
         hi, lo = divmod(np.arange(start, start + len(bits)), len(self._hb))
-        rows = (self._ha[hi] * scale[:, None])[:, :, None] * self._hb[lo][:, None, :]
+        rows = (self._ha[hi] * scale)[:, :, None] * self._hb[lo][:, None, :]
         return rows.reshape(len(bits), -1)
 
 
 class BitFlipSession:
     """Incremental re-evaluation of single-bit flips of a bitstring genotype.
 
-    Flipping genotype bit ``j`` moves the spectrum by ``-2 * sign_j * row_j``
-    where ``row_j`` is the Hadamard row ``Ha[hi] (x) Hb[lo]`` (general mode)
-    or the orbit sign pattern (rotation mode) for that position, so a flip
-    needs one vector update instead of a full transform.  A probe that
+    Flipping genotype bit ``j`` moves the spectrum by ``(1 - 2 * bit_j) * R_j``
+    (see the module docstring), so a flip needs one vector update instead of
+    a full transform.  A probe that
     misses the current block forms the candidate spectra of its position and
     the next ones, up to :data:`BLOCK_ELEMENTS` floats, in one broadcast and
     keys them all with one :func:`spectrum_key` call; the next probes in the
@@ -237,7 +229,7 @@ class BitFlipSession:
                 f"expected {evaluator.genotype_length} genotype bits, "
                 f"got shape {self.bits.shape}"
             )
-        self.spectrum = np.array(evaluator._spectrum(self.bits), dtype=np.float32)
+        self.spectrum = evaluator._spectrum(self.bits)
         self.key = spectrum_key(self.spectrum, evaluator.n)
         self._block_rows = max(1, BLOCK_ELEMENTS // len(self.spectrum))
         # keys of flipping positions _block_start, _block_start + 1, ...

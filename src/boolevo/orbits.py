@@ -104,28 +104,23 @@ def orbit_values(table: OrbitTable, truth: TruthTable) -> np.ndarray:
     return truth.bits[table.representatives].copy()
 
 
-@lru_cache(maxsize=None)
-def _rotation_map(n: int) -> np.ndarray:
-    rot = np.array([rotate_index(i, n) for i in range(1 << n)], dtype=np.int64)
-    rot.flags.writeable = False
-    return rot
-
-
 def is_rotation_symmetric(truth: TruthTable) -> bool:
-    return bool(np.array_equal(truth.bits, truth.bits[_rotation_map(truth.n)]))
+    """Whether the table is constant on every orbit of :func:`compute_orbits`."""
+    table = compute_orbits(truth.n)
+    bits = truth.bits
+    return bool(np.array_equal(bits, bits[table.representatives][table.orbit_of]))
 
 
-@lru_cache(maxsize=None)
 def orbit_sign_patterns(n: int) -> np.ndarray:
     """Matrix ``P`` with ``P[j, a] = sum over x in orbit j of (-1)**parity(a & x)``.
 
     For a rotation-symmetric function with orbit signs ``s`` (one per orbit,
     ``+1`` for output 0, ``-1`` for output 1) the Walsh spectrum is ``s @ P``,
     which turns spectrum evaluation into a ``num_orbits x 2**n`` product.
+    Each call builds a fresh matrix; the evaluator caches its own float32
+    rows, ``-2 * P``.
     """
     table = compute_orbits(n)
     indicator = np.zeros((table.num_orbits, 1 << n), dtype=np.int64)
     indicator[table.orbit_of, np.arange(1 << n)] = 1
-    patterns = hadamard_transform(indicator)
-    patterns.flags.writeable = False
-    return patterns
+    return hadamard_transform(indicator)

@@ -235,9 +235,9 @@ def test_best_truth_table_consistent_with_reported_nonlinearity():
 def test_record_cross_check_catches_a_wrong_spectrum(monkeypatch):
     from boolevo.evaluation import FitnessEvaluator
 
-    spectrum = FitnessEvaluator._spectrum_general
+    spectrum = FitnessEvaluator._spectrum
     monkeypatch.setattr(
-        FitnessEvaluator, "_spectrum_general", lambda self, bits: spectrum(self, bits) * 0
+        FitnessEvaluator, "_spectrum", lambda self, genotype: spectrum(self, genotype) * 0
     )
     with pytest.raises(RuntimeError, match="seed 7"):
         run(small_config())

@@ -71,12 +71,15 @@ def test_general_bitstring_path_exact():
 
 def test_rotation_bitstring_path_exact():
     rng = np.random.default_rng(43)
-    for n in (3, 7, 9, 11):
+    for n in (1, 2, 3, 7, 9, 11, 13):
         table = compute_orbits(n)
         ev = FitnessEvaluator(n, "bitstring", ROTATION)
         assert ev.genotype_length == table.num_orbits
-        for _ in range(5):
-            orbit_bits = rng.integers(0, 2, table.num_orbits, dtype=np.uint8)
+        # the constant functions put W(0) = +-2**n, the one entry that the
+        # 2**n correction touches
+        tables = [np.zeros(table.num_orbits, np.uint8), np.ones(table.num_orbits, np.uint8)]
+        tables += [rng.integers(0, 2, table.num_orbits, dtype=np.uint8) for _ in range(5)]
+        for orbit_bits in tables:
             got = np.asarray(ev._spectrum(orbit_bits), dtype=np.int64)
             want = walsh_transform(expand(table, orbit_bits)).values
             assert np.array_equal(got, want)
@@ -159,6 +162,15 @@ def test_time_limit_triggers():
     assert info.value.reason == "time"
 
 
+def flipped_key(bits, position, n, mode="general"):
+    """Fresh key of the table with one genotype bit flipped, by the reference transform."""
+    flipped = bits.copy()
+    flipped[position] ^= 1
+    if mode == ROTATION:
+        flipped = expand(compute_orbits(n), flipped).bits
+    return reference_key(flipped, n)
+
+
 def test_bitflip_session_matches_full_reevaluation():
     rng = np.random.default_rng(46)
     for n, mode in (
@@ -172,13 +184,11 @@ def test_bitflip_session_matches_full_reevaluation():
         for _ in range(60):
             j = int(rng.integers(length))
             probe_key = session.try_flip(j)
-            flipped = reference.copy()
-            flipped[j] ^= 1
-            want = spectrum_key(np.asarray(ev._spectrum(flipped), np.float64), n)
+            want = flipped_key(reference, j, n, mode)
             assert probe_key == want
             if rng.random() < 0.5:
                 session.commit()
-                reference = flipped
+                reference[j] ^= 1
                 assert session.key == want
         assert np.array_equal(session.bits, reference)
 
@@ -193,15 +203,6 @@ def test_bitflip_session_charges_budget():
     with pytest.raises(BudgetExhausted):
         session.try_flip(3)
     assert ev.evaluations == 3
-
-
-def flipped_key(bits, position, n, mode="general"):
-    """Fresh key of the table with one genotype bit flipped, by the reference transform."""
-    flipped = bits.copy()
-    flipped[position] ^= 1
-    if mode == ROTATION:
-        flipped = expand(compute_orbits(n), flipped).bits
-    return reference_key(flipped, n)
 
 
 def test_bitflip_session_rejects_bad_positions_without_charging():
