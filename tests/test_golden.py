@@ -48,6 +48,12 @@ GOLDEN = {
     "tt-ri-ls2-n9": dict(
         n=9, mode="rs", ls="ls2", population_size=20, evaluation_budget=1_200, seed=20
     ),
+    # stops on its target at evaluation 66, inside an LS1 climb, eight trials
+    # after the climb's first accepted trial (the first seed from 21 up whose
+    # stop falls after an accepted trial of its climb)
+    "tt-ri-ls1-target-n7": dict(
+        _N7, mode="rs", ls="ls1", target_nonlinearity=56, evaluation_budget=600, seed=36
+    ),
 }
 
 
