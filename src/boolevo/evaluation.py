@@ -26,7 +26,10 @@ gives ``W(0)`` itself.  Every
 flip-row entry is ``-2`` times a Hadamard entry or an orbit sign pattern
 entry (at most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and
 every candidate spectrum entry of :class:`BitFlipSession` is a Walsh value,
-at most ``2**n <= 2**16``.
+at most ``2**n <= 2**16``.  A block of genotypes keyed at once
+(:meth:`FitnessEvaluator.key_ahead`) is one product with one row per
+genotype, and each row adds the same terms as that genotype's vector
+product, so the same bound holds row by row.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ class BudgetExhausted(Exception):
         self.reason = reason
 
 
-#: Most floats in one block of candidate spectra of :class:`BitFlipSession`
-#: (128 KiB of float32): 64 flips at n = 9, 8 at n = 12, 4 at n = 13.  Blocks
-#: of twice that size made LS2 at n = 9 slower, not faster.
+#: Most floats in one block of spectra keyed at once, by
+#: :class:`BitFlipSession` or :meth:`FitnessEvaluator.key_ahead` (128 KiB of
+#: float32): 64 spectra at n = 9, 8 at n = 12, 4 at n = 13.  Blocks of twice
+#: that size made LS2 at n = 9 slower, not faster.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -131,7 +135,9 @@ class FitnessEvaluator:
     :func:`~boolevo.encodings.check_genotype` first.
     Every call to :meth:`evaluate` (and every flip probed through
     :class:`BitFlipSession`) charges one evaluation; crossing the budget or
-    the wall-clock limit raises :class:`BudgetExhausted`.
+    the wall-clock limit raises :class:`BudgetExhausted`.  Keying genotypes
+    ahead with :meth:`key_ahead` charges nothing; their :meth:`evaluate`
+    calls do.
     """
 
     def __init__(
@@ -161,6 +167,10 @@ class FitnessEvaluator:
             self._hb = np.float32(-2) * _hadamard_factor(n - n // 2)
         #: bits in a bitstring genotype for this search space
         self.genotype_length = target_length(n, mode)
+        #: most spectra in one block (every spectrum has ``2**n`` entries)
+        self.block_rows = max(1, BLOCK_ELEMENTS >> n)
+        # (genotype, key) pairs keyed ahead, the next one last
+        self._ahead: list[tuple[np.ndarray, int]] = []
 
     def charge(self) -> None:
         """Account for one fitness evaluation, or refuse to."""
@@ -174,7 +184,25 @@ class FitnessEvaluator:
     def evaluate(self, genotype) -> int:
         """Charge one evaluation and return the fitness key."""
         self.charge()
+        ahead = self._ahead
+        if ahead and ahead[-1][0] is genotype:
+            return ahead.pop()[1]
         return spectrum_key(self._spectrum(genotype), self.n)
+
+    def key_ahead(self, block: np.ndarray) -> list:
+        """Key a 2-D block of bitstring or float genotypes, one per row, now.
+
+        Returns the rows.  :meth:`evaluate` called with them in that order
+        knows each by identity, charges it and returns its key without a
+        product; any other argument, a row out of order included, is keyed
+        from scratch.  The block becomes read-only, so a row cannot change
+        between its keying and its charge.  Replaces the previous block.
+        """
+        block.flags.writeable = False
+        rows = list(block)
+        keys = spectrum_key(self._block_spectra(block), self.n)
+        self._ahead = list(zip(rows, keys))[::-1]
+        return rows
 
     # -- spectrum algebra ---------------------------------------------------
 
@@ -191,6 +219,24 @@ class FitnessEvaluator:
             spectrum = (self._ha @ bits.reshape(len(self._ha), -1) @ self._hb).reshape(-1)
         spectrum[0] += 1 << self.n
         return spectrum
+
+    def _block_spectra(self, block: np.ndarray) -> np.ndarray:
+        """:meth:`_spectrum` of each row of a block of bitstring or float genotypes.
+
+        A path of its own: shape-generic indexing in :meth:`_spectrum` cost
+        every vector evaluation about half a microsecond.
+        """
+        count = len(block)
+        if self.encoding == "float":
+            block = float_bits(block, self.decode).reshape(count, -1)
+        bits = block.astype(np.float32)
+        if self.mode == ROTATION:
+            spectra = bits @ self._orbit_rows
+        else:
+            tables = bits.reshape(count, len(self._ha), -1)
+            spectra = (self._ha @ tables @ self._hb).reshape(count, -1)
+        spectra[:, 0] += 1 << self.n
+        return spectra
 
     def _flip_deltas(self, start: int, bits: np.ndarray) -> np.ndarray:
         """Spectrum change of flipping each of ``bits``, genotype positions
@@ -231,7 +277,6 @@ class BitFlipSession:
             )
         self.spectrum = evaluator._spectrum(self.bits)
         self.key = spectrum_key(self.spectrum, evaluator.n)
-        self._block_rows = max(1, BLOCK_ELEMENTS // len(self.spectrum))
         # keys of flipping positions _block_start, _block_start + 1, ...
         self._block_start = 0
         self._block_keys: list[int] = []
@@ -246,7 +291,7 @@ class BitFlipSession:
         self.evaluator.charge()
         offset = position - self._block_start
         if not 0 <= offset < len(self._block_keys):
-            bits = self.bits[position:position + self._block_rows]
+            bits = self.bits[position:position + self.evaluator.block_rows]
             block = self.evaluator._flip_deltas(position, bits)
             block += self.spectrum
             self._block_start, self._block_keys = position, spectrum_key(block, self.evaluator.n)

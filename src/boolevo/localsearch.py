@@ -3,7 +3,16 @@
 Variants:
 
 * ``ls1`` mutates the individual repeatedly, keeping strict improvements and
-  stopping after a fixed number of consecutive failures.
+  stopping after a fixed number of consecutive failures.  A climb at
+  ``failures`` failures is certain to run ``trials - failures`` more
+  trials, and the bitstring and float mutations never read the values they
+  change, so it draws those trials' mutations up front, in trial order, by
+  mutating an identity genotype (:func:`_identity`).  It applies them all
+  to the parent, keys the children as one block
+  (:meth:`FitnessEvaluator.key_ahead`), and after an accepted trial applies
+  the unused ones to the new parent.  Each trial is still charged by its own
+  ``evaluate`` call, in order.  A tree mutation draws from the parent's
+  shape, so a tree climb uses blocks of one child.
 * ``ls2`` (bitstring only) sweeps the genotype positions in ascending order,
   committing every strictly improving single-bit flip, until a whole sweep
   passes without improvement.  It rides :class:`BitFlipSession`: one float32
@@ -20,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .draws import Draws
 from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int, is_real
@@ -54,20 +65,59 @@ def ls_mutation(
     trials: int = DEFAULT_LS_TRIALS,
     note=None,
 ) -> Individual:
-    """Mutation hill climber; stops after ``trials`` straight failures."""
+    """Mutation hill climber; stops after ``trials`` straight failures.
+
+    The children, the charges and the random draws are those of mutating
+    and evaluating one trial at a time; see the module docstring.
+    """
+    encoding = evaluator.encoding
+    tree = encoding == "tree"
+    identity = None if tree else _identity(encoding, len(individual.genotype))
     current = individual
     failures = 0
+    moves: list = []  # mutations of the identity drawn for the next trials
     while failures < trials:
-        genotype = mutate(current.genotype, rng)
-        key = evaluator.evaluate(genotype)
-        if key > current.key:
-            current = Individual(genotype, key)
-            failures = 0
-            if note is not None:
-                note(current)
+        if tree:
+            children = [mutate(current.genotype, rng)]
         else:
+            for _ in range(min(trials - failures, evaluator.block_rows) - len(moves)):
+                moves.append(mutate(identity, rng))
+            children = evaluator.key_ahead(_apply(encoding, current.genotype, moves))
+        for tried, child in enumerate(children, 1):
+            key = evaluator.evaluate(child)
+            if key > current.key:
+                current = Individual(child, key)
+                failures = 0
+                if note is not None:
+                    note(current)
+                break
             failures += 1
+        del moves[:tried]
     return current
+
+
+_FLIPS = np.array([0, 1], dtype=np.uint8)
+
+
+def _identity(encoding: str, length: int) -> np.ndarray:
+    """The genotype that a mutation turns into a record of its moves.
+
+    Bitstring entry ``2 * i`` stands for parent bit ``i`` (a flip makes it
+    ``2 * i + 1``, a shuffle moves it); a float entry is NaN until the
+    mutation writes a new value there.
+    """
+    if encoding == "bitstring":
+        return np.arange(0, 2 * length, 2)
+    return np.full(length, np.nan)
+
+
+def _apply(encoding: str, parent: np.ndarray, moves: list) -> np.ndarray:
+    """The children of mutating ``parent`` by each of ``moves``, one per row."""
+    moves = np.array(moves)
+    if encoding == "bitstring":
+        # entry 2 * i + f of the table is parent bit i flipped f times
+        return (parent[:, None] ^ _FLIPS).reshape(-1)[moves]
+    return np.where(np.isnan(moves), parent, moves)
 
 
 def ls_bitflip(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from boolevo.evaluation import Individual
+
 
 def naive_walsh(bits) -> list[int]:
     """W(a) = sum_x (-1)^(f(x) XOR parity(a AND x)), by direct double loop."""
@@ -170,3 +172,22 @@ def size_fair_crossover_by_subtree_walks(a, b, rng):
     donors = [j for j in range(len(b)) if _subtree_end(b, j) - j <= limit]
     donor = donors[rng.below(len(donors))]
     return a[:index_a] + b[donor:_subtree_end(b, donor)] + a[end_a:]
+
+
+def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None):
+    """The mutation hill climber one trial at a time: mutate the current
+    individual, evaluate the child, keep it if strictly better, and stop after
+    ``trials`` straight failures."""
+    current = individual
+    failures = 0
+    while failures < trials:
+        genotype = mutate(current.genotype, rng)
+        key = evaluator.evaluate(genotype)
+        if key > current.key:
+            current = Individual(genotype, key)
+            failures = 0
+            if note is not None:
+                note(current)
+        else:
+            failures += 1
+    return current

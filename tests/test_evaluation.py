@@ -9,7 +9,14 @@ from oracles import nonlinearity_by_distance
 
 import boolevo.evaluation as evaluation
 from boolevo.draws import Draws
-from boolevo.encodings import ROTATION, float_bits, random_tree, tree_truth_bits
+from boolevo.encodings import (
+    ROTATION,
+    float_bits,
+    genotype_table,
+    random_genotype,
+    random_tree,
+    tree_truth_bits,
+)
 from boolevo.evaluation import (
     BLOCK_ELEMENTS,
     BitFlipSession,
@@ -223,7 +230,7 @@ def test_bitflip_session_commit_inside_a_block(n, mode):
     ev = FitnessEvaluator(n, "bitstring", mode)
     bits = np.random.default_rng(47).integers(0, 2, ev.genotype_length, dtype=np.uint8)
     session = BitFlipSession(ev, bits)
-    middle = min(session._block_rows, ev.genotype_length) // 2
+    middle = min(ev.block_rows, ev.genotype_length) // 2
     for position in range(middle + 1):
         assert session.try_flip(position) == flipped_key(bits, position, n, mode)
     session.commit()
@@ -243,7 +250,7 @@ def test_bitflip_session_block_runs_past_the_last_position():
     length = ev.genotype_length
     bits = np.random.default_rng(48).integers(0, 2, length, dtype=np.uint8)
     session = BitFlipSession(ev, bits)
-    assert session._block_rows > 3
+    assert ev.block_rows > 3
     for position in (length - 3, length - 2, length - 1, 0, length - 1):
         assert session.try_flip(position) == flipped_key(bits, position, n)
 
@@ -264,7 +271,7 @@ def test_bitflip_session_budget_runs_out_inside_a_block():
     ev = FitnessEvaluator(9, "bitstring", budget=5)
     bits = np.random.default_rng(50).integers(0, 2, 512, dtype=np.uint8)
     session = BitFlipSession(ev, bits)
-    assert session._block_rows > 5
+    assert ev.block_rows > 5
     for position in range(5):
         assert session.try_flip(position) == flipped_key(bits, position, 9)
     with pytest.raises(BudgetExhausted) as info:
@@ -324,3 +331,43 @@ def test_individual_holds_genotype_and_key():
     ind = Individual((1,), key=(2 << 3) + 5)
     assert key_to_fitness(ind.key, 3) == 2 + 5 / 8
     assert ind.key >> 3 == 2
+
+
+@pytest.mark.parametrize(
+    "n,encoding,mode,decode",
+    [(1, "bitstring", "general", 4), (7, "bitstring", "general", 4),
+     (13, "bitstring", "general", 4), (9, "bitstring", ROTATION, 4),
+     (7, "float", "general", 4), (7, "float", ROTATION, 2)],
+)
+def test_keyed_ahead_keys_reach_only_their_own_rows(n, encoding, mode, decode):
+    ev = FitnessEvaluator(n, encoding, mode, decode=decode)
+    rng = Draws(52)
+
+    def sample():
+        return random_genotype(encoding, n, rng, mode=mode, decode=decode)
+
+    block = np.array([sample() for _ in range(min(4, ev.block_rows + 1))])
+    rows = ev.key_ahead(block)
+    assert len(rows) == len(block)
+    with pytest.raises(ValueError):
+        rows[0][0] = rows[0][1]  # a keyed row cannot change before its charge
+    # another object, an equal copy, rows out of order, twice and in order
+    order = [sample(), block[0].copy(), rows[-1], rows[0], rows[0], block[1]]
+    order += rows[1:] + rows
+    for count, genotype in enumerate(order, 1):
+        table = genotype_table(genotype, encoding, n, mode, decode)
+        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
+        assert ev.evaluations == count
+
+
+@pytest.mark.parametrize("n,mode", [(2, "general"), (9, "general"), (12, "general"),
+                                    (13, "general"), (7, ROTATION), (11, ROTATION)])
+def test_keyed_ahead_block_rows_equal_the_vector_keys(n, mode):
+    # every row of a full block adds the same terms as its vector product
+    ev = FitnessEvaluator(n, "bitstring", mode)
+    rng = np.random.default_rng(53)
+    block = rng.integers(0, 2, (ev.block_rows, ev.genotype_length), dtype=np.uint8)
+    block[0] = 0
+    block[-1] = 1
+    want = [ev.evaluate(bits.copy()) for bits in block]
+    assert [ev.evaluate(row) for row in ev.key_ahead(block)] == want

@@ -3,10 +3,10 @@ budget accounting, all against brute-force replays."""
 
 import numpy as np
 import pytest
-from oracles import nonlinearity_by_distance
+from oracles import ls_mutation_per_trial, nonlinearity_by_distance
 
 from boolevo.draws import Draws
-from boolevo.encodings import ROTATION, random_tree
+from boolevo.encodings import ROTATION, random_genotype, random_tree
 from boolevo.evaluation import (
     BudgetExhausted,
     FitnessEvaluator,
@@ -66,9 +66,15 @@ def test_ls_mutation_never_worsens_any_encoding():
 
 
 def test_ls_mutation_improvement_resets_the_counter():
-    # a counting fake: improves exactly once, after 3 failures
+    # a counting fake: improves exactly once, after 3 failures; the climber
+    # keys its trials ahead in blocks but calls mutate once per trial
     class FakeEvaluator:
+        encoding = "bitstring"
+        block_rows = 64
         evaluations = 0
+
+        def key_ahead(self, block):
+            return list(block)
 
         def evaluate(self, genotype):
             self.evaluations += 1
@@ -87,6 +93,76 @@ def test_ls_mutation_improvement_resets_the_counter():
     # 3 failures, improvement at 4, then 5 fresh failures: 9 candidates total
     assert len(calls) == 9
     assert out.key == 100
+
+
+# (encoding, mode, n, decode) of every LS1 block path: one uint8 row per
+# child, one float64 row per child, and the tree's blocks of one
+LS1_SPACES = [
+    ("bitstring", "general", 1, 4),
+    ("bitstring", "general", 5, 4),
+    ("bitstring", "general", 9, 4),
+    ("bitstring", ROTATION, 7, 4),
+    ("bitstring", ROTATION, 9, 4),
+    ("float", "general", 7, 2),
+    ("float", "general", 7, 4),
+    ("tree", "general", 5, 4),
+]
+
+
+class Stop(Exception):
+    pass
+
+
+def _climbs(climber, space, trials, seed, budget=None, stop_at_note=None):
+    """Run three climbs from random genotypes; return everything they show.
+
+    ``stop_at_note`` makes the note raise on that call, as a run's target
+    stop does.
+    """
+    encoding, mode, n, decode = space
+    ev = FitnessEvaluator(n, encoding, mode, decode=decode, budget=budget)
+    mutate, _ = make_operators(encoding, n)
+    rng = Draws(seed)
+    notes = []
+
+    def note(individual):
+        notes.append((ev.evaluations, individual.key))
+        if len(notes) == stop_at_note:
+            raise Stop()
+
+    outs = []
+    try:
+        for _ in range(3):
+            genotype = random_genotype(encoding, n, rng, mode=mode, decode=decode)
+            start = Individual(genotype, ev.evaluate(genotype))
+            out = climber(start, ev, mutate, rng, trials, note=note)
+            genotype = out.genotype if encoding == "tree" else np.asarray(out.genotype).tobytes()
+            outs.append((out.key, genotype))
+    except (BudgetExhausted, Stop) as stop:
+        return outs, notes, ev.evaluations, type(stop)
+    return outs, notes, ev.evaluations, rng.below(2**64)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 25])
+@pytest.mark.parametrize("space", LS1_SPACES, ids=lambda s: "-".join(map(str, s)))
+def test_ls_mutation_blocks_match_the_per_trial_climb(space, trials):
+    want = _climbs(ls_mutation_per_trial, space, trials, seed=88)
+    assert _climbs(ls_mutation, space, trials, seed=88) == want
+    _, notes, evaluations, _ = want
+    if trials == 25 and space[2] > 1:
+        # the trials after an accepted one are keyed again from the new parent
+        assert len(notes) >= 2
+    # a budget that runs out, and a note that raises, inside a block of
+    # trials keyed after the first accepted one
+    if notes and notes[0][0] + 2 < evaluations:
+        budget = notes[0][0] + 2
+        want = _climbs(ls_mutation_per_trial, space, trials, seed=88, budget=budget)
+        assert want[2:] == (budget, BudgetExhausted)
+        assert _climbs(ls_mutation, space, trials, seed=88, budget=budget) == want
+    if len(notes) >= 2:
+        want = _climbs(ls_mutation_per_trial, space, trials, seed=88, stop_at_note=2)
+        assert want[2:] == (notes[1][0], Stop)
+        assert _climbs(ls_mutation, space, trials, seed=88, stop_at_note=2) == want
 
 
 def brute_force_first_improvement(bits, n, mode):
