@@ -54,6 +54,15 @@ GOLDEN = {
     "tt-ri-ls1-target-n7": dict(
         _N7, mode="rs", ls="ls1", target_nonlinearity=56, evaluation_budget=600, seed=36
     ),
+    # stops on its target at evaluation 317, the 17th trial of the 15th DE
+    # generation, after that generation's trial at slot 5 replaced its target
+    # and a later trial of the generation drew slot 5 (the first seed from 21
+    # up whose target stop falls mid-generation after a replacement that a
+    # later trial of that generation reads)
+    "fp-de-ri-target-n9": dict(
+        n=9, encoding="float", mode="rs", decode=4, algorithm="de", population_size=20,
+        target_nonlinearity=236, evaluation_budget=600, seed=21,
+    ),
 }
 
 
