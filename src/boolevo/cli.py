@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 from .encodings import ENCODINGS, MODES
@@ -165,19 +166,23 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "search":
-        record = run(_config_from_args(args))
-        print(f"label          {record.label}")
-        print(f"seed           {record.seed}")
-        print(f"evaluations    {record.evaluations}")
-        print(f"stop reason    {record.stop_reason}")
-        print(f"best fitness   {record.best_fitness:.6f}")
-        print(f"best nl        {record.best_nonlinearity}")
-        print(f"truth table    {record.best_truth_table}")
-        print(f"wall time      {record.wall_time_s:.2f}s")
-        if args.out:
-            with open(args.out, "a", encoding="utf-8") as handle:
+        config = _config_from_args(args)
+        # the record file is opened before the search, so a bad path fails at
+        # once, not after it; a bad config fails before the file is made
+        config.validate()
+        with open(args.out, "a", encoding="utf-8") if args.out else nullcontext() as handle:
+            record = run(config)
+            print(f"label          {record.label}")
+            print(f"seed           {record.seed}")
+            print(f"evaluations    {record.evaluations}")
+            print(f"stop reason    {record.stop_reason}")
+            print(f"best fitness   {record.best_fitness:.6f}")
+            print(f"best nl        {record.best_nonlinearity}")
+            print(f"truth table    {record.best_truth_table}")
+            print(f"wall time      {record.wall_time_s:.2f}s")
+            if handle is not None:
                 handle.write(record.to_json() + "\n")
-            print(f"record appended to {args.out}")
+                print(f"record appended to {args.out}")
         return 0
 
     if args.command == "campaign":

@@ -232,6 +232,11 @@ class _RunState:
         self.best: Optional[Individual] = None
         self.trajectory: list[list] = []
         self.next_target = 0  # DE's target slot for its next trial
+        # DE: this generation's (r1, r2, r3) slots and crossover masks, one
+        # row per target slot, and its trials keyed ahead, the next one last
+        self.de_slots: Optional[np.ndarray] = None
+        self.de_cross: Optional[np.ndarray] = None
+        self.de_trials: list = []
 
     def note(self, individual: Individual) -> None:
         """Record a new best; stop the run at the evaluation that reaches the target."""
@@ -303,23 +308,55 @@ def de_step(state: _RunState) -> None:
     consecutive steps make one generation.  A trial at least as good as its
     target replaces it at once, so later trials of the same generation may
     draw it.
+
+    A trial's random decisions never read the population, and nothing draws
+    between two trials of a generation, so its first trial draws them all,
+    in slot order (:func:`_draw_generation`).  The next trials are built
+    from the live population and keyed as one block
+    (:meth:`FitnessEvaluator.key_ahead`); each is still charged by its own
+    ``evaluate`` call.  A replacement that a later trial of the block reads
+    drops the block, and the next trial builds the rest again.
     """
-    cfg = state.config
     pop = state.pop
     size = len(pop)
     target = state.next_target
     state.next_target = (target + 1) % size
-    r1, r2, r3 = _draw_distinct(state.rng, size, 3, taboo=(target,))
-    mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
-    np.clip(mutant, 0.0, 1.0, out=mutant)
-    dim = mutant.shape[0]
-    cross = state.rng.uniforms(dim) < cfg.de_crossover
-    cross[state.rng.below(dim)] = True
-    trial = np.where(cross, mutant, pop[target].genotype)
+    if target == 0:
+        _draw_generation(state)
+    trials = state.de_trials
+    if not trials:
+        end = min(size, target + state.evaluator.block_rows)
+        trials.extend(state.evaluator.key_ahead(_de_trials(state, target, end))[::-1])
+    trial = trials.pop()
     key = state.evaluator.evaluate(trial)
     if key >= pop[target].key:
-        pop[target] = Individual(trial, key)
+        # a copy: a row of the keyed block would keep the whole block alive
+        pop[target] = Individual(trial.copy(), key)
+        if (state.de_slots[target + 1:target + 1 + len(trials)] == target).any():
+            trials.clear()
         state.note(pop[target])
+
+
+def _draw_generation(state: _RunState) -> None:
+    """Draw every trial's slots and crossover mask of a DE generation, in slot order."""
+    rng, rate = state.rng, state.config.de_crossover
+    size, dim = len(state.pop), len(state.pop[0].genotype)
+    slots, masks = [], []
+    for target in range(size):
+        slots.append(_draw_distinct(rng, size, 3, taboo=(target,)))
+        cross = rng.uniforms(dim) < rate
+        cross[rng.below(dim)] = True
+        masks.append(cross)
+    state.de_slots, state.de_cross = np.array(slots), np.array(masks)
+
+
+def _de_trials(state: _RunState, start: int, end: int) -> np.ndarray:
+    """The trials of target slots ``start .. end - 1``, one per row, from the live population."""
+    genotypes = np.array([individual.genotype for individual in state.pop])
+    r1, r2, r3 = state.de_slots[start:end].T
+    mutant = genotypes[r1] + state.config.de_weight * (genotypes[r2] - genotypes[r3])
+    np.clip(mutant, 0.0, 1.0, out=mutant)
+    return np.where(state.de_cross[start:end], mutant, genotypes[start:end])
 
 
 def run(config: RunConfig) -> RunRecord:

@@ -77,6 +77,10 @@ def run_campaign(
     check_int("num_runs", campaign.num_runs, 1)
     check_int("workers", campaign.workers, 1)
     configs = campaign.run_configs()
+    if out_dir is not None:
+        # made before the runs, so a bad directory fails at once, not after them
+        directory = Path(out_dir)
+        directory.mkdir(parents=True, exist_ok=True)
     if campaign.workers == 1:
         # run is looked up at call time, so a caller may wrap harness.run
         records = [run(config) for config in configs]
@@ -89,8 +93,6 @@ def run_campaign(
             records = list(pool.map(run, configs))
     rows = summarize(records)
     if out_dir is not None:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         write_records(records, directory / RECORDS_FILE)
         write_summary(rows, directory / SUMMARY_FILE)
         export_boxplot_data(records, directory / BOXPLOT_FILE)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
 
@@ -191,3 +192,25 @@ def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None)
         else:
             failures += 1
     return current
+
+
+def de_step_per_trial(state) -> None:
+    """One rand/1/bin trial drawn, built and evaluated on its own: three
+    distinct slots other than the target, the crossover mask with one forced
+    index, and the trial replaces its target if at least as good."""
+    cfg = state.config
+    pop = state.pop
+    size = len(pop)
+    target = state.next_target
+    state.next_target = (target + 1) % size
+    r1, r2, r3 = _draw_distinct(state.rng, size, 3, taboo=(target,))
+    mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
+    np.clip(mutant, 0.0, 1.0, out=mutant)
+    dim = mutant.shape[0]
+    cross = state.rng.uniforms(dim) < cfg.de_crossover
+    cross[state.rng.below(dim)] = True
+    trial = np.where(cross, mutant, pop[target].genotype)
+    key = state.evaluator.evaluate(trial)
+    if key >= pop[target].key:
+        pop[target] = Individual(trial, key)
+        state.note(pop[target])

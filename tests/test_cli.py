@@ -88,6 +88,29 @@ def test_campaign_reports_target(capsys):
     assert "target reached in 2/2 runs" in stdout
 
 
+def _no_search(*_):
+    raise AssertionError("a run started before its output was checked")
+
+
+def test_search_fails_on_a_bad_out_path_before_searching(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("boolevo.cli.run", _no_search)
+    out = tmp_path / "nodir" / "run.jsonl"
+    code, stdout, stderr = run_cli(capsys, "search", "--n", "4", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: [Errno 2]") and stderr.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_campaign_fails_on_a_bad_out_directory_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("boolevo.harness.run", _no_search)
+    out = tmp_path / "results"
+    out.write_text("not a directory")
+    code, stdout, stderr = run_cli(capsys, "campaign", "--n", "4", "--runs", "2", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: [Errno 17]") and stderr.count("\n") == 1
+    assert out.read_text() == "not a directory"
+
+
 def test_verify_subcommand(capsys):
     code, stdout, _ = run_cli(capsys, "verify", "111e", "--n", "4")
     assert code == 0

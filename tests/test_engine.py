@@ -1,9 +1,11 @@
 """Search-loop invariants: determinism, elitism, budgets, record round trips."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from oracles import de_step_per_trial
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
@@ -12,12 +14,15 @@ from boolevo.engine import (
     SST,
     RunConfig,
     RunRecord,
+    _initialise,
+    _RunState,
+    de_step,
     deserialize_genotype,
     run,
     select_loser,
     serialize_genotype,
 )
-from boolevo.evaluation import Individual
+from boolevo.evaluation import BudgetExhausted, FitnessEvaluator, Individual
 from boolevo.orbits import is_rotation_symmetric
 from boolevo.truthtable import TruthTable, nonlinearity, walsh_transform
 
@@ -294,6 +299,115 @@ def test_de_forced_coordinate_with_zero_crossover_rate():
     for before, after in zip(snapshots, state.pop):
         # with CR = 0 the trial differs from the target in at most one slot
         assert int(np.sum(before != after.genotype)) <= 1
+
+
+# float DE configs; n=12 has block_rows 8, so a generation of 20 trials spans
+# at least three keyed blocks
+DE_SPACES = {
+    "n5-pop4": dict(n=5, decode=2, population_size=4),
+    "n5-pop8": dict(n=5, decode=2, population_size=8),
+    "n7-pop20": dict(n=7, population_size=20),
+    "n7-pop50": dict(n=7, population_size=50),
+    "rs-n9": dict(n=9, mode=ROTATION, population_size=20),
+    "n12-pop20": dict(n=12, population_size=20),
+    "n5-cr0": dict(n=5, decode=2, population_size=8, de_crossover=0.0),
+    "n5-cr1": dict(n=5, decode=2, population_size=8, de_crossover=1.0),
+    "n7-weight2": dict(n=7, population_size=20, de_weight=2.0),
+}
+DE_GENERATIONS = 6
+
+
+class Stop(Exception):
+    pass
+
+
+def _de_state(space, budget=None):
+    cfg = RunConfig(encoding="float", algorithm=DE, seed=3, **space)
+    evaluator = FitnessEvaluator(cfg.n, "float", cfg.mode, cfg.decode, budget=budget)
+    return _RunState(cfg, evaluator, Draws(cfg.seed))
+
+
+def _de_steps(step, space, budget=None, stop_at_note=None):
+    """Step a DE population for some generations; return what every step shows.
+
+    After each step: each slot's key and a digest of its genotype bytes, the
+    evaluations and the notes so far, and at a generation boundary the next
+    ``rng.below(2**64)``.  ``stop_at_note`` makes that note raise, as a
+    run's target stop does.
+    """
+    state = _de_state(space, budget)
+    notes = []
+
+    def note(individual):
+        notes.append((state.evaluator.evaluations, individual.key))
+        if len(notes) == stop_at_note:
+            raise Stop()
+
+    state.note = note
+    _initialise(state)
+    seen = []
+    try:
+        for _ in range(DE_GENERATIONS * len(state.pop)):
+            step(state)
+            genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
+            boundary = state.rng.below(2**64) if state.next_target == 0 else None
+            seen.append((
+                [individual.key for individual in state.pop],
+                hashlib.sha256(genotypes).hexdigest(),
+                state.evaluator.evaluations,
+                list(notes),
+                boundary,
+            ))
+    except (BudgetExhausted, Stop) as stop:
+        return seen, notes, state.evaluator.evaluations, type(stop)
+    return seen, notes, state.evaluator.evaluations, None
+
+
+def _rebuild_then_mid_note(space):
+    """The evaluations done when the first rebuilt block, at a trial at least
+    two before its generation's end, was keyed, and the number of the first
+    ``note`` call made by a trial before its generation's last."""
+    state = _de_state(space)
+    _initialise(state)
+    size = len(state.pop)
+    note, key_ahead = state.note, state.evaluator.key_ahead
+    calls, block_end, rebuild, mid_note = size, 0, None, None
+
+    def count(individual):
+        nonlocal calls, mid_note
+        calls += 1
+        if mid_note is None and state.next_target:
+            mid_note = calls
+        note(individual)
+
+    def spy(block):
+        nonlocal block_end, rebuild
+        target = (state.next_target - 1) % size
+        if rebuild is None and 0 < target < block_end and target + 2 < size:
+            rebuild = state.evaluator.evaluations
+        block_end = target + len(block)
+        return key_ahead(block)
+
+    state.note, state.evaluator.key_ahead = count, spy
+    for _ in range(DE_GENERATIONS * size):
+        de_step(state)
+    return rebuild, mid_note
+
+
+@pytest.mark.parametrize("space", list(DE_SPACES))
+def test_de_blocks_match_the_per_trial_step(space):
+    kwargs = DE_SPACES[space]
+    want = _de_steps(de_step_per_trial, kwargs)
+    assert _de_steps(de_step, kwargs) == want
+    assert want[3] is None and want[2] == kwargs["population_size"] * (DE_GENERATIONS + 1)
+    rebuild, mid_note = _rebuild_then_mid_note(kwargs)
+    # the budget runs out two trials after the rebuild, inside its generation
+    want = _de_steps(de_step_per_trial, kwargs, budget=rebuild + 2)
+    assert want[2:] == (rebuild + 2, BudgetExhausted)
+    assert _de_steps(de_step, kwargs, budget=rebuild + 2) == want
+    want = _de_steps(de_step_per_trial, kwargs, stop_at_note=mid_note)
+    assert want[3] is Stop
+    assert _de_steps(de_step, kwargs, stop_at_note=mid_note) == want
 
 
 def test_ls_attached_runs():
