@@ -111,24 +111,36 @@ def _load_ini_defaults(path: str, command: str) -> dict:
 
 
 def _apply_ini_defaults(subparser, defaults: dict, command: str) -> None:
-    dest_by_flag = {}
+    action_by_flag = {}
     for action in subparser._actions:
         for option in action.option_strings:
-            dest_by_flag[option.lstrip("-")] = action.dest
+            action_by_flag[option.lstrip("-")] = action
     resolved = {}
     unknown = []
     for key, value in defaults.items():
-        flag = key.replace("_", "-")
-        if flag in dest_by_flag:
-            resolved[dest_by_flag[flag]] = value
-        else:
+        action = action_by_flag.get(key.replace("_", "-"))
+        if action is None:
             unknown.append(key)
+        elif isinstance(action, argparse._StoreTrueAction):
+            resolved[action.dest] = _ini_boolean(key, value)
+        else:
+            resolved[action.dest] = value
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
     subparser.set_defaults(**resolved)
     for action in subparser._actions:
         if action.dest in resolved and action.required:
             action.required = False
+
+
+def _ini_boolean(key: str, value: str) -> bool:
+    """An on/off flag's INI value, in configparser's boolean words."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"config key {key} must be 1/yes/true/on or 0/no/false/off, got {value!r}"
+        ) from None
 
 
 def _summary_lines(rows: list[SummaryRow]) -> list[str]:

@@ -4,13 +4,12 @@ A run is fully described by a :class:`RunConfig`; :func:`run` replays
 byte-identically from the same seed.  A run stops when its evaluation
 budget is spent, when its optional wall-clock limit passes, or at the first
 evaluation, in any phase, whose result reaches the target nonlinearity.
-One loop serves SST and DE: a step is one SST child or one DE trial, and
-local search follows every ``population_size`` steps.
+One loop serves SST and DE: a generation is ``population_size`` SST steps
+or one DE trial per slot, and local search follows every generation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -231,12 +230,6 @@ class _RunState:
         self.pop: list[Individual] = []
         self.best: Optional[Individual] = None
         self.trajectory: list[list] = []
-        self.next_target = 0  # DE's target slot for its next trial
-        # DE: this generation's (r1, r2, r3) slots and crossover masks, one
-        # row per target slot, and its trials keyed ahead, the next one last
-        self.de_slots: Optional[np.ndarray] = None
-        self.de_cross: Optional[np.ndarray] = None
-        self.de_trials: list = []
 
     def note(self, individual: Individual) -> None:
         """Record a new best; stop the run at the evaluation that reaches the target."""
@@ -301,62 +294,51 @@ def sst_step(state: _RunState) -> None:
     state.note(pop[loser])
 
 
+def _sst_generation(state: _RunState) -> None:
+    """``population_size`` steady-state steps."""
+    for _ in range(state.config.population_size):
+        sst_step(state)
+
+
 def de_step(state: _RunState) -> None:
-    """One rand/1/bin differential-evolution trial against the next target slot.
+    """One rand/1/bin differential-evolution generation: one trial per target slot.
 
-    Targets cycle through the population in slot order, so ``len(pop)``
-    consecutive steps make one generation.  A trial at least as good as its
-    target replaces it at once, so later trials of the same generation may
-    draw it.
-
-    A trial's random decisions never read the population, and nothing draws
-    between two trials of a generation, so its first trial draws them all,
-    in slot order (:func:`_draw_generation`).  The next trials are built
-    from the live population and keyed as one block
-    (:meth:`FitnessEvaluator.key_ahead`); each is still charged by its own
-    ``evaluate`` call.  A replacement that a later trial of the block reads
-    drops the block, and the next trial builds the rest again.
+    A trial's random decisions (three distinct slots other than its target,
+    the crossover mask and its forced index) never read the population, so
+    they are all drawn first, in slot order.  The trials are then built from
+    the live population and keyed in blocks (:meth:`FitnessEvaluator.key_ahead`),
+    and each is charged by its own ``evaluate`` call, in slot order.  A trial
+    at least as good as its target replaces it at once, so later trials of
+    the generation may read it: a replacement that a later trial of the
+    block reads drops the block, and the next trial builds the rest again.
     """
-    pop = state.pop
-    size = len(pop)
-    target = state.next_target
-    state.next_target = (target + 1) % size
-    if target == 0:
-        _draw_generation(state)
-    trials = state.de_trials
-    if not trials:
-        end = min(size, target + state.evaluator.block_rows)
-        trials.extend(state.evaluator.key_ahead(_de_trials(state, target, end))[::-1])
-    trial = trials.pop()
-    key = state.evaluator.evaluate(trial)
-    if key >= pop[target].key:
-        # a copy: a row of the keyed block would keep the whole block alive
-        pop[target] = Individual(trial.copy(), key)
-        if (state.de_slots[target + 1:target + 1 + len(trials)] == target).any():
-            trials.clear()
-        state.note(pop[target])
-
-
-def _draw_generation(state: _RunState) -> None:
-    """Draw every trial's slots and crossover mask of a DE generation, in slot order."""
-    rng, rate = state.rng, state.config.de_crossover
-    size, dim = len(state.pop), len(state.pop[0].genotype)
-    slots, masks = [], []
+    pop, rng, cfg, evaluator = state.pop, state.rng, state.config, state.evaluator
+    size, dim = len(pop), len(pop[0].genotype)
+    slots, cross = [], []
     for target in range(size):
         slots.append(_draw_distinct(rng, size, 3, taboo=(target,)))
-        cross = rng.uniforms(dim) < rate
-        cross[rng.below(dim)] = True
-        masks.append(cross)
-    state.de_slots, state.de_cross = np.array(slots), np.array(masks)
-
-
-def _de_trials(state: _RunState, start: int, end: int) -> np.ndarray:
-    """The trials of target slots ``start .. end - 1``, one per row, from the live population."""
-    genotypes = np.array([individual.genotype for individual in state.pop])
-    r1, r2, r3 = state.de_slots[start:end].T
-    mutant = genotypes[r1] + state.config.de_weight * (genotypes[r2] - genotypes[r3])
-    np.clip(mutant, 0.0, 1.0, out=mutant)
-    return np.where(state.de_cross[start:end], mutant, genotypes[start:end])
+        mask = rng.uniforms(dim) < cfg.de_crossover
+        mask[rng.below(dim)] = True
+        cross.append(mask)
+    slots, cross = np.array(slots), np.array(cross)
+    trials: list = []
+    for target in range(size):
+        if not trials:
+            end = min(size, target + evaluator.block_rows)
+            genotypes = np.array([individual.genotype for individual in pop])
+            r1, r2, r3 = slots[target:end].T
+            mutant = genotypes[r1] + cfg.de_weight * (genotypes[r2] - genotypes[r3])
+            np.clip(mutant, 0.0, 1.0, out=mutant)
+            block = np.where(cross[target:end], mutant, genotypes[target:end])
+            trials = evaluator.key_ahead(block)[::-1]
+        trial = trials.pop()
+        key = evaluator.evaluate(trial)
+        if key >= pop[target].key:
+            # a copy: a row of the keyed block would keep the whole block alive
+            pop[target] = Individual(trial.copy(), key)
+            if (slots[target + 1:target + 1 + len(trials)] == target).any():
+                trials = []
+            state.note(pop[target])
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -375,15 +357,16 @@ def run(config: RunConfig) -> RunRecord:
     ls_config = (
         LsConfig(config.ls, config.ls_fraction, config.ls_trials) if config.ls else None
     )
-    # read from the module on each run: benchmarks/tracer.py wraps both steps
-    step = sst_step if config.algorithm == SST else de_step
+    # de_step and sst_step are read from the module at call time:
+    # benchmarks/tracer.py wraps both
+    generation = _sst_generation if config.algorithm == SST else de_step
     start = time.perf_counter()
     # every exit is an exception: budget, time, or the target reached in note
     try:
         _initialise(state)
-        for steps in itertools.count(1):
-            step(state)
-            if ls_config is not None and steps % config.population_size == 0:
+        while True:
+            generation(state)
+            if ls_config is not None:
                 apply_ls(state.pop, ls_config, evaluator, state.mutate, rng, state.note)
     except BudgetExhausted as exhausted:
         stop_reason = exhausted.reason

@@ -50,7 +50,8 @@ from .encodings import (
     target_length,
     tree_truth_bits,
 )
-# compute_orbits stays a module name here: benchmarks/tracer.py wraps it
+# orbit_sign_patterns, the reference for _orbit_rows, stays a module name
+# here only because benchmarks/tracer.py wraps it
 from .orbits import compute_orbits, orbit_sign_patterns  # noqa: F401
 from .truthtable import hadamard_transform, spectrum_key
 
@@ -82,10 +83,31 @@ def _hadamard_factor(m: int) -> np.ndarray:
     return h
 
 
+def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 ``Ha`` and ``-2 * Hb``, the general space's rows ``R``."""
+    return _hadamard_factor(n // 2), np.float32(-2) * _hadamard_factor(n - n // 2)
+
+
 @lru_cache(maxsize=None)
 def _orbit_rows(n: int) -> np.ndarray:
-    """Float32 ``-2 * P``, the rotation-symmetric rows ``R``."""
-    rows = (-2 * orbit_sign_patterns(n)).astype(np.float32)
+    """Float32 ``-2 * P``, the rotation-symmetric rows ``R``.
+
+    Row ``j`` is the general-space product of orbit ``j``'s indicator,
+    ``Ha @ E_j.reshape(2**a, 2**b) @ (-2 * Hb)``, exact by the module
+    docstring's bound: :func:`~boolevo.orbits.orbit_sign_patterns` without
+    its ``num_orbits x 2**n`` int64 butterfly.
+    """
+    table = compute_orbits(n)
+    ha, hb = _kronecker_factors(n)
+    indicator = np.zeros((table.num_orbits, len(ha), len(hb)), dtype=np.float32)
+    indicator.reshape(table.num_orbits, -1)[table.orbit_of, np.arange(1 << n)] = 1
+    # at a 64-byte boundary: keying a block of 25 genotypes at n = 9 took
+    # about 25 us against a misaligned matrix and 17 us against an aligned one
+    buffer = np.empty(indicator.nbytes + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    rows = buffer[start:start + indicator.nbytes].view(np.float32).reshape(indicator.shape)
+    np.matmul(ha @ indicator, hb, out=rows)
+    rows = rows.reshape(table.num_orbits, -1)
     rows.flags.writeable = False
     return rows
 
@@ -163,8 +185,7 @@ class FitnessEvaluator:
         if mode == ROTATION:
             self._orbit_rows = _orbit_rows(n)
         else:
-            self._ha = _hadamard_factor(n // 2)
-            self._hb = np.float32(-2) * _hadamard_factor(n - n // 2)
+            self._ha, self._hb = _kronecker_factors(n)
         #: bits in a bitstring genotype for this search space
         self.genotype_length = target_length(n, mode)
         #: most spectra in one block (every spectrum has ``2**n`` entries)

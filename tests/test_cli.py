@@ -161,6 +161,25 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert "evaluations    150" in stdout
 
 
+@pytest.mark.parametrize(
+    "word, listed", [("false", False), ("Off", False), ("true", True), ("1", True)]
+)
+def test_config_file_reads_on_off_flags_as_booleans(tmp_path, capsys, word, listed):
+    ini = tmp_path / "orbits.ini"
+    ini.write_text(f"[orbits]\nn = 3\nlist = {word}\n")
+    code, stdout, _ = run_cli(capsys, "--config", str(ini), "orbits")
+    assert code == 0
+    assert ("size 3" in stdout) == listed
+
+
+def test_config_file_rejects_a_non_boolean_flag_value(tmp_path, capsys):
+    ini = tmp_path / "orbits.ini"
+    ini.write_text("[orbits]\nn = 3\nlist = maybe\n")
+    code, stdout, stderr = run_cli(capsys, "--config", str(ini), "orbits")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: config key list") and stderr.count("\n") == 1
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[search]\nn = 4\npopulation-size = 6\nbudget = 150\nseed = 11\n")

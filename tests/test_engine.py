@@ -327,13 +327,14 @@ def _de_state(space, budget=None):
     return _RunState(cfg, evaluator, Draws(cfg.seed))
 
 
-def _de_steps(step, space, budget=None, stop_at_note=None):
-    """Step a DE population for some generations; return what every step shows.
+def _de_generations(step, space, budget=None, stop_at_note=None):
+    """Run DE generations with ``step``; return what each one shows.
 
-    After each step: each slot's key and a digest of its genotype bytes, the
-    evaluations and the notes so far, and at a generation boundary the next
-    ``rng.below(2**64)``.  ``stop_at_note`` makes that note raise, as a
-    run's target stop does.
+    After each generation: each slot's key and a digest of its genotype
+    bytes, the evaluations and the notes so far, and the next
+    ``rng.below(2**64)``.  A cut (the budget, or ``stop_at_note`` making that
+    note raise, as a run's target stop does) adds the same view of the state
+    it stopped in, without the draw.
     """
     state = _de_state(space, budget)
     notes = []
@@ -343,71 +344,74 @@ def _de_steps(step, space, budget=None, stop_at_note=None):
         if len(notes) == stop_at_note:
             raise Stop()
 
+    def view():
+        genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
+        return (
+            [individual.key for individual in state.pop],
+            hashlib.sha256(genotypes).hexdigest(),
+            state.evaluator.evaluations,
+            list(notes),
+        )
+
     state.note = note
     _initialise(state)
     seen = []
     try:
-        for _ in range(DE_GENERATIONS * len(state.pop)):
+        for _ in range(DE_GENERATIONS):
             step(state)
-            genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
-            boundary = state.rng.below(2**64) if state.next_target == 0 else None
-            seen.append((
-                [individual.key for individual in state.pop],
-                hashlib.sha256(genotypes).hexdigest(),
-                state.evaluator.evaluations,
-                list(notes),
-                boundary,
-            ))
+            seen.append((*view(), state.rng.below(2**64)))
     except (BudgetExhausted, Stop) as stop:
+        seen.append(view())
         return seen, notes, state.evaluator.evaluations, type(stop)
     return seen, notes, state.evaluator.evaluations, None
 
 
-def _rebuild_then_mid_note(space):
-    """The evaluations done when the first rebuilt block, at a trial at least
-    two before its generation's end, was keyed, and the number of the first
-    ``note`` call made by a trial before its generation's last."""
+def _first_rebuild(space):
+    """The evaluations done when a ``key_ahead`` spy saw the first block
+    rebuilt, or None."""
     state = _de_state(space)
     _initialise(state)
     size = len(state.pop)
-    note, key_ahead = state.note, state.evaluator.key_ahead
-    calls, block_end, rebuild, mid_note = size, 0, None, None
-
-    def count(individual):
-        nonlocal calls, mid_note
-        calls += 1
-        if mid_note is None and state.next_target:
-            mid_note = calls
-        note(individual)
+    key_ahead = state.evaluator.key_ahead
+    block_end, rebuild = 0, None
 
     def spy(block):
         nonlocal block_end, rebuild
-        target = (state.next_target - 1) % size
-        if rebuild is None and 0 < target < block_end and target + 2 < size:
+        target = (state.evaluator.evaluations - size) % size
+        if rebuild is None and 0 < target < block_end:
             rebuild = state.evaluator.evaluations
         block_end = target + len(block)
         return key_ahead(block)
 
-    state.note, state.evaluator.key_ahead = count, spy
-    for _ in range(DE_GENERATIONS * size):
+    state.evaluator.key_ahead = spy
+    for _ in range(DE_GENERATIONS):
         de_step(state)
-    return rebuild, mid_note
+    return rebuild
 
 
 @pytest.mark.parametrize("space", list(DE_SPACES))
 def test_de_blocks_match_the_per_trial_step(space):
     kwargs = DE_SPACES[space]
-    want = _de_steps(de_step_per_trial, kwargs)
-    assert _de_steps(de_step, kwargs) == want
-    assert want[3] is None and want[2] == kwargs["population_size"] * (DE_GENERATIONS + 1)
-    rebuild, mid_note = _rebuild_then_mid_note(kwargs)
-    # the budget runs out two trials after the rebuild, inside its generation
-    want = _de_steps(de_step_per_trial, kwargs, budget=rebuild + 2)
-    assert want[2:] == (rebuild + 2, BudgetExhausted)
-    assert _de_steps(de_step, kwargs, budget=rebuild + 2) == want
-    want = _de_steps(de_step_per_trial, kwargs, stop_at_note=mid_note)
-    assert want[3] is Stop
-    assert _de_steps(de_step, kwargs, stop_at_note=mid_note) == want
+    size = kwargs["population_size"]
+    full = _de_generations(de_step_per_trial, kwargs)
+    assert _de_generations(de_step, kwargs) == full
+    assert full[3] is None and full[2] == size * (DE_GENERATIONS + 1)
+    # the first rebuilt block's trials fall in the first two generations, so
+    # the cuts below stop inside it too
+    rebuild = _first_rebuild(kwargs)
+    assert rebuild is not None and rebuild + 2 < 3 * size
+    # a budget cut at every trial of the first two generations
+    for budget in range(size, 3 * size):
+        want = _de_generations(de_step_per_trial, kwargs, budget=budget)
+        assert want[2:] == (budget, BudgetExhausted)
+        assert _de_generations(de_step, kwargs, budget=budget) == want
+    # a cut at every note made in the first two generations
+    notes = full[1]
+    for stop_at_note, (evaluations, _) in enumerate(notes, 1):
+        if size < evaluations <= 3 * size:
+            want = _de_generations(de_step_per_trial, kwargs, stop_at_note=stop_at_note)
+            assert want[2:] == (evaluations, Stop)
+            assert _de_generations(de_step, kwargs, stop_at_note=stop_at_note) == want
 
 
 def test_ls_attached_runs():

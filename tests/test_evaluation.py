@@ -26,7 +26,7 @@ from boolevo.evaluation import (
     key_to_fitness,
     spectrum_key,
 )
-from boolevo.orbits import compute_orbits, expand
+from boolevo.orbits import compute_orbits, expand, orbit_sign_patterns
 from boolevo.truthtable import TruthTable, fitness, walsh_transform
 
 
@@ -90,6 +90,29 @@ def test_rotation_bitstring_path_exact():
             got = np.asarray(ev._spectrum(orbit_bits), dtype=np.int64)
             want = walsh_transform(expand(table, orbit_bits)).values
             assert np.array_equal(got, want)
+
+
+def test_orbit_rows_equal_the_sign_pattern_reference():
+    for n in range(1, 14):
+        rows = evaluation._orbit_rows(n)
+        assert rows.dtype == np.float32 and rows.ctypes.data % 64 == 0
+        np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n))
+
+
+def test_rotation_setup_builds_no_sign_patterns(monkeypatch):
+    def refuse(n):
+        raise AssertionError("set-up built the int64 sign patterns")
+
+    monkeypatch.setattr(evaluation, "orbit_sign_patterns", refuse)
+    monkeypatch.setattr("boolevo.orbits.orbit_sign_patterns", refuse)
+    evaluation._orbit_rows.cache_clear()
+    try:
+        ev = FitnessEvaluator(9, "bitstring", ROTATION)
+        bits = random_genotype("bitstring", 9, Draws(6), mode=ROTATION)
+        want = reference_key(genotype_table(bits, "bitstring", 9, ROTATION).bits, 9)
+        assert ev.evaluate(bits) == want
+    finally:
+        evaluation._orbit_rows.cache_clear()
 
 
 def test_float_path_exact():
