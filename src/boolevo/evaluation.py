@@ -14,22 +14,31 @@ spectrum by ``(1 - 2 * g_j) * R_j``.  In the general space ``R`` is applied
 as Kronecker factors (Fino & Algazi, IEEE Trans. Computers, 1976): with
 ``a = n // 2`` and ``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}``, so
 ``R_j = Ha[hi] (x) (-2 * Hb)[lo]`` for position ``hi * 2**b + lo`` and the
-product is ``Ha @ g.reshape(2**a, 2**b) @ (-2 * Hb)``.  In the
-rotation-symmetric space ``R`` is ``-2`` times the orbit sign patterns (Stanica,
-Maitra & Clark, FSE 2004), one cached float32 matrix.
+product is ``Ha @ g.reshape(2**a, 2**b) @ (-2 * Hb)``.
+
+The spectrum of a rotation-symmetric function is constant on the rotation
+orbits of the mask (Stanica, Maitra & Clark, FSE 2004), so that space keeps
+it in orbit coordinates: one entry per orbit, at the orbit's smallest mask.
+There ``R`` is ``A = -2 * P[:, reps]``, one cached ``g x g`` float32 matrix:
+the columns of ``-2`` times the orbit sign patterns ``P`` at the ``g`` orbit
+representatives.  Orbit 0 is the all-zero mask alone, so ``2**n`` is still
+added at index 0, and :func:`spectrum_key` counts the peak with the orbit
+sizes as weights, which gives the key of all ``2**n`` Walsh values.
 
 Every path is exact in float32, whose integers round only above ``2**24``.
 Each partial sum of either product, in any order, adds one ``+-1`` or
 ``+-2`` term for each input of a subset of the ``2**n`` inputs, so it is at
 most ``2**(n + 1) <= 2**17`` in magnitude, and adding ``2**n`` at index 0
-gives ``W(0)`` itself.  Every
+gives ``W(0)`` itself; each entry of ``bits @ A`` is the same sum of
+terms as the full product's column at that orbit's representative.  Every
 flip-row entry is ``-2`` times a Hadamard entry or an orbit sign pattern
 entry (at most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and
 every candidate spectrum entry of :class:`BitFlipSession` is a Walsh value,
-at most ``2**n <= 2**16``.  A block of genotypes keyed at once
-(:meth:`FitnessEvaluator.key_ahead`) is one product with one row per
-genotype, and each row adds the same terms as that genotype's vector
-product, so the same bound holds row by row.
+at most ``2**n <= 2**16``.  A weighted count adds the sizes of orbits that
+hold at most ``2**n`` masks together, so it is at most ``2**n`` too.  A
+block of genotypes keyed at once (:meth:`FitnessEvaluator.key_ahead`) is
+one product with one row per genotype, and each row adds the same terms as
+that genotype's vector product, so the same bound holds row by row.
 """
 
 from __future__ import annotations
@@ -50,9 +59,10 @@ from .encodings import (
     target_length,
     tree_truth_bits,
 )
-# orbit_sign_patterns, the reference for _orbit_rows, stays a module name
-# here only because benchmarks/tracer.py wraps it
-from .orbits import compute_orbits, orbit_sign_patterns  # noqa: F401
+# compute_orbits is called at set-up; orbit_sign_patterns, the reference for
+# _orbit_rows, stays a module name here only because benchmarks/tracer.py
+# wraps it
+from .orbits import compute_orbits, orbit_sign_patterns, rotate_index  # noqa: F401
 from .truthtable import hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
@@ -70,8 +80,10 @@ class BudgetExhausted(Exception):
 
 #: Most floats in one block of spectra keyed at once, by
 #: :class:`BitFlipSession` or :meth:`FitnessEvaluator.key_ahead` (128 KiB of
-#: float32): 64 spectra at n = 9, 8 at n = 12, 4 at n = 13.  Blocks of twice
-#: that size made LS2 at n = 9 slower, not faster.
+#: float32): 64 spectra of ``2**n`` entries at n = 9, 8 at n = 12, 4 at
+#: n = 13.  Blocks of twice that size made LS2 at n = 9 slower, not faster.
+#: A rotation-symmetric spectrum has ``g`` entries, one per orbit, so its
+#: blocks, with as many rows, hold fewer floats.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -90,24 +102,31 @@ def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _orbit_rows(n: int) -> np.ndarray:
-    """Float32 ``-2 * P``, the rotation-symmetric rows ``R``.
+    """Float32 ``A = -2 * P[:, reps]``, the rotation-symmetric rows ``R``.
 
-    Row ``j`` is the general-space product of orbit ``j``'s indicator,
-    ``Ha @ E_j.reshape(2**a, 2**b) @ (-2 * Hb)``, exact by the module
-    docstring's bound: :func:`~boolevo.orbits.orbit_sign_patterns` without
-    its ``num_orbits x 2**n`` int64 butterfly.
+    ``A[j, k]`` is ``-2`` times the sum of ``(-1)**parity(x & reps[k])`` over
+    the inputs ``x`` of orbit ``j``: the sign pattern of
+    :func:`~boolevo.orbits.orbit_sign_patterns` at orbit ``k``'s
+    representative.  The ``n`` rotations of ``reps[j]`` visit each input of
+    orbit ``j`` ``n / size_j`` times, so the exact integer sum comes from
+    ``n`` blocks of ``g x g`` and no ``g x 2**n`` matrix is made.
     """
     table = compute_orbits(n)
-    ha, hb = _kronecker_factors(n)
-    indicator = np.zeros((table.num_orbits, len(ha), len(hb)), dtype=np.float32)
-    indicator.reshape(table.num_orbits, -1)[table.orbit_of, np.arange(1 << n)] = 1
+    reps = table.representatives
+    signs = np.ones(1, dtype=np.int32)  # (-1)**parity(x) for x < 2**n
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    total = np.zeros((len(reps), len(reps)), dtype=np.int32)
+    rotated = reps
+    for _ in range(n):
+        total += signs[rotated[:, None] & reps]
+        rotated = rotate_index(rotated, n)
     # at a 64-byte boundary: keying a block of 25 genotypes at n = 9 took
     # about 25 us against a misaligned matrix and 17 us against an aligned one
-    buffer = np.empty(indicator.nbytes + 64, dtype=np.uint8)
+    buffer = np.empty(total.size * 4 + 64, dtype=np.uint8)
     start = -buffer.ctypes.data % 64
-    rows = buffer[start:start + indicator.nbytes].view(np.float32).reshape(indicator.shape)
-    np.matmul(ha @ indicator, hb, out=rows)
-    rows = rows.reshape(table.num_orbits, -1)
+    rows = buffer[start:start + total.size * 4].view(np.float32).reshape(total.shape)
+    rows[...] = -2 * (total * table.orbit_sizes[:, None] // n)
     rows.flags.writeable = False
     return rows
 
@@ -184,11 +203,16 @@ class FitnessEvaluator:
         self._deadline = None if time_limit is None else time.perf_counter() + time_limit
         if mode == ROTATION:
             self._orbit_rows = _orbit_rows(n)
+            #: how many Walsh values each spectrum entry stands for, the
+            #: orbit sizes in the rotation-symmetric space
+            self.weights = compute_orbits(n).orbit_sizes.astype(np.float32)
         else:
             self._ha, self._hb = _kronecker_factors(n)
+            self.weights = None
         #: bits in a bitstring genotype for this search space
         self.genotype_length = target_length(n, mode)
-        #: most spectra in one block (every spectrum has ``2**n`` entries)
+        #: most spectra in one block of ``2**n``-entry spectra; a
+        #: rotation-symmetric spectrum has ``g`` entries, one per orbit
         self.block_rows = max(1, BLOCK_ELEMENTS >> n)
         # (genotype, key) pairs keyed ahead, the next one last
         self._ahead: list[tuple[np.ndarray, int]] = []
@@ -208,7 +232,7 @@ class FitnessEvaluator:
         ahead = self._ahead
         if ahead and ahead[-1][0] is genotype:
             return ahead.pop()[1]
-        return spectrum_key(self._spectrum(genotype), self.n)
+        return spectrum_key(self._spectrum(genotype), self.n, self.weights)
 
     def key_ahead(self, block: np.ndarray) -> list:
         """Key a 2-D block of bitstring or float genotypes, one per row, now.
@@ -221,21 +245,27 @@ class FitnessEvaluator:
         """
         block.flags.writeable = False
         rows = list(block)
-        keys = spectrum_key(self._block_spectra(block), self.n)
+        keys = spectrum_key(self._block_spectra(block), self.n, self.weights)
         self._ahead = list(zip(rows, keys))[::-1]
         return rows
 
     # -- spectrum algebra ---------------------------------------------------
 
     def _spectrum(self, genotype) -> np.ndarray:
-        """Float32 spectrum ``2**n * [a = 0] + bits @ R`` of a genotype."""
+        """Float32 spectrum ``2**n * [a = 0] + bits @ R`` of a genotype.
+
+        ``2**n`` entries, one per mask, or in the rotation-symmetric space
+        ``g``, one per orbit of the mask.
+        """
         if self.encoding == "tree":
             genotype = tree_truth_bits(genotype, self.n)
         elif self.encoding == "float":
             genotype = float_bits(genotype, self.decode)
         bits = genotype.astype(np.float32)
         if self.mode == ROTATION:
-            spectrum = bits @ self._orbit_rows
+            # ndarray.dot: about 0.8 us less per call than @ for the g x g
+            # products at n = 7 and 9
+            spectrum = bits.dot(self._orbit_rows)
         else:
             spectrum = (self._ha @ bits.reshape(len(self._ha), -1) @ self._hb).reshape(-1)
         spectrum[0] += 1 << self.n
@@ -252,7 +282,7 @@ class FitnessEvaluator:
             block = float_bits(block, self.decode).reshape(count, -1)
         bits = block.astype(np.float32)
         if self.mode == ROTATION:
-            spectra = bits @ self._orbit_rows
+            spectra = bits.dot(self._orbit_rows)
         else:
             tables = bits.reshape(count, len(self._ha), -1)
             spectra = (self._ha @ tables @ self._hb).reshape(count, -1)
@@ -297,7 +327,7 @@ class BitFlipSession:
                 f"got shape {self.bits.shape}"
             )
         self.spectrum = evaluator._spectrum(self.bits)
-        self.key = spectrum_key(self.spectrum, evaluator.n)
+        self.key = spectrum_key(self.spectrum, evaluator.n, evaluator.weights)
         # keys of flipping positions _block_start, _block_start + 1, ...
         self._block_start = 0
         self._block_keys: list[int] = []
@@ -315,7 +345,8 @@ class BitFlipSession:
             bits = self.bits[position:position + self.evaluator.block_rows]
             block = self.evaluator._flip_deltas(position, bits)
             block += self.spectrum
-            self._block_start, self._block_keys = position, spectrum_key(block, self.evaluator.n)
+            self._block_start = position
+            self._block_keys = spectrum_key(block, self.evaluator.n, self.evaluator.weights)
             offset = 0
         key = self._block_keys[offset]
         self._pending = (position, key)

@@ -115,10 +115,12 @@ def orbit_sign_patterns(n: int) -> np.ndarray:
     """Matrix ``P`` with ``P[j, a] = sum over x in orbit j of (-1)**parity(a & x)``.
 
     For a rotation-symmetric function with orbit signs ``s`` (one per orbit,
-    ``+1`` for output 0, ``-1`` for output 1) the Walsh spectrum is ``s @ P``,
-    which turns spectrum evaluation into a ``num_orbits x 2**n`` product.
-    Each call builds a fresh matrix; the evaluator caches its own float32
-    rows, ``-2 * P``.
+    ``+1`` for output 0, ``-1`` for output 1) the Walsh spectrum is ``s @ P``.
+    That spectrum is constant on the orbits of the mask, so the columns at
+    the orbit representatives, ``P[:, representatives]``, hold all of it in
+    a ``num_orbits x num_orbits`` block.  Each call builds a fresh matrix,
+    the reference for the tests; the evaluator builds and caches that block
+    alone, as float32 ``-2 * P[:, representatives]``.
     """
     table = compute_orbits(n)
     indicator = np.zeros((table.num_orbits, 1 << n), dtype=np.int64)

@@ -165,7 +165,7 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(table.n, hadamard_transform(signs))
 
 
-def spectrum_key(spectrum: np.ndarray, n: int):
+def spectrum_key(spectrum: np.ndarray, n: int, weights: np.ndarray | None = None):
     """Exact fitness key of Walsh values, keyed along the last axis.
 
     The key is ``(nl << n) + (2**n - count)``, where ``count`` is how often
@@ -174,16 +174,27 @@ def spectrum_key(spectrum: np.ndarray, n: int):
     ``0..2**n - 1``, so it can never lift the key past the next
     nonlinearity level: ``nl == key >> n`` and the fitness is ``key / 2**n``.
 
+    ``weights``, if given, says how many Walsh values each entry stands
+    for, and ``count`` is the weighted count ``(|W| == peak) @ weights``.
+    A rotation-symmetric spectrum kept as one value per rotation orbit of
+    the mask is keyed with the orbit sizes as weights.  A weighted count is
+    at most ``2**n <= 2**16``, exact in float32.
+
     A vector of Walsh values gives one int; a 2-D block of spectra, one per
     row, gives a list with the key of each row.
     """
     mags = np.abs(spectrum)
     if mags.ndim == 1:
         peak = np.maximum.reduce(mags)
-        count = int(np.count_nonzero(mags == peak))
+        hits = mags == peak
+        count = int(np.count_nonzero(hits) if weights is None else hits.dot(weights))
         return (((1 << (n - 1)) - int(peak) // 2) << n) + ((1 << n) - count)
     peaks = np.maximum.reduce(mags, axis=-1, keepdims=True)
-    counts = np.add.reduce(mags == peaks, axis=-1, dtype=np.int32)
+    hits = mags == peaks
+    if weights is None:
+        counts = np.add.reduce(hits, axis=-1, dtype=np.int32)
+    else:
+        counts = (hits @ weights).astype(np.int32)
     nls = (1 << (n - 1)) - peaks[:, 0].astype(np.int64) // 2
     return ((nls << n) + ((1 << n) - counts)).tolist()
 

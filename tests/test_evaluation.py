@@ -77,6 +77,8 @@ def test_general_bitstring_path_exact():
 
 
 def test_rotation_bitstring_path_exact():
+    # the spectrum is in orbit coordinates: the Walsh value at each orbit's
+    # representative mask
     rng = np.random.default_rng(43)
     for n in (1, 2, 3, 7, 9, 11, 13):
         table = compute_orbits(n)
@@ -89,14 +91,17 @@ def test_rotation_bitstring_path_exact():
         for orbit_bits in tables:
             got = np.asarray(ev._spectrum(orbit_bits), dtype=np.int64)
             want = walsh_transform(expand(table, orbit_bits)).values
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want[table.representatives])
+            assert ev.evaluate(orbit_bits) == reference_key(expand(table, orbit_bits).bits, n)
 
 
 def test_orbit_rows_equal_the_sign_pattern_reference():
     for n in range(1, 14):
+        reps = compute_orbits(n).representatives
         rows = evaluation._orbit_rows(n)
+        assert rows.shape == (len(reps), len(reps))
         assert rows.dtype == np.float32 and rows.ctypes.data % 64 == 0
-        np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n))
+        np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n)[:, reps])
 
 
 def test_rotation_setup_builds_no_sign_patterns(monkeypatch):
@@ -124,11 +129,14 @@ def test_float_path_exact():
             values = rng.random(target // decode)
             bits = float_bits(values, decode)
             if mode == ROTATION:
-                want = walsh_transform(expand(compute_orbits(n), bits)).values
+                truth = expand(compute_orbits(n), bits)
+                want = walsh_transform(truth).values[compute_orbits(n).representatives]
             else:
-                want = walsh_transform(TruthTable(n, bits)).values
+                truth = TruthTable(n, bits)
+                want = walsh_transform(truth).values
             got = np.asarray(ev._spectrum(values), dtype=np.int64)
             assert np.array_equal(got, want)
+            assert ev.evaluate(values) == reference_key(truth.bits, n)
 
 
 def test_tree_path_exact():
@@ -325,9 +333,9 @@ def test_bitflip_session_float32_exact_at_large_n(n):
 def test_bitflip_session_blocks_stay_under_the_cap(n, mode, monkeypatch):
     shapes = []
 
-    def recording_key(spectrum, n):
+    def recording_key(spectrum, n, weights=None):
         shapes.append(np.shape(spectrum))
-        return spectrum_key(spectrum, n)
+        return spectrum_key(spectrum, n, weights)
 
     monkeypatch.setattr(evaluation, "spectrum_key", recording_key)
     ev = FitnessEvaluator(n, "bitstring", mode)

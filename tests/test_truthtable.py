@@ -11,6 +11,7 @@ from oracles import (
     nonlinearity_by_distance,
 )
 
+from boolevo.orbits import compute_orbits, expand
 from boolevo.truthtable import (
     BEST_KNOWN_NONLINEARITY,
     NonlinearityBounds,
@@ -28,6 +29,7 @@ from boolevo.truthtable import (
     odd_upper_bound,
     property_report,
     quadratic_bound,
+    spectrum_key,
     walsh_transform,
 )
 
@@ -148,6 +150,34 @@ def test_fitness_orders_by_nonlinearity_first():
         tt = random_table(4, rng)
         if nonlinearity(walsh_transform(tt)) < 6:
             assert fitness(tt) < fitness(bent)
+
+
+def test_weighted_keys_of_orbit_spectra_equal_the_full_keys():
+    # a rotation-symmetric spectrum is constant on the rotation orbits of the
+    # mask, so its values at the orbit representatives, each counted with its
+    # orbit's size, key all 2**n values
+    rng = np.random.default_rng(56)
+    for n in range(1, 14):
+        orbits = compute_orbits(n)
+        reps = orbits.representatives
+        sizes = orbits.orbit_sizes.astype(np.float32)
+        popcount = np.array([bin(int(r)).count("1") for r in reps])
+        tables = [
+            np.zeros(len(reps), np.uint8),  # the constant functions: a peak
+            np.ones(len(reps), np.uint8),  # at W(0) alone, orbit 0 of size 1
+            (popcount > n // 2).astype(np.uint8),  # majority
+        ]
+        tables += [rng.integers(0, 2, len(reps), dtype=np.uint8) for _ in range(5)]
+        spectra = np.array([walsh_transform(expand(orbits, bits)).values for bits in tables])
+        want = [spectrum_key(values, n) for values in spectra]
+        orbit_spectra = spectra[:, reps].astype(np.float32)
+        assert [spectrum_key(values, n, sizes) for values in orbit_spectra] == want
+        assert spectrum_key(orbit_spectra, n, sizes) == want
+        peaks = np.abs(orbit_spectra) == np.abs(orbit_spectra).max(axis=1, keepdims=True)
+        assert peaks[0].nonzero()[0].tolist() == [0]
+        if n > 1:
+            # majority's peak lies on orbits of different sizes
+            assert len(set(orbits.orbit_sizes[peaks[2]].tolist())) > 1
 
 
 def test_property_report_fields():
