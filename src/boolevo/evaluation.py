@@ -11,10 +11,15 @@ since ``W = H(1 - 2f) = 2**n * [a = 0] - 2 * Hf``, the spectrum of genotype
 bits ``g`` is ``2**n * [a = 0] + g @ R``, where row ``R_j`` is ``-2`` times the
 Walsh row of genotype position ``j``, and flipping bit ``j`` moves the
 spectrum by ``(1 - 2 * g_j) * R_j``.  In the general space ``R`` is applied
-as Kronecker factors (Fino & Algazi, IEEE Trans. Computers, 1976): with
-``a = n // 2`` and ``b = n - a``, ``H_{2^n} = H_{2^a} (x) H_{2^b}``, so
-``R_j = Ha[hi] (x) (-2 * Hb)[lo]`` for position ``hi * 2**b + lo`` and the
-product is ``Ha @ g.reshape(2**a, 2**b) @ (-2 * Hb)``.
+as a chain of Kronecker factors (Fino & Algazi, IEEE Trans. Computers, 1976):
+``H_{2^n} = H_{2^m_1} (x) ... (x) H_{2^m_k}`` with ``m_1 + ... + m_k = n``,
+so ``R = F_1 (x) ... (x) (-2 * F_k)`` with ``F_i = H_{2^m_i}``.  The chain has
+the fewest factors of at most ``64 x 64`` (:func:`factor_logs`): one up to
+n = 6, two up to n = 12 and three from n = 13, where three factors of at
+most ``32 x 32`` do a third of the multiplications of a ``64 x 64`` and a
+``128 x 128`` factor.  The product multiplies each axis of ``g`` cut into a
+``2**m_1 x ... x 2**m_k`` table by its factor, and ``R_j`` is the outer
+product of one row per factor, the rows named by the digits of ``j``.
 
 The spectrum of a rotation-symmetric function is constant on the rotation
 orbits of the mask (Stanica, Maitra & Clark, FSE 2004), so that space keeps
@@ -26,19 +31,20 @@ added at index 0, and :func:`spectrum_key` counts the peak with the orbit
 sizes as weights, which gives the key of all ``2**n`` Walsh values.
 
 Every path is exact in float32, whose integers round only above ``2**24``.
-Each partial sum of either product, in any order, adds one ``+-1`` or
-``+-2`` term for each input of a subset of the ``2**n`` inputs, so it is at
-most ``2**(n + 1) <= 2**17`` in magnitude, and adding ``2**n`` at index 0
-gives ``W(0)`` itself; each entry of ``bits @ A`` is the same sum of
-terms as the full product's column at that orbit's representative.  Every
-flip-row entry is ``-2`` times a Hadamard entry or an orbit sign pattern
-entry (at most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and
-every candidate spectrum entry of :class:`BitFlipSession` is a Walsh value,
-at most ``2**n <= 2**16``.  A weighted count adds the sizes of orbits that
-hold at most ``2**n`` masks together, so it is at most ``2**n`` too.  A
-block of genotypes keyed at once (:meth:`FitnessEvaluator.key_ahead`) is
-one product with one row per genotype, and each row adds the same terms as
-that genotype's vector product, so the same bound holds row by row.
+Each partial sum of any product, after any number of factors and in any
+order, adds one ``+-1`` or ``+-2`` term for each input of a subset of the
+``2**n`` inputs, so it is at most ``2**(n + 1) <= 2**17`` in magnitude, and
+adding ``2**n`` at index 0 gives ``W(0)`` itself; each entry of ``bits @ A``
+is the same sum of terms as the full product's column at that orbit's
+representative.  Every flip-row entry is ``-2`` times a product of one
+Hadamard entry per factor, or ``-2`` times an orbit sign pattern entry (at
+most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and every
+candidate spectrum entry of :class:`BitFlipSession` is a Walsh value, at
+most ``2**n <= 2**16``.  A weighted count adds the sizes of orbits that hold
+at most ``2**n`` masks together, so it is at most ``2**n`` too.  A block of
+genotypes keyed at once (:meth:`FitnessEvaluator.key_ahead`) is one product
+with one row per genotype, and each row adds the same terms as that
+genotype's vector product, so the same bound holds row by row.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -81,10 +87,31 @@ class BudgetExhausted(Exception):
 #: Most floats in one block of spectra keyed at once, by
 #: :class:`BitFlipSession` or :meth:`FitnessEvaluator.key_ahead` (128 KiB of
 #: float32): 64 spectra of ``2**n`` entries at n = 9, 8 at n = 12, 4 at
-#: n = 13.  Blocks of twice that size made LS2 at n = 9 slower, not faster.
-#: A rotation-symmetric spectrum has ``g`` entries, one per orbit, so its
-#: blocks, with as many rows, hold fewer floats.
+#: n = 13, and in the rotation-symmetric space, whose spectra have ``g``
+#: entries, one per orbit, 546 at n = 9 and 51 at n = 13.  Blocks of twice
+#: that size made LS2 at n = 9 slower, not faster.
 BLOCK_ELEMENTS = 1 << 15
+
+
+#: ``1 - 2 * bit``, the sign of a flip row, indexed by the bit
+_FLIP_SIGNS = np.array([1, -1], dtype=np.float32)
+
+#: Log2 of the largest Kronecker factor, ``64 x 64``.  At n = 11 three
+#: factors cost a vector product 7.9 us against 6.6 us for two, and at
+#: n = 13 two factors of 64 and 128 cost 35 us against 18 us for three.
+MAX_FACTOR_LOG = 6
+
+
+def factor_logs(n: int) -> tuple[int, ...]:
+    """Log2 sizes of the chain's factors, first to last.
+
+    The fewest factors of at most ``2**MAX_FACTOR_LOG``, as even as
+    possible, the larger ones last: ``(6,)`` at n = 6, ``(3, 4)`` at n = 7,
+    ``(6, 6)`` at n = 12 and ``(4, 4, 5)`` at n = 13.
+    """
+    count = -(-n // MAX_FACTOR_LOG)
+    small, larger = divmod(n, count)
+    return (small,) * (count - larger) + (small + 1,) * larger
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +122,74 @@ def _hadamard_factor(m: int) -> np.ndarray:
     return h
 
 
-def _kronecker_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 ``Ha`` and ``-2 * Hb``, the general space's rows ``R``."""
-    return _hadamard_factor(n // 2), np.float32(-2) * _hadamard_factor(n - n // 2)
+@lru_cache(maxsize=None)
+def _kronecker_factors(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only float32 ``F_1, ..., F_{k-1}, -2 * F_k``, the general space's rows ``R``."""
+    *factors, last = (_hadamard_factor(m) for m in factor_logs(n))
+    last = np.float32(-2) * last
+    last.flags.writeable = False
+    return (*factors, last)
+
+
+@lru_cache(maxsize=None)
+def _position_digits(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only uint8 digits of each general-space genotype position, one
+    array per factor: ``R_j`` is the Kronecker product of the rows
+    ``F_i[digits[i][j]]``."""
+    positions = np.arange(1 << n)
+    shift = n
+    digits = []
+    for m in factor_logs(n):
+        shift -= m
+        column = ((positions >> shift) & ((1 << m) - 1)).astype(np.uint8)
+        column.flags.writeable = False
+        digits.append(column)
+    return tuple(digits)
+
+
+def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndarray:
+    """Float32 ``bits @ R`` for rows of 0/1 bits, ``R`` the Kronecker product
+    of ``k >= 3`` factors.
+
+    Each factor multiplies one axis of the rows cut into a ``k``-axis table:
+    the last one from the right, the others from the left, each as one
+    matmul broadcast over the leading axes.
+    """
+    width = len(factors[-1])
+    product = bits.astype(np.float32).reshape(-1, len(factors[-2]), width) @ factors[-1]
+    for factor in reversed(factors[:-1]):
+        product = factor @ product.reshape(-1, len(factor), width)
+        width *= len(factor)
+    return product.reshape(bits.shape)
+
+
+def _products(factors: tuple[np.ndarray, ...]):
+    """Bind float32 ``bits @ R`` for one vector of 0/1 bits and for a block of rows."""
+    if len(factors) == 1:
+        (rows,) = factors
+
+        # ndarray.dot: about 0.8 us less per call than @ for the g x g
+        # rotation-symmetric products at n = 7 and 9
+        def product(bits):
+            return bits.astype(np.float32).dot(rows)
+
+        return product, product
+    if len(factors) > 2:
+        product = partial(_chain_product, factors)
+        return product, product
+    first, last = factors
+    size = len(first)
+
+    # apart from _chain_product, whose loop costs a vector about 1 us more
+    # at n = 7 to 12, and a 25-row block at n = 7 too
+    def vector_product(bits):
+        return (first @ bits.astype(np.float32).reshape(size, -1) @ last).reshape(-1)
+
+    def block_product(bits):
+        count = len(bits)
+        return (first @ bits.astype(np.float32).reshape(count, size, -1) @ last).reshape(count, -1)
+
+    return vector_product, block_product
 
 
 @lru_cache(maxsize=None)
@@ -202,18 +294,35 @@ class FitnessEvaluator:
         self.evaluations = 0
         self._deadline = None if time_limit is None else time.perf_counter() + time_limit
         if mode == ROTATION:
-            self._orbit_rows = _orbit_rows(n)
+            #: ``R`` as a chain of Kronecker factors: in the rotation-symmetric
+            #: space the one ``g x g`` matrix ``A``
+            self._factors = (_orbit_rows(n),)
             #: how many Walsh values each spectrum entry stands for, the
             #: orbit sizes in the rotation-symmetric space
             self.weights = compute_orbits(n).orbit_sizes.astype(np.float32)
         else:
-            self._ha, self._hb = _kronecker_factors(n)
+            self._factors = _kronecker_factors(n)
             self.weights = None
-        #: bits in a bitstring genotype for this search space
+        # (factor, digits) pairs that build a flip row, last factor first;
+        # none for one factor, whose own rows are the flip rows
+        self._flip_factors = ()
+        if len(self._factors) > 1:
+            self._flip_factors = tuple(zip(self._factors, _position_digits(n)))[::-1]
+        # the decode step and the product, bound once, so that a spectrum
+        # tests neither the encoding nor the number of factors
+        self._product, self._block_product = _products(self._factors)
+        if encoding == "float":
+            vector, block = self._product, self._block_product
+            self._product = lambda values: vector(float_bits(values, decode))
+            self._block_product = lambda rows: block(float_bits(rows, decode).reshape(len(rows), -1))
+        elif encoding == "tree":
+            vector = self._product
+            self._product = lambda tree: vector(tree_truth_bits(tree, n))
+        #: bits in a bitstring genotype for this search space, and entries
+        #: in a spectrum: ``2**n``, or ``g`` in the rotation-symmetric space
         self.genotype_length = target_length(n, mode)
-        #: most spectra in one block of ``2**n``-entry spectra; a
-        #: rotation-symmetric spectrum has ``g`` entries, one per orbit
-        self.block_rows = max(1, BLOCK_ELEMENTS >> n)
+        #: most spectra in one block
+        self.block_rows = max(1, BLOCK_ELEMENTS // self.genotype_length)
         # (genotype, key) pairs keyed ahead, the next one last
         self._ahead: list[tuple[np.ndarray, int]] = []
 
@@ -257,17 +366,7 @@ class FitnessEvaluator:
         ``2**n`` entries, one per mask, or in the rotation-symmetric space
         ``g``, one per orbit of the mask.
         """
-        if self.encoding == "tree":
-            genotype = tree_truth_bits(genotype, self.n)
-        elif self.encoding == "float":
-            genotype = float_bits(genotype, self.decode)
-        bits = genotype.astype(np.float32)
-        if self.mode == ROTATION:
-            # ndarray.dot: about 0.8 us less per call than @ for the g x g
-            # products at n = 7 and 9
-            spectrum = bits.dot(self._orbit_rows)
-        else:
-            spectrum = (self._ha @ bits.reshape(len(self._ha), -1) @ self._hb).reshape(-1)
+        spectrum = self._product(genotype)
         spectrum[0] += 1 << self.n
         return spectrum
 
@@ -277,27 +376,27 @@ class FitnessEvaluator:
         A path of its own: shape-generic indexing in :meth:`_spectrum` cost
         every vector evaluation about half a microsecond.
         """
-        count = len(block)
-        if self.encoding == "float":
-            block = float_bits(block, self.decode).reshape(count, -1)
-        bits = block.astype(np.float32)
-        if self.mode == ROTATION:
-            spectra = bits.dot(self._orbit_rows)
-        else:
-            tables = bits.reshape(count, len(self._ha), -1)
-            spectra = (self._ha @ tables @ self._hb).reshape(count, -1)
+        spectra = self._block_product(block)
         spectra[:, 0] += 1 << self.n
         return spectra
 
     def _flip_deltas(self, start: int, bits: np.ndarray) -> np.ndarray:
         """Spectrum change of flipping each of ``bits``, genotype positions
-        ``start, start + 1, ...``: one row ``(1 - 2 * bit_j) * R_j`` per bit."""
-        scale = (1 - 2 * bits.astype(np.float32))[:, None]
-        if self.mode == ROTATION:
-            return self._orbit_rows[start:start + len(bits)] * scale
-        hi, lo = divmod(np.arange(start, start + len(bits)), len(self._hb))
-        rows = (self._ha[hi] * scale)[:, :, None] * self._hb[lo][:, None, :]
-        return rows.reshape(len(bits), -1)
+        ``start, start + 1, ...``: one row ``(1 - 2 * bit_j) * R_j`` per bit.
+
+        Over a chain, ``R_j`` is the outer product of one row per factor,
+        built from the last factor on, so that the largest product runs
+        along a long last axis: at n = 13 the first factor first cost a
+        4-row block 36 us against 31 us.
+        """
+        count = len(bits)
+        stop = start + count
+        rows = _FLIP_SIGNS[bits][:, None]
+        if not self._flip_factors:
+            return self._factors[0][start:stop] * rows
+        for factor, digits in self._flip_factors:
+            rows = (factor[digits[start:stop]][:, :, None] * rows[:, None, :]).reshape(count, -1)
+        return rows
 
 
 class BitFlipSession:

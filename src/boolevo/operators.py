@@ -123,6 +123,16 @@ def _within_limits(tree: Tree, max_depth: int, max_nodes: int) -> bool:
     return len(tree) <= max_nodes and tree_depth(tree) <= max_depth
 
 
+def _spliced_depth(depths: list[int], index: int, end: int, subtree: Tree) -> int:
+    """Depth of ``tree[:index] + subtree + tree[end:]``, with no walk of it.
+
+    ``depths`` is ``node_depths(tree)``: the nodes outside the replaced span
+    keep their depths, and those of ``subtree`` sit ``depths[index]`` deeper.
+    """
+    outside = max(max(depths[:index], default=0), max(depths[end:], default=0))
+    return max(outside, depths[index] + tree_depth(subtree))
+
+
 def subtree_mutation(
     tree: Tree, n: int, rng: Draws, max_depth: int, max_nodes: int
 ) -> Tree:
@@ -130,9 +140,10 @@ def subtree_mutation(
     depths = node_depths(tree)
     for _ in range(_TREE_RETRIES):
         index = rng.below(len(tree))
-        budget = max_depth - depths[index]
-        child = replace_at(tree, index, _random_node(n, rng, budget, "grow"))
-        if _within_limits(child, max_depth, max_nodes):
+        subtree = _random_node(n, rng, max_depth - depths[index], "grow")
+        end = subtree_end(tree, index)
+        child = tree[:index] + subtree + tree[end:]
+        if len(child) <= max_nodes and _spliced_depth(depths, index, end, subtree) <= max_depth:
             return child
     return tree
 

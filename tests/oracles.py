@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from boolevo.encodings import _random_node, node_depths, replace_at, tree_depth
 from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
@@ -173,6 +174,17 @@ def size_fair_crossover_by_subtree_walks(a, b, rng):
     donors = [j for j in range(len(b)) if _subtree_end(b, j) - j <= limit]
     donor = donors[rng.below(len(donors))]
     return a[:index_a] + b[donor:_subtree_end(b, donor)] + a[end_a:]
+
+
+def subtree_mutation_by_tree_walks(tree, n, rng, max_depth, max_nodes):
+    """Subtree mutation that measures each candidate child with a full depth walk."""
+    depths = node_depths(tree)
+    for _ in range(5):
+        index = rng.below(len(tree))
+        child = replace_at(tree, index, _random_node(n, rng, max_depth - depths[index], "grow"))
+        if len(child) <= max_nodes and tree_depth(child) <= max_depth:
+            return child
+    return tree
 
 
 def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None):

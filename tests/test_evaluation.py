@@ -27,7 +27,7 @@ from boolevo.evaluation import (
     spectrum_key,
 )
 from boolevo.orbits import compute_orbits, expand, orbit_sign_patterns
-from boolevo.truthtable import TruthTable, fitness, walsh_transform
+from boolevo.truthtable import TruthTable, fitness, hadamard_transform, walsh_transform
 
 
 def reference_key(bits, n):
@@ -59,6 +59,64 @@ def test_spectrum_key_keys_each_row_of_a_block():
             assert keys == [reference_key(t, n) for t in tables]
             assert all(type(key) is int for key in keys)
             assert type(spectrum_key(block[1].astype(dtype), n)) is int
+
+
+def test_factor_chain_rule():
+    for n in range(1, 17):
+        logs = evaluation.factor_logs(n)
+        factors = evaluation._kronecker_factors(n)
+        # the fewest factors of at most 64 x 64, as even as possible, larger last
+        assert sum(logs) == n and max(logs) <= evaluation.MAX_FACTOR_LOG == 6
+        assert (len(logs) - 1) * 6 < n
+        assert list(logs) == sorted(logs) and logs[-1] - logs[0] <= 1
+        assert [f.shape for f in factors] == [(1 << m, 1 << m) for m in logs]
+        # only the last is scaled by -2, and none can be written
+        for factor, m in zip(factors, logs):
+            hadamard = hadamard_transform(np.eye(1 << m, dtype=np.int64))
+            scale = -2 if factor is factors[-1] else 1
+            assert factor.dtype == np.float32 and not factor.flags.writeable
+            np.testing.assert_array_equal(factor, scale * hadamard)
+        for digits, m in zip(evaluation._position_digits(n), logs):
+            assert digits.shape == (1 << n,) and digits.max() < 1 << m
+            assert not digits.flags.writeable
+    assert [evaluation.factor_logs(n) for n in (1, 6, 7, 11, 12, 13, 14, 16)] == [
+        (1,), (6,), (3, 4), (5, 6), (6, 6), (4, 4, 5), (4, 5, 5), (5, 5, 6)
+    ]
+    # the chain's Kronecker product is R = -2 * H_{2^n}
+    for n in (1, 5, 7, 9):
+        product = np.ones((1, 1))
+        for factor in evaluation._kronecker_factors(n):
+            product = np.kron(product, factor)
+        want = -2 * hadamard_transform(np.eye(1 << n, dtype=np.int64))
+        np.testing.assert_array_equal(product, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 12, 13, 14, 16])
+def test_factor_chain_keys_equal_the_reference(n):
+    # one, two and three factors on the vector, keyed-ahead block and
+    # flip-plus-commit paths, each against the reference transform
+    ev = FitnessEvaluator(n, "bitstring")
+    size = 1 << n
+    rng = np.random.default_rng(54)
+    tables = np.array(
+        [np.zeros(size), np.ones(size)] + [rng.integers(0, 2, size) for _ in range(2)],
+        dtype=np.uint8,
+    )
+    want = [walsh_transform(TruthTable(n, bits)).values for bits in tables]
+    for bits, values in zip(tables, want):
+        assert np.array_equal(ev._spectrum(bits).astype(np.int64), values)
+    assert np.array_equal(ev._block_spectra(tables).astype(np.int64), np.array(want))
+    keys = [reference_key(bits, n) for bits in tables]
+    assert [ev.evaluate(row) for row in ev.key_ahead(tables.copy())] == keys
+    bits = tables[-1].copy()
+    session = BitFlipSession(ev, bits)
+    for position in sorted({0, 1, size // 3, size - 1}):
+        assert session.try_flip(position) == flipped_key(bits, position, n)
+        session.commit()
+        bits[position] ^= 1
+        want = walsh_transform(TruthTable(n, bits)).values
+        assert np.array_equal(session.spectrum.astype(np.int64), want)
+        assert session.key == reference_key(bits, n)
 
 
 def test_general_bitstring_path_exact():
@@ -329,7 +387,8 @@ def test_bitflip_session_float32_exact_at_large_n(n):
 
 
 @pytest.mark.parametrize("n,mode", [(3, "general"), (7, "general"), (9, "general"),
-                                    (9, ROTATION), (12, "general"), (13, "general")])
+                                    (9, ROTATION), (12, "general"), (13, "general"),
+                                    (13, ROTATION)])
 def test_bitflip_session_blocks_stay_under_the_cap(n, mode, monkeypatch):
     shapes = []
 
@@ -345,7 +404,9 @@ def test_bitflip_session_blocks_stay_under_the_cap(n, mode, monkeypatch):
         session.try_flip(position)
     blocks = shapes[1:]  # the first call keys the incumbent
     assert all(rows * cols <= BLOCK_ELEMENTS for rows, cols in blocks)
-    rows = max(1, BLOCK_ELEMENTS // (1 << n))
+    # a spectrum has one entry per genotype bit: 2**n, or g = 632 orbits
+    # at n = 13 in the rotation-symmetric space, 51 spectra to a block
+    rows = max(1, BLOCK_ELEMENTS // length)
     starts = range(0, length, rows)
     assert [r for r, _ in blocks] == [min(rows, length - start) for start in starts]
 

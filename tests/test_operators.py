@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from boolevo.draws import Draws
-from boolevo.encodings import random_tree, tree_depth
+from boolevo.encodings import node_depths, random_tree, subtree_end, tree_depth
 from boolevo.operators import (
+    _spliced_depth,
     bit_mutation,
     context_preserving_crossover,
     crossover_bitstring,
@@ -26,6 +27,7 @@ from boolevo.operators import (
 from oracles import (
     shuffle_mutation_by_window_permutation,
     size_fair_crossover_by_subtree_walks,
+    subtree_mutation_by_tree_walks,
     tree_table_pointwise,
     uniform_crossover_by_where,
 )
@@ -152,6 +154,32 @@ def test_subtree_mutation_respects_depth():
         child = subtree_mutation(t, 4, rng, max_depth=6, max_nodes=500)
         assert tree_depth(child) <= 6
         assert len(child) <= 500
+
+
+def test_spliced_depth_equals_a_walk_of_the_child():
+    rng = Draws(65)
+    for depth in range(9):
+        for _ in range(400):
+            tree = random_tree(7, rng, max_depth=depth)
+            subtree = random_tree(7, rng, max_depth=rng.below(6))
+            index = rng.below(len(tree))
+            end = subtree_end(tree, index)
+            child = tree[:index] + subtree + tree[end:]
+            assert _spliced_depth(node_depths(tree), index, end, subtree) == tree_depth(child)
+
+
+def test_subtree_mutation_matches_a_depth_walk_per_candidate():
+    # caps below the parents' own depth and size reject some candidates on
+    # the nodes outside the splice
+    tree_rng = Draws(66)
+    rng, oracle_rng = Draws(67), Draws(67)
+    for depth in (0, 2, 4, 6, 8):
+        for max_depth, max_nodes in ((8, 500), (4, 500), (6, 20)):
+            for _ in range(40):
+                tree = random_tree(7, tree_rng, max_depth=depth)
+                want = subtree_mutation_by_tree_walks(tree, 7, oracle_rng, max_depth, max_nodes)
+                assert subtree_mutation(tree, 7, rng, max_depth, max_nodes) == want
+    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_subtree_crossover_inserts_donor_subtree():
