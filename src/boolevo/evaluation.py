@@ -13,11 +13,11 @@ Walsh row of genotype position ``j``, and flipping bit ``j`` moves the
 spectrum by ``(1 - 2 * g_j) * R_j``.  In the general space ``R`` is applied
 as a chain of Kronecker factors (Fino & Algazi, IEEE Trans. Computers, 1976):
 ``H_{2^n} = H_{2^m_1} (x) ... (x) H_{2^m_k}`` with ``m_1 + ... + m_k = n``,
-so ``R = F_1 (x) ... (x) (-2 * F_k)`` with ``F_i = H_{2^m_i}``.  The chain has
-the fewest factors of at most ``64 x 64`` (:func:`factor_logs`): one up to
-n = 6, two up to n = 12 and three from n = 13, where three factors of at
-most ``32 x 32`` do a third of the multiplications of a ``64 x 64`` and a
-``128 x 128`` factor.  The product multiplies each axis of ``g`` cut into a
+so ``R = F_1 (x) ... (x) (-2 * F_k)`` with ``F_i = H_{2^m_i}``.  The chain is
+one dense factor up to n = 7, and from n = 8 the fewest factors of at most
+``64 x 64`` (:func:`factor_logs`): two up to n = 12 and three from n = 13,
+where three factors of at most ``32 x 32`` do a third of the multiplications
+of a ``64 x 64`` and a ``128 x 128`` factor.  The product multiplies each axis of ``g`` cut into a
 ``2**m_1 x ... x 2**m_k`` table by its factor, and ``R_j`` is the outer
 product of one row per factor, the rows named by the digits of ``j``.
 
@@ -96,19 +96,28 @@ BLOCK_ELEMENTS = 1 << 15
 #: ``1 - 2 * bit``, the sign of a flip row, indexed by the bit
 _FLIP_SIGNS = np.array([1, -1], dtype=np.float32)
 
-#: Log2 of the largest Kronecker factor, ``64 x 64``.  At n = 11 three
-#: factors cost a vector product 7.9 us against 6.6 us for two, and at
-#: n = 13 two factors of 64 and 128 cost 35 us against 18 us for three.
+#: Log2 of the largest factor of a chain of two or more, ``64 x 64``.  At
+#: n = 11 three factors cost a vector product 7.9 us against 6.6 us for
+#: two, and at n = 13 two factors of 64 and 128 cost 35 us against 18 us
+#: for three.
 MAX_FACTOR_LOG = 6
+
+#: Log2 of the largest lone factor, ``128 x 128``.  At n = 7 one dense
+#: factor keys a vector in 1.3 us against 2.6 us for two of 8 and 16, and a
+#: 4-row block in 1.6 us against 4.4 us.
+MAX_LONE_FACTOR_LOG = 7
 
 
 def factor_logs(n: int) -> tuple[int, ...]:
     """Log2 sizes of the chain's factors, first to last.
 
-    The fewest factors of at most ``2**MAX_FACTOR_LOG``, as even as
-    possible, the larger ones last: ``(6,)`` at n = 6, ``(3, 4)`` at n = 7,
-    ``(6, 6)`` at n = 12 and ``(4, 4, 5)`` at n = 13.
+    One factor up to ``2**MAX_LONE_FACTOR_LOG``: ``(7,)`` at n = 7.  From
+    n = 8 the fewest factors of at most ``2**MAX_FACTOR_LOG``, as even as
+    possible, the larger ones last: ``(4, 4)`` at n = 8, ``(6, 6)`` at
+    n = 12 and ``(4, 4, 5)`` at n = 13.
     """
+    if n <= MAX_LONE_FACTOR_LOG:
+        return (n,)
     count = -(-n // MAX_FACTOR_LOG)
     small, larger = divmod(n, count)
     return (small,) * (count - larger) + (small + 1,) * larger
@@ -180,8 +189,9 @@ def _products(factors: tuple[np.ndarray, ...]):
     first, last = factors
     size = len(first)
 
-    # apart from _chain_product, whose loop costs a vector about 1 us more
-    # at n = 7 to 12, and a 25-row block at n = 7 too
+    # apart from _chain_product, whose loop cost a vector about 1 us more
+    # at n = 7 to 12, and a 25-row block at n = 7 too, when n = 7 ran two
+    # factors
     def vector_product(bits):
         return (first @ bits.astype(np.float32).reshape(size, -1) @ last).reshape(-1)
 

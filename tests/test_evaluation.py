@@ -65,10 +65,15 @@ def test_factor_chain_rule():
     for n in range(1, 17):
         logs = evaluation.factor_logs(n)
         factors = evaluation._kronecker_factors(n)
-        # the fewest factors of at most 64 x 64, as even as possible, larger last
-        assert sum(logs) == n and max(logs) <= evaluation.MAX_FACTOR_LOG == 6
-        assert (len(logs) - 1) * 6 < n
-        assert list(logs) == sorted(logs) and logs[-1] - logs[0] <= 1
+        # one factor up to 128 x 128; from n = 8 the fewest factors of at
+        # most 64 x 64, as even as possible, larger last
+        assert sum(logs) == n
+        if n <= evaluation.MAX_LONE_FACTOR_LOG == 7:
+            assert logs == (n,)
+        else:
+            assert max(logs) <= evaluation.MAX_FACTOR_LOG == 6
+            assert (len(logs) - 1) * 6 < n
+            assert list(logs) == sorted(logs) and logs[-1] - logs[0] <= 1
         assert [f.shape for f in factors] == [(1 << m, 1 << m) for m in logs]
         # only the last is scaled by -2, and none can be written
         for factor, m in zip(factors, logs):
@@ -79,8 +84,8 @@ def test_factor_chain_rule():
         for digits, m in zip(evaluation._position_digits(n), logs):
             assert digits.shape == (1 << n,) and digits.max() < 1 << m
             assert not digits.flags.writeable
-    assert [evaluation.factor_logs(n) for n in (1, 6, 7, 11, 12, 13, 14, 16)] == [
-        (1,), (6,), (3, 4), (5, 6), (6, 6), (4, 4, 5), (4, 5, 5), (5, 5, 6)
+    assert [evaluation.factor_logs(n) for n in (1, 6, 7, 8, 11, 12, 13, 14, 16)] == [
+        (1,), (6,), (7,), (4, 4), (5, 6), (6, 6), (4, 4, 5), (4, 5, 5), (5, 5, 6)
     ]
     # the chain's Kronecker product is R = -2 * H_{2^n}
     for n in (1, 5, 7, 9):
@@ -91,7 +96,7 @@ def test_factor_chain_rule():
         np.testing.assert_array_equal(product, want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 7, 12, 13, 14, 16])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 12, 13, 14, 16])
 def test_factor_chain_keys_equal_the_reference(n):
     # one, two and three factors on the vector, keyed-ahead block and
     # flip-plus-commit paths, each against the reference transform
