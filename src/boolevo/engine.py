@@ -6,6 +6,11 @@ budget is spent, when its optional wall-clock limit passes, or at the first
 evaluation, in any phase, whose result reaches the target nonlinearity.
 One loop serves SST and DE: a generation is ``population_size`` SST steps
 or one DE trial per slot, and local search follows every generation.
+
+The SST steps of a generation run in blocks of disjoint tournaments
+(:func:`sst_step`): a block draws all its slots at once, builds its children
+from the population as it stood before the block, keys them together and
+then charges, places and notes them one by one.
 """
 
 from __future__ import annotations
@@ -276,28 +281,69 @@ def select_loser(pop: list, slots: list[int]) -> int:
     return loser
 
 
-def sst_step(state: _RunState) -> None:
-    """One steady-state step: 3-tournament, eliminate the worst, breed one child.
+def sst_step(state: _RunState, steps: int) -> int:
+    """One block of steady-state steps; returns how many it ran.
 
-    Ties go against the latest-drawn contestant, the two survivors are the
-    parents (in draw order), and the child always replaces the eliminated
-    slot after being evaluated.
+    A block is ``rows = min(population_size // 3, block_rows, steps)``
+    disjoint 3-tournaments, whose ``3 * rows`` slots are the head of one
+    random permutation of the population, so all distinct.  Each row's loser
+    is its worst contestant (ties lost by the latest draw) and its two
+    survivors are the parents, in draw order.  One mutation coin per row
+    follows, then the children are built from the population as it was
+    before the block, so no child is a parent in its own block: bitstring
+    and float children as one row block (crossover, then mutation of the
+    rows whose coin fell below ``p_mutation``), keyed with one
+    :meth:`FitnessEvaluator.key_ahead`; tree children one at a time, each
+    just before its charge.  Each child is then charged by its own
+    ``evaluate`` call, replaces its row's loser and is noted, in row order,
+    so a budget, time or target stop falls on the same evaluation as it
+    would one step at a time.
     """
-    pop = state.pop
-    slots = _draw_distinct(state.rng, len(pop), 3)
-    loser = select_loser(pop, slots)
-    parents = [slot for slot in slots if slot != loser]
-    child = state.crossover(pop[parents[0]].genotype, pop[parents[1]].genotype, state.rng)
-    if state.rng.uniform() < state.config.p_mutation:
-        child = state.mutate(child, state.rng)
-    pop[loser] = Individual(child, state.evaluator.evaluate(child))
-    state.note(pop[loser])
+    pop, rng, evaluator = state.pop, state.rng, state.evaluator
+    rows = min(len(pop) // 3, evaluator.block_rows, steps)
+    slots = rng.permutation(len(pop))[: 3 * rows].tolist()
+    losers, parents = [], []  # parents: each row's two survivors, in draw order
+    for row in range(0, 3 * rows, 3):
+        tournament = slots[row : row + 3]
+        loser = select_loser(pop, tournament)
+        tournament.remove(loser)
+        losers.append(loser)
+        parents += tournament
+    parents = [pop[slot].genotype for slot in parents]
+    p_mutation = state.config.p_mutation
+    coins = [rng.uniform() < p_mutation for _ in range(rows)]
+    tree = state.config.encoding == "tree"
+    if tree:
+        children = _tree_children(state, parents, coins)
+    else:
+        genotypes = np.array(parents)
+        block = state.crossover(genotypes[0::2], genotypes[1::2], rng)
+        mutated = [row for row, coin in enumerate(coins) if coin]
+        if mutated:
+            block[mutated] = state.mutate(block[mutated], rng)
+        children = evaluator.key_ahead(block)
+    for loser, child in zip(losers, children):
+        key = evaluator.evaluate(child)
+        # a copy: a row of the keyed block would keep the whole block alive
+        pop[loser] = Individual(child if tree else child.copy(), key)
+        state.note(pop[loser])
+    return rows
+
+
+def _tree_children(state: _RunState, parents: list, coins: list[bool]):
+    """Each row's tree child, crossed over and mutated only when the block's
+    loop takes it, so a stop inside a block builds no child in vain."""
+    for a, b, coin in zip(parents[0::2], parents[1::2], coins):
+        child = state.crossover(a, b, state.rng)
+        yield state.mutate(child, state.rng) if coin else child
 
 
 def _sst_generation(state: _RunState) -> None:
-    """``population_size`` steady-state steps."""
-    for _ in range(state.config.population_size):
-        sst_step(state)
+    """``population_size`` steady-state steps, in blocks."""
+    size = state.config.population_size
+    done = 0
+    while done < size:
+        done += sst_step(state, size - done)
 
 
 def de_step(state: _RunState) -> None:

@@ -6,9 +6,9 @@ Variants:
   stopping after a fixed number of consecutive failures.  A climb at
   ``failures`` failures is certain to run ``trials - failures`` more
   trials, and the bitstring and float mutations never read the values they
-  change, so it draws those trials' mutations up front, in trial order, by
-  mutating an identity genotype (:func:`_identity`).  It applies them all
-  to the parent, keys the children as one block
+  change, so it draws those trials' mutations up front, in trial order, with
+  one row-block mutation of identity rows (:func:`_identity`).  It applies
+  them all to the parent, keys the children as one block
   (:meth:`FitnessEvaluator.key_ahead`), and after an accepted trial applies
   the unused ones to the new parent.  Each trial is still charged by its own
   ``evaluate`` call, in order.  A tree mutation draws from the parent's
@@ -67,21 +67,24 @@ def ls_mutation(
 ) -> Individual:
     """Mutation hill climber; stops after ``trials`` straight failures.
 
-    The children, the charges and the random draws are those of mutating
-    and evaluating one trial at a time; see the module docstring.
+    The children and the charges are those of evaluating one trial at a
+    time, each the parent mutated by the next drawn move; see the module
+    docstring.
     """
     encoding = evaluator.encoding
     tree = encoding == "tree"
-    identity = None if tree else _identity(encoding, len(individual.genotype))
+    if not tree:
+        identity = _identity(encoding, len(individual.genotype))
+        moves = identity[None][:0]  # mutations of the identity drawn for the next trials
     current = individual
     failures = 0
-    moves: list = []  # mutations of the identity drawn for the next trials
     while failures < trials:
         if tree:
             children = [mutate(current.genotype, rng)]
         else:
-            for _ in range(min(trials - failures, evaluator.block_rows) - len(moves)):
-                moves.append(mutate(identity, rng))
+            count = min(trials - failures, evaluator.block_rows) - len(moves)
+            drawn = mutate(np.broadcast_to(identity, (count, len(identity))), rng)
+            moves = np.concatenate([moves, drawn])
             children = evaluator.key_ahead(_apply(encoding, current.genotype, moves))
         for tried, child in enumerate(children, 1):
             key = evaluator.evaluate(child)
@@ -92,7 +95,8 @@ def ls_mutation(
                     note(current)
                 break
             failures += 1
-        del moves[:tried]
+        if not tree:
+            moves = moves[tried:]
     return current
 
 
@@ -111,9 +115,8 @@ def _identity(encoding: str, length: int) -> np.ndarray:
     return np.full(length, np.nan)
 
 
-def _apply(encoding: str, parent: np.ndarray, moves: list) -> np.ndarray:
-    """The children of mutating ``parent`` by each of ``moves``, one per row."""
-    moves = np.array(moves)
+def _apply(encoding: str, parent: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The children of mutating ``parent`` by each row of ``moves``, one per row."""
     if encoding == "bitstring":
         # entry 2 * i + f of the table is parent bit i flipped f times
         return (parent[:, None] ^ _FLIPS).reshape(-1)[moves]

@@ -1,10 +1,15 @@
 """Variation operators for the three genotype encodings.
 
-All operators take and return raw genotypes (uint8 arrays, float64 arrays,
-flat preorder token tuples for trees) and draw every random decision from
-the :class:`~boolevo.draws.Draws` they are handed, so runs replay exactly
-from a seed.  Tree operators address nodes by preorder index and build
-children by splicing.
+The bitstring and float operators are row-block operators: they take the
+parents of a block of children as 2-D arrays, one row per child, and return
+the children as a new 2-D array.  Each row draws its own kind of crossover
+or mutation, so a block has the distribution of as many children made one
+at a time.  The per-row decisions are scalar draws, which cost less than
+vector draws at these row counts.  The tree operators take and return one
+raw genotype, a flat preorder token tuple; they address nodes by preorder
+index and build children by splicing.  Every random decision comes from the
+:class:`~boolevo.draws.Draws` an operator is handed, so runs replay exactly
+from a seed.
 """
 
 from __future__ import annotations
@@ -29,88 +34,79 @@ from .encodings import (
 # bitstring
 
 
-def bit_mutation(bits: np.ndarray, rng: Draws) -> np.ndarray:
-    """Flip one uniformly chosen bit."""
-    child = bits.copy()
-    child[rng.below(child.shape[0])] ^= 1
-    return child
+def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
+    """Flip one bit of each row, or shuffle a window of it, chosen uniformly.
 
-
-def shuffle_mutation(bits: np.ndarray, rng: Draws) -> np.ndarray:
-    """Shuffle the bits inside a random window [start, end].
-
-    The window is reordered by a permutation of its indices.  That makes the
-    same Fisher-Yates draws, and so the same child, as
-    ``rng.permutation(window)``, but it shuffles an int64 ``arange`` rather
-    than swapping uint8 entries one by one.
+    A flip takes a uniform position.  A shuffle takes two uniform positions
+    ``a`` and ``b`` and reorders the window ``[min(a, b), max(a, b)]`` by a
+    uniform permutation of its indices: the same Fisher-Yates draws, and so
+    the same child, as ``rng.permutation(window)``, but on an int64
+    ``arange`` rather than on the entries one by one.  Works on rows of any
+    integer type, so the local search can record moves on rows of indices.
     """
-    child = bits.copy()
-    a = rng.below(child.shape[0])
-    b = rng.below(child.shape[0])
-    start, end = min(a, b), max(a, b)
-    window = child[start : end + 1]
-    child[start : end + 1] = window[rng.permutation(len(window))]
-    return child
+    count, length = rows.shape
+    children = rows.copy()
+    below = rng.below
+    for row in range(count):
+        if below(2):
+            a, b = below(length), below(length)
+            start, stop = min(a, b), max(a, b) + 1
+            window = children[row, start:stop]
+            children[row, start:stop] = window[rng.permutation(stop - start)]
+        else:
+            children[row, below(length)] ^= 1
+    return children
 
 
-def mutate_bitstring(bits: np.ndarray, rng: Draws) -> np.ndarray:
-    """Apply bit-flip or window-shuffle mutation, chosen uniformly."""
-    if rng.below(2):
-        return shuffle_mutation(bits, rng)
-    return bit_mutation(bits, rng)
+def crossover_bitstring(a: np.ndarray, b: np.ndarray, rng: Draws) -> np.ndarray:
+    """One-point or uniform crossover of each row pair, chosen uniformly.
 
-
-def one_point_crossover(
-    a: np.ndarray, b: np.ndarray, rng: Draws
-) -> np.ndarray:
-    """First part of ``a`` up to a random breakpoint, rest of ``b``."""
-    if a.shape[0] < 2:
-        return a.copy()
-    cut = 1 + rng.below(a.shape[0] - 1)
-    return np.concatenate([a[:cut], b[cut:]])
-
-
-def uniform_crossover(
-    a: np.ndarray, b: np.ndarray, rng: Draws
-) -> np.ndarray:
-    """Each position independently from either parent.
-
-    The mask is one uniform bit per position, 1 taking ``a``.  The select is
-    the bit identity ``b ^ ((a ^ b) & mask)``, which gives the child of
-    ``np.where(mask, a, b)`` on 0/1 bits without a branch per entry.
+    One-point takes ``a`` up to a uniform cut in ``1 .. length - 1`` and
+    ``b`` after it.  Uniform takes each position from ``a`` or ``b`` by one
+    uniform bit, 1 taking ``a``; the rows that draw it share one draw of
+    bits and one select, the bit identity ``b ^ ((a ^ b) & mask)``.
     """
-    take_a = rng.bits(a.shape[0])
-    return b ^ ((a ^ b) & take_a)
-
-
-def crossover_bitstring(
-    a: np.ndarray, b: np.ndarray, rng: Draws
-) -> np.ndarray:
-    """One-point or uniform crossover, chosen uniformly."""
-    if rng.below(2):
-        return uniform_crossover(a, b, rng)
-    return one_point_crossover(a, b, rng)
+    count, length = a.shape
+    children = b.copy()
+    below = rng.below
+    mixed = []
+    for row in range(count):
+        if below(2):
+            mixed.append(row)
+        else:
+            cut = 1 + below(length - 1)
+            children[row, :cut] = a[row, :cut]
+    if mixed:
+        take_a = rng.bits(len(mixed) * length).reshape(len(mixed), length)
+        children[mixed] ^= (a[mixed] ^ b[mixed]) & take_a
+    return children
 
 
 # ---------------------------------------------------------------------------
 # float
 
 
-def mutate_float(values: np.ndarray, rng: Draws) -> np.ndarray:
-    """Resample one uniformly chosen coordinate in [0, 1]."""
-    child = values.copy()
-    child[rng.below(child.shape[0])] = rng.uniform()
-    return child
+def mutate_float(rows: np.ndarray, rng: Draws) -> np.ndarray:
+    """Resample one uniform coordinate of each row in [0, 1)."""
+    count, length = rows.shape
+    children = rows.copy()
+    for row in range(count):
+        children[row, rng.below(length)] = rng.uniform()
+    return children
 
 
-def crossover_float(
-    a: np.ndarray, b: np.ndarray, rng: Draws
-) -> np.ndarray:
-    """Arithmetic mean or per-coordinate uniform mix, chosen uniformly."""
-    if rng.below(2):
-        take_a = rng.bits(a.shape[0]).view(bool)
-        return np.where(take_a, a, b)
-    return 0.5 * (a + b)
+def crossover_float(a: np.ndarray, b: np.ndarray, rng: Draws) -> np.ndarray:
+    """Arithmetic mean or per-coordinate uniform mix of each row pair, chosen uniformly.
+
+    The rows that draw the mix share one draw of bits, 1 taking ``a``.
+    """
+    count, length = a.shape
+    children = 0.5 * (a + b)
+    mixed = [row for row in range(count) if rng.below(2)]
+    if mixed:
+        take_a = rng.bits(len(mixed) * length).reshape(len(mixed), length).view(bool)
+        children[mixed] = np.where(take_a, a[mixed], b[mixed])
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,11 @@ def crossover_tree(
 def make_operators(
     encoding: str, n: int, max_depth: int = DEFAULT_MAX_DEPTH, max_nodes: int = DEFAULT_MAX_NODES
 ):
-    """Bind ``(mutate, crossover)`` callables for one encoding."""
+    """Bind ``(mutate, crossover)`` callables for one encoding.
+
+    Row-block operators for bitstrings and floats, one child per call for
+    trees.
+    """
     if encoding == "bitstring":
         return mutate_bitstring, crossover_bitstring
     if encoding == "float":

@@ -130,20 +130,40 @@ def rotations(i: int, n: int) -> set[int]:
 # earlier formulas of rewritten library code, kept to pin the rewrites
 
 
-def uniform_crossover_by_where(a, b, rng) -> np.ndarray:
-    """Uniform crossover as a boolean select on one uniform bit per position."""
-    take_a = rng.bits(a.shape[0]).astype(bool)
-    return np.where(take_a, a, b)
+def crossover_bitstring_by_where(a, b, rng) -> np.ndarray:
+    """Row-block bitstring crossover, one row at a time: a one-point row
+    joins a prefix of ``a`` to a suffix of ``b``, and the uniform rows select
+    with a boolean ``np.where`` on one shared draw of bits."""
+    count, length = a.shape
+    children = [None] * count
+    mixed = []
+    for row in range(count):
+        if rng.below(2):
+            mixed.append(row)
+        else:
+            cut = 1 + rng.below(length - 1)
+            children[row] = np.concatenate([a[row, :cut], b[row, cut:]])
+    if mixed:
+        take_a = rng.bits(len(mixed) * length).reshape(len(mixed), length).astype(bool)
+        for row, mask in zip(mixed, take_a):
+            children[row] = np.where(mask, a[row], b[row])
+    return np.array(children)
 
 
-def shuffle_mutation_by_window_permutation(bits, rng) -> np.ndarray:
-    """Window shuffle that permutes the window's entries themselves."""
-    child = bits.copy()
-    a = rng.below(child.shape[0])
-    b = rng.below(child.shape[0])
-    start, end = min(a, b), max(a, b)
-    child[start : end + 1] = rng.permutation(child[start : end + 1])
-    return child
+def mutate_bitstring_by_window_permutation(rows, rng) -> np.ndarray:
+    """Row-block bitstring mutation, one row at a time, whose window shuffle
+    permutes the window's entries themselves."""
+    children = rows.copy()
+    length = rows.shape[1]
+    for child in children:
+        if rng.below(2):
+            a = rng.below(length)
+            b = rng.below(length)
+            start, end = min(a, b), max(a, b)
+            child[start : end + 1] = rng.permutation(child[start : end + 1])
+        else:
+            child[rng.below(length)] ^= 1
+    return children
 
 
 def float_bits_by_floor_and_shift(values, decode: int) -> np.ndarray:
@@ -190,20 +210,99 @@ def subtree_mutation_by_tree_walks(tree, n, rng, max_depth, max_nodes):
 def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None):
     """The mutation hill climber one trial at a time: mutate the current
     individual, evaluate the child, keep it if strictly better, and stop after
-    ``trials`` straight failures."""
+    ``trials`` straight failures.
+
+    A bitstring or float trial's move comes from the same row-block
+    ``mutate`` calls as the library climber's: at the start, after an
+    accepted trial and whenever the drawn moves run out, the moves are
+    topped up to ``min(trials - failures, block_rows)`` by mutating that
+    many identity rows (entry ``2 * i`` for bit ``i``, NaN for a float
+    coordinate).  Each child is that move applied to the current genotype
+    and keyed on its own.
+    """
     current = individual
     failures = 0
+    tree = evaluator.encoding == "tree"
+    length = None if tree else len(individual.genotype)
+    moves: list = []
+    top_up = True
     while failures < trials:
-        genotype = mutate(current.genotype, rng)
+        if tree:
+            genotype = mutate(current.genotype, rng)
+        else:
+            if top_up or not moves:
+                count = min(trials - failures, evaluator.block_rows) - len(moves)
+                if evaluator.encoding == "bitstring":
+                    identity = np.arange(0, 2 * length, 2)
+                else:
+                    identity = np.full(length, np.nan)
+                moves.extend(mutate(np.tile(identity, (count, 1)), rng))
+                top_up = False
+            move = moves.pop(0)
+            if evaluator.encoding == "bitstring":
+                genotype = np.array(
+                    [current.genotype[m // 2] ^ (m & 1) for m in move], dtype=np.uint8
+                )
+            else:
+                genotype = np.array(
+                    [c if np.isnan(m) else m for m, c in zip(move, current.genotype)]
+                )
         key = evaluator.evaluate(genotype)
         if key > current.key:
             current = Individual(genotype, key)
             failures = 0
+            top_up = True
             if note is not None:
                 note(current)
         else:
             failures += 1
     return current
+
+
+def sst_step_per_row(state, steps) -> int:
+    """One block of steady-state steps, each child keyed on its own.
+
+    The block is ``min(population_size // 3, block_rows, steps)`` rows, its
+    ``3 * rows`` slots the head of one random permutation of the slots.  A
+    row's loser is the last-drawn of its lowest-keyed contestants, and its
+    parents are the other two in draw order.  The mutation coins are drawn
+    next, then the children are built from the population before the block
+    with the same operator calls as the library's step.  Each child is then
+    evaluated from a copy, so that nothing keyed ahead is used, and replaces
+    its loser before the next child is evaluated.  Tree children are all
+    built before the first is evaluated, which draws the same numbers as
+    building each just before its charge, and differs only in what a stop
+    leaves undrawn.
+    """
+    pop, rng = state.pop, state.rng
+    rows = min(len(pop) // 3, state.evaluator.block_rows, steps)
+    slots = [int(slot) for slot in rng.permutation(len(pop))[: 3 * rows]]
+    losers, firsts, seconds = [], [], []
+    for row in range(rows):
+        tournament = slots[3 * row : 3 * row + 3]
+        worst = min(pop[slot].key for slot in tournament)
+        loser = [slot for slot in tournament if pop[slot].key == worst][-1]
+        first, second = [slot for slot in tournament if slot != loser]
+        losers.append(loser)
+        firsts.append(pop[first].genotype)
+        seconds.append(pop[second].genotype)
+    coins = [rng.uniform() < state.config.p_mutation for _ in range(rows)]
+    if state.config.encoding == "tree":
+        # each tree child is crossed over and mutated just before its charge
+        children = []
+        for a, b, coin in zip(firsts, seconds, coins):
+            child = state.crossover(a, b, rng)
+            children.append(state.mutate(child, rng) if coin else child)
+    else:
+        children = state.crossover(np.array(firsts), np.array(seconds), rng)
+        mutated = [row for row in range(rows) if coins[row]]
+        if mutated:
+            children[mutated] = state.mutate(children[mutated], rng)
+    for loser, child in zip(losers, children):
+        key = state.evaluator.evaluate(child if state.config.encoding == "tree" else child.copy())
+        pop[loser] = Individual(child, key)
+        state.note(pop[loser])
+    return rows
 
 
 def de_step_per_trial(state) -> None:

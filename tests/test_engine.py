@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial
+from oracles import de_step_per_trial, sst_step_per_row
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
+from boolevo import engine
 from boolevo.engine import (
     DE,
     SST,
@@ -16,13 +17,15 @@ from boolevo.engine import (
     RunRecord,
     _initialise,
     _RunState,
+    _sst_generation,
     de_step,
     deserialize_genotype,
     run,
     select_loser,
     serialize_genotype,
+    sst_step,
 )
-from boolevo.evaluation import BudgetExhausted, FitnessEvaluator, Individual
+from boolevo.evaluation import EXHAUSTED_TARGET, BudgetExhausted, FitnessEvaluator, Individual
 from boolevo.orbits import is_rotation_symmetric
 from boolevo.truthtable import TruthTable, nonlinearity, walsh_transform
 
@@ -173,7 +176,7 @@ TARGET_CASES = {
     # the 11th initial individual; init covers evaluations 1..50
     "init": (dict(n=7, mode=ROTATION, ls="ls1", population_size=50, seed=2), 56, 11),
     # LS1 after the first 50 SST steps, which end at evaluation 100
-    "sst-ls1": (dict(n=7, ls="ls1", population_size=50, seed=0), 53, 114),
+    "sst-ls1": (dict(n=7, ls="ls1", population_size=50, seed=0), 53, 111),
     # the 62nd flip probe of the first LS2 sweep (128 probes from 101)
     "sst-ls2": (dict(n=7, ls="ls2", population_size=50, seed=0), 54, 162),
     # trial 11 of generation 2 (generations are evaluations 21..40, 41..60, ...)
@@ -256,15 +259,12 @@ def test_tree_depth_cap_holds_from_the_initial_population():
 
 def test_population_best_never_decreases():
     # replay the exact run and check elitism of the steady-state replacement
-    from boolevo.engine import _initialise, _RunState, sst_step
-    from boolevo.evaluation import FitnessEvaluator
-
     cfg = small_config()
     state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(3))
     _initialise(state)
     best = max(ind.key for ind in state.pop)
     for _ in range(400):
-        sst_step(state)
+        sst_step(state, cfg.population_size)
         new_best = max(ind.key for ind in state.pop)
         assert new_best >= best
         best = new_best
@@ -412,6 +412,156 @@ def test_de_blocks_match_the_per_trial_step(space):
             want = _de_generations(de_step_per_trial, kwargs, stop_at_note=stop_at_note)
             assert want[2:] == (evaluations, Stop)
             assert _de_generations(de_step, kwargs, stop_at_note=stop_at_note) == want
+
+
+# SST block configs: every genotype kind and both search spaces, run at each
+# of SST_POPULATIONS; population 3 and 4 make blocks of one row, 50 makes
+# blocks of 16, 16, 16 and 2
+SST_SPACES = {
+    "general-n1": dict(n=1),
+    "general-n5": dict(n=5),
+    "general-n7": dict(n=7),
+    "rs-n9": dict(n=9, mode=ROTATION),
+    "float-n7": dict(n=7, encoding="float", decode=4),
+    "tree-n5": dict(n=5, encoding="tree"),
+}
+SST_POPULATIONS = (3, 4, 50)
+SST_GENERATIONS = 6
+
+
+def _sst_blocks(step, space, size, budget=None, stop_at_note=None):
+    """Run SST generations block by block with ``step``; return what each
+    block shows.
+
+    After each block: each slot's key and a digest of its genotype, the
+    evaluations and the new bests noted so far, and the next
+    ``rng.below(2**64)``.  A stop (the budget, or the note of new best number
+    ``stop_at_note`` raising, as a run's target stop does) adds the same view
+    of the state it stopped in, without the draw.
+    """
+    cfg = RunConfig(population_size=size, seed=3, **space)
+    evaluator = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode, budget=budget)
+    state = _RunState(cfg, evaluator, Draws(cfg.seed))
+    notes, ends = [], []
+    run_note = state.note
+
+    def note(individual):
+        if state.best is None or individual.key > state.best.key:
+            notes.append((evaluator.evaluations, individual.key))
+        run_note(individual)
+        if len(notes) == stop_at_note:
+            raise BudgetExhausted(EXHAUSTED_TARGET)
+
+    def view():
+        genotypes = repr([individual.genotype for individual in state.pop]).encode()
+        if cfg.encoding != "tree":
+            genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
+        return (
+            [individual.key for individual in state.pop],
+            hashlib.sha256(genotypes).hexdigest(),
+            evaluator.evaluations,
+            list(notes),
+        )
+
+    state.note = note
+    seen = []
+    try:
+        _initialise(state)
+        for _ in range(SST_GENERATIONS):
+            done = 0
+            while done < size:
+                done += step(state, size - done)
+                ends.append(evaluator.evaluations)
+                seen.append((*view(), state.rng.below(2**64)))
+    except BudgetExhausted as stop:
+        seen.append(view())
+        return seen, notes, ends, stop.reason
+    return seen, notes, ends, None
+
+
+def _mid_block(evaluation, ends, start):
+    """Whether an evaluation after the first ``start`` is neither the first
+    nor the last row of its block; ``ends`` are the blocks' last evaluations."""
+    for end in ends:
+        if start < evaluation <= end:
+            return start + 1 < evaluation < end
+        start = end
+    return False
+
+
+@pytest.mark.parametrize("size", SST_POPULATIONS)
+@pytest.mark.parametrize("space", list(SST_SPACES))
+def test_sst_blocks_match_the_per_row_step(space, size):
+    kwargs = SST_SPACES[space]
+    full = _sst_blocks(sst_step_per_row, kwargs, size)
+    assert _sst_blocks(sst_step, kwargs, size) == full
+    seen, notes, ends, stopped = full
+    assert stopped is None and ends[-1] == size * (SST_GENERATIONS + 1)
+    rows = min(size // 3, FitnessEvaluator(kwargs["n"], "bitstring").block_rows)
+    assert ends[0] == size + rows
+    # a budget that runs out at every evaluation of the first two blocks
+    for budget in range(size, min(ends[1], 2 * size) + 1):
+        want = _sst_blocks(sst_step_per_row, kwargs, size, budget=budget)
+        assert want[2:] == (ends[:len(want[2])], "budget")
+        assert want[0][-1][2] == budget
+        assert _sst_blocks(sst_step, kwargs, size, budget=budget) == want
+    # a target stop at the first new best noted inside a block, neither at
+    # its first row nor at its last
+    mid = [number for number, (evaluation, _) in enumerate(notes, 1) if _mid_block(evaluation, ends, size)]
+    if size < 6 or kwargs["n"] == 1:
+        # blocks of one row have no middle, and at n = 1 the first key is the best
+        assert not mid
+        return
+    want = _sst_blocks(sst_step_per_row, kwargs, size, stop_at_note=mid[0])
+    assert want[3] == EXHAUSTED_TARGET and want[0][-1][2] == notes[mid[0] - 1][0]
+    assert _sst_blocks(sst_step, kwargs, size, stop_at_note=mid[0]) == want
+
+
+def test_sst_block_slots_are_distinct_and_parents_come_from_before_the_block(monkeypatch):
+    cfg = RunConfig(n=7, population_size=50, seed=4)
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
+    _initialise(state)
+    tournaments, parents = [], []
+    monkeypatch.setattr(
+        engine, "select_loser", lambda pop, slots: tournaments.append(list(slots)) or select_loser(pop, slots)
+    )
+    crossover = state.crossover
+
+    def spy(a, b, rng):
+        parents.append((a.copy(), b.copy()))
+        return crossover(a, b, rng)
+
+    state.crossover = spy
+    for _ in range(4):
+        del tournaments[:], parents[:]
+        before = list(state.pop)
+        rows = sst_step(state, cfg.population_size)
+        assert len(tournaments) == rows == 16
+        slots = [slot for tournament in tournaments for slot in tournament]
+        assert len(set(slots)) == len(slots) == 3 * rows
+        (a, b), = parents
+        for tournament, first, second in zip(tournaments, a, b):
+            loser = select_loser(before, tournament)
+            survivors = [slot for slot in tournament if slot != loser]
+            assert np.array_equal(first, before[survivors[0]].genotype)
+            assert np.array_equal(second, before[survivors[1]].genotype)
+
+
+def test_a_generation_of_50_runs_blocks_of_16_16_16_and_2(monkeypatch):
+    cfg = RunConfig(n=7, population_size=50, seed=5)
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
+    _initialise(state)
+    calls = []
+
+    def spy(state, steps):
+        rows = sst_step(state, steps)
+        calls.append((steps, rows))
+        return rows
+
+    monkeypatch.setattr(engine, "sst_step", spy)
+    _sst_generation(state)
+    assert calls == [(50, 16), (34, 16), (18, 16), (2, 2)]
+    assert state.evaluator.evaluations == 100
 
 
 def test_ls_attached_runs():

@@ -67,7 +67,8 @@ def test_ls_mutation_never_worsens_any_encoding():
 
 def test_ls_mutation_improvement_resets_the_counter():
     # a counting fake: improves exactly once, after 3 failures; the climber
-    # keys its trials ahead in blocks but calls mutate once per trial
+    # keys its trials ahead in blocks and draws each block's new moves with
+    # one row-block mutate call
     class FakeEvaluator:
         encoding = "bitstring"
         block_rows = 64
@@ -84,14 +85,15 @@ def test_ls_mutation_improvement_resets_the_counter():
 
     calls = []
 
-    def mutate(genotype, rng):
-        calls.append(1)
-        return genotype
+    def mutate(rows, rng):
+        calls.append(len(rows))
+        return rows.copy()
 
     start = Individual(np.zeros(8, np.uint8), 50)
     out = ls_mutation(start, FakeEvaluator(), mutate, Draws(0), trials=5)
-    # 3 failures, improvement at 4, then 5 fresh failures: 9 candidates total
-    assert len(calls) == 9
+    # 3 failures, improvement at 4, then 5 fresh failures: 9 candidates in
+    # all, the second block the one unused move of the first and 4 new ones
+    assert calls == [5, 4]
     assert out.key == 100
 
 

@@ -1,4 +1,9 @@
-"""Variation operators: structural invariants under heavy random exercise."""
+"""Variation operators: structural invariants under heavy random exercise.
+
+The bitstring and float operators work on row blocks, so each test checks
+every row of a block for the property that the row's kind of crossover or
+mutation must have.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,6 @@ from boolevo.draws import Draws
 from boolevo.encodings import node_depths, random_tree, subtree_end, tree_depth
 from boolevo.operators import (
     _spliced_depth,
-    bit_mutation,
     context_preserving_crossover,
     crossover_bitstring,
     crossover_float,
@@ -15,128 +19,182 @@ from boolevo.operators import (
     make_operators,
     mutate_bitstring,
     mutate_float,
-    one_point_crossover,
     one_point_tree_crossover,
-    shuffle_mutation,
     size_fair_crossover,
     subtree_crossover,
     subtree_mutation,
-    uniform_crossover,
     uniform_tree_crossover,
 )
 from oracles import (
-    shuffle_mutation_by_window_permutation,
+    crossover_bitstring_by_where,
+    mutate_bitstring_by_window_permutation,
     size_fair_crossover_by_subtree_walks,
     subtree_mutation_by_tree_walks,
     tree_table_pointwise,
-    uniform_crossover_by_where,
 )
+
+ROWS = 400
+
+
+def identity_rows(length, rows=ROWS):
+    """Rows whose entry ``2 * i`` stands for bit ``i``: a flip makes it odd."""
+    return np.tile(np.arange(0, 2 * length, 2), (rows, 1))
+
+
+def is_flip(row):
+    return bool((row & 1).any())
+
+
+def one_point_cut(row):
+    """The cut of a child of zeros and ones that is zeros then ones, else None."""
+    cut = int(np.argmax(row)) if row.any() else len(row)
+    return cut if not row[:cut].any() and row[cut:].all() else None
+
+
+def changed_window(child, parent):
+    """``(start, stop)`` of the span of positions where ``child`` differs, or None."""
+    changed = np.flatnonzero(child != parent)
+    return (int(changed[0]), int(changed[-1]) + 1) if changed.size else None
 
 
 def test_bit_mutation_flips_exactly_one():
-    rng = Draws(51)
-    bits = rng.bits(40)
-    for _ in range(30):
-        child = bit_mutation(bits, rng)
-        assert int(np.sum(child != bits)) == 1
+    # on identity rows a flip makes one entry odd and leaves the rest alone
+    for length in (2, 40, 128):
+        identity = identity_rows(length)
+        children = mutate_bitstring(identity, Draws(51))
+        flips = [row for row in children if is_flip(row)]
+        assert flips
+        for row in flips:
+            (position,) = np.flatnonzero(row != identity[0])
+            assert row[position] == 2 * position + 1
 
 
 def test_shuffle_mutation_preserves_weight():
-    rng = Draws(52)
-    bits = rng.bits(40)
-    for _ in range(50):
-        child = shuffle_mutation(bits, rng)
-        assert child.sum() == bits.sum()
-        assert child.shape == bits.shape
+    # a shuffle permutes one window of the identity and nothing outside it
+    identity = identity_rows(40)
+    children = mutate_bitstring(identity, Draws(52))
+    shuffles = [row for row in children if not is_flip(row)]
+    assert shuffles and any(changed_window(row, identity[0]) for row in shuffles)
+    for row in shuffles:
+        window = changed_window(row, identity[0])
+        if window is not None:
+            start, stop = window
+            assert sorted(row[start:stop]) == list(identity[0, start:stop])
+    # on bit rows a shuffle keeps the weight, inside its window too
+    bits = Draws(53).bits(40 * ROWS).reshape(ROWS, 40)
+    children = mutate_bitstring(bits, Draws(52))
+    for child, parent in zip(children, bits):
+        window = changed_window(child, parent)
+        if window is None or child.sum() != parent.sum():
+            continue
+        start, stop = window
+        assert child[start:stop].sum() == parent[start:stop].sum()
+    assert children.shape == bits.shape and children.dtype == np.uint8
 
 
 def test_mutate_bitstring_leaves_parent_untouched():
     rng = Draws(53)
-    bits = rng.bits(16)
+    bits = rng.bits(16 * 20).reshape(20, 16)
     before = bits.copy()
-    for _ in range(20):
-        mutate_bitstring(bits, rng)
+    mutate_bitstring(bits, rng)
     assert np.array_equal(bits, before)
+    # read-only rows, as the local search passes, are copied, not written
+    identity = np.broadcast_to(np.arange(0, 32, 2), (20, 16))
+    assert mutate_bitstring(identity, rng).shape == (20, 16)
 
 
 def test_one_point_crossover_structure():
-    rng = Draws(54)
-    a = np.zeros(10, dtype=np.uint8)
-    b = np.ones(10, dtype=np.uint8)
-    for _ in range(30):
-        child = one_point_crossover(a, b, rng)
-        cut = int(np.argmax(child)) if child.any() else 10
-        # prefix of a (zeros) then suffix of b (ones); cut inside the string
-        assert 1 <= cut <= 9
-        assert not child[:cut].any() and child[cut:].all()
+    # with parents of zeros and ones, a one-point child is zeros then ones,
+    # its cut inside the string; any other row is a uniform child
+    a = np.zeros((ROWS, 64), dtype=np.uint8)
+    b = np.ones((ROWS, 64), dtype=np.uint8)
+    children = crossover_bitstring(a, b, Draws(54))
+    cuts = [one_point_cut(row) for row in children]
+    assert all(1 <= cut <= 63 for cut in cuts if cut is not None)
+    assert len({cut for cut in cuts if cut is not None}) > 30
 
 
 def test_uniform_crossover_positions_from_parents():
     rng = Draws(55)
-    a = np.zeros(64, dtype=np.uint8)
-    b = np.ones(64, dtype=np.uint8)
-    seen_a = seen_b = False
-    for _ in range(10):
-        child = uniform_crossover(a, b, rng)
-        seen_a |= bool((child == 0).any())
-        seen_b |= bool((child == 1).any())
-    assert seen_a and seen_b
+    a = rng.bits(64 * ROWS).reshape(ROWS, 64)
+    b = rng.bits(64 * ROWS).reshape(ROWS, 64)
+    children = crossover_bitstring(a, b, rng)
+    assert children.dtype == np.uint8
+    assert ((children == a) | (children == b)).all()
+    # rows that are not one-point children mix both parents
+    zeros, ones = np.zeros_like(a), np.ones_like(b)
+    mixed = [row for row in crossover_bitstring(zeros, ones, rng) if one_point_cut(row) is None]
+    assert mixed and all(row.any() and not row.all() for row in mixed)
 
 
 def test_uniform_crossover_matches_boolean_select():
-    # the XOR select must give the np.where child from the same draws
+    # the XOR select must give the np.where children from the same draws
     for length in (2, 128, 8192):
-        parents = np.random.default_rng(length).integers(0, 2, (2, length), dtype=np.uint8)
+        parents = np.random.default_rng(length).integers(0, 2, (40, length), dtype=np.uint8)
         rng, oracle_rng = Draws(57), Draws(57)
-        for _ in range(20):
-            child = uniform_crossover(parents[0], parents[1], rng)
-            want = uniform_crossover_by_where(parents[0], parents[1], oracle_rng)
-            assert child.dtype == want.dtype and np.array_equal(child, want)
+        for _ in range(5):
+            children = crossover_bitstring(parents[0::2], parents[1::2], rng)
+            want = crossover_bitstring_by_where(parents[0::2], parents[1::2], oracle_rng)
+            assert children.dtype == want.dtype and np.array_equal(children, want)
         assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_shuffle_mutation_matches_window_permutation():
     # permuting indices makes the same Fisher-Yates draws as permuting entries
     for length in (2, 128, 8192):
-        bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
+        bits = np.random.default_rng(length).integers(0, 2, (20, length), dtype=np.uint8)
         rng, oracle_rng = Draws(58), Draws(58)
-        for _ in range(50):
-            child = shuffle_mutation(bits, rng)
-            want = shuffle_mutation_by_window_permutation(bits, oracle_rng)
-            assert child.dtype == want.dtype and np.array_equal(child, want)
+        for _ in range(5):
+            children = mutate_bitstring(bits, rng)
+            want = mutate_bitstring_by_window_permutation(bits, oracle_rng)
+            assert children.dtype == want.dtype and np.array_equal(children, want)
         assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_crossover_bitstring_mixes_both_kinds():
-    rng = Draws(56)
-    a = np.zeros(16, dtype=np.uint8)
-    b = np.ones(16, dtype=np.uint8)
-    children = {crossover_bitstring(a, b, rng).tobytes() for _ in range(50)}
-    assert len(children) > 2
+    a = np.zeros((50, 16), dtype=np.uint8)
+    b = np.ones((50, 16), dtype=np.uint8)
+    children = crossover_bitstring(a, b, Draws(56))
+    assert len({row.tobytes() for row in children}) > 2
 
 
 def test_mutate_float_one_coordinate():
     rng = Draws(57)
-    values = rng.uniforms(10)
-    for _ in range(20):
-        child = mutate_float(values, rng)
-        assert int(np.sum(child != values)) <= 1
-        assert 0.0 <= child.min() and child.max() <= 1.0
+    values = rng.uniforms(10 * ROWS).reshape(ROWS, 10)
+    children = mutate_float(values, rng)
+    assert children.shape == values.shape and not np.shares_memory(children, values)
+    changed = children != values
+    assert (changed.sum(axis=1) <= 1).all() and changed.any(axis=1).mean() > 0.99
+    assert (0.0 <= children[changed]).all() and (children[changed] < 1.0).all()
 
 
 def test_crossover_float_stays_in_unit_box():
     rng = Draws(58)
-    a = rng.uniforms(10)
-    b = rng.uniforms(10)
-    arithmetic_seen = uniform_seen = False
-    for _ in range(40):
-        child = crossover_float(a, b, rng)
-        assert child.min() >= 0.0 and child.max() <= 1.0
-        if np.allclose(child, 0.5 * (a + b)):
-            arithmetic_seen = True
-        elif all(c in (x, y) for c, x, y in zip(child, a, b)):
-            uniform_seen = True
-    assert arithmetic_seen and uniform_seen
+    a = rng.uniforms(10 * ROWS).reshape(ROWS, 10)
+    b = rng.uniforms(10 * ROWS).reshape(ROWS, 10)
+    children = crossover_float(a, b, rng)
+    assert children.min() >= 0.0 and children.max() <= 1.0
+    means = (children == 0.5 * (a + b)).all(axis=1)
+    mixes = ((children == a) | (children == b)).all(axis=1)
+    # every row is the mean or a per-coordinate mix, and both kinds occur
+    assert (means ^ mixes).all() and means.any() and mixes.any()
+
+
+def test_each_kind_is_drawn_about_half_the_time():
+    rows = 4000
+    rng = Draws(59)
+    # bitstring crossover: one-point children of zeros and ones are steps
+    zeros = np.zeros((rows, 64), dtype=np.uint8)
+    children = crossover_bitstring(zeros, zeros + 1, rng)
+    one_point = np.mean([one_point_cut(row) is not None for row in children])
+    # bitstring mutation: a flip leaves an odd entry in an identity row
+    identity = identity_rows(64, rows)
+    flips = (mutate_bitstring(identity, rng) & 1).any(axis=1).mean()
+    # float crossover: the mean, or else a mix
+    a, b = rng.uniforms(8 * rows).reshape(rows, 8), rng.uniforms(8 * rows).reshape(rows, 8)
+    means = (crossover_float(a, b, rng) == 0.5 * (a + b)).all(axis=1).mean()
+    for share in (one_point, flips, means):
+        assert 0.46 < share < 0.54
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +354,12 @@ def test_tree_operators_produce_valid_trees():
 def test_make_operators_dispatch():
     rng = Draws(67)
     mutate, crossover = make_operators("bitstring", 4)
-    child = crossover(np.zeros(16, np.uint8), np.ones(16, np.uint8), rng)
-    assert child.shape == (16,)
+    children = crossover(np.zeros((3, 16), np.uint8), np.ones((3, 16), np.uint8), rng)
+    assert children.shape == (3, 16)
+    assert mutate(children, rng).shape == (3, 16)
+    mutate, crossover = make_operators("float", 4)
+    assert crossover(np.zeros((2, 4)), np.ones((2, 4)), rng).shape == (2, 4)
+    assert mutate(np.zeros((2, 4)), rng).shape == (2, 4)
     mutate, crossover = make_operators("tree", 4, max_depth=3, max_nodes=30)
     t = random_tree(4, rng, 3)
     assert tree_depth(mutate(t, rng)) <= 3
