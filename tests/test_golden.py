@@ -48,9 +48,10 @@ GOLDEN = {
     "tt-ri-ls2-n9": dict(
         n=9, mode="rs", ls="ls2", population_size=20, evaluation_budget=1_200, seed=20
     ),
-    # stops on its target at evaluation 66, inside an LS1 climb, eight trials
-    # after the climb's first accepted trial (the first seed from 21 up whose
-    # stop falls after an accepted trial of its climb)
+    # stops on its target at evaluation 60, inside an LS1 climb, 15 trials
+    # after the climb's first accepted trial (the seed is the first from 21
+    # up whose stop fell after an accepted trial of its climb, with the
+    # stream of one SST step at a time)
     "tt-ri-ls1-target-n7": dict(
         _N7, mode="rs", ls="ls1", target_nonlinearity=56, evaluation_budget=600, seed=36
     ),
@@ -63,6 +64,12 @@ GOLDEN = {
         n=9, encoding="float", mode="rs", decode=4, algorithm="de", population_size=20,
         target_nonlinearity=236, evaluation_budget=600, seed=21,
     ),
+    # stops on its target at evaluation 257, the fifth row of the third
+    # 6-row SST block of generation 12 (evaluations 253 to 258; population
+    # 20 runs blocks of 6, 6, 6 and 2), so the block's last row is never
+    # charged (the first seed from 21 up whose target stop falls inside an
+    # SST block, neither at its first row nor at its last)
+    "tt-sst-target-n7": dict(_N7, target_nonlinearity=53, seed=21),
 }
 
 
