@@ -4,13 +4,9 @@ A run is fully described by a :class:`RunConfig`; :func:`run` replays
 byte-identically from the same seed.  A run stops when its evaluation
 budget is spent, when its optional wall-clock limit passes, or at the first
 evaluation, in any phase, whose result reaches the target nonlinearity.
-One loop serves SST and DE: a generation is ``population_size`` SST steps
-or one DE trial per slot, and local search follows every generation.
-
-The SST steps of a generation run in blocks of disjoint tournaments
-(:func:`sst_step`): a block draws all its slots at once, builds its children
-from the population as it stood before the block, keys them together and
-then charges, places and notes them one by one.
+One loop serves SST and DE: a generation is ``population_size`` SST steps,
+run in blocks of disjoint tournaments (:func:`sst_step`), or one DE trial
+per slot, and local search follows every generation.
 """
 
 from __future__ import annotations

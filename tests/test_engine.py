@@ -497,8 +497,8 @@ def test_sst_blocks_match_the_per_row_step(space, size):
     assert _sst_blocks(sst_step, kwargs, size) == full
     seen, notes, ends, stopped = full
     assert stopped is None and ends[-1] == size * (SST_GENERATIONS + 1)
-    rows = min(size // 3, FitnessEvaluator(kwargs["n"], "bitstring").block_rows)
-    assert ends[0] == size + rows
+    # every space here keys at least 16 rows at once, so population // 3 rules
+    assert ends[0] == size + size // 3
     # a budget that runs out at every evaluation of the first two blocks
     for budget in range(size, min(ends[1], 2 * size) + 1):
         want = _sst_blocks(sst_step_per_row, kwargs, size, budget=budget)
