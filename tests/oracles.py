@@ -288,7 +288,6 @@ def sst_step_per_row(state, steps) -> int:
         seconds.append(pop[second].genotype)
     coins = [rng.uniform() < state.config.p_mutation for _ in range(rows)]
     if state.config.encoding == "tree":
-        # each tree child is crossed over and mutated just before its charge
         children = []
         for a, b, coin in zip(firsts, seconds, coins):
             child = state.crossover(a, b, rng)
