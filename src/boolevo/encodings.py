@@ -126,9 +126,15 @@ def node_depths(tree: Tree) -> list[int]:
     for token in tree:
         depth = pending.pop()
         depths.append(depth)
-        arity = OPERATOR_ARITY.get(token, 0)
+        arity = OPERATOR_ARITY.get(token)
         if arity:
-            pending += [depth + 1] * arity
+            # the one to three child depths, pushed without building a list
+            depth += 1
+            pending.append(depth)
+            if arity > 1:
+                pending.append(depth)
+                if arity > 2:
+                    pending.append(depth)
     return depths
 
 
@@ -138,9 +144,14 @@ def tree_depth(tree: Tree) -> int:
     pending = [0]  # as in node_depths
     for token in tree:
         depth = pending.pop()
-        arity = OPERATOR_ARITY.get(token, 0)
+        arity = OPERATOR_ARITY.get(token)
         if arity:
-            pending += [depth + 1] * arity
+            depth += 1
+            pending.append(depth)
+            if arity > 1:
+                pending.append(depth)
+                if arity > 2:
+                    pending.append(depth)
         elif depth > deepest:
             deepest = depth
     return deepest

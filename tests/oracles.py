@@ -116,6 +116,47 @@ def tree_table_pointwise(tree, n: int) -> list[int]:
     return out
 
 
+def _depths_from(tree, pos: int, depth: int, depths: list[int]) -> int:
+    """Append the depth of each node of the subtree at ``pos``, in preorder,
+    by recursive descent; return the subtree's end."""
+    depths.append(depth)
+    tag = tree[pos]
+    pos += 1
+    if type(tag) is not int:
+        for _ in range({"NOT": 1, "IF": 3}.get(tag, 2)):
+            pos = _depths_from(tree, pos, depth + 1, depths)
+    return pos
+
+
+def node_depths_by_recursion(tree) -> list[int]:
+    """Depth of every node in preorder, the root at depth 0."""
+    depths: list[int] = []
+    if _depths_from(tree, 0, 0, depths) != len(tree):
+        raise AssertionError("trailing tokens after the root's subtree")
+    return depths
+
+
+def _height_from(tree, pos: int) -> tuple[int, int]:
+    """Height of the subtree at ``pos`` and its end, by recursive descent."""
+    tag = tree[pos]
+    pos += 1
+    height = 0
+    if type(tag) is not int:
+        for _ in range({"NOT": 1, "IF": 3}.get(tag, 2)):
+            child, pos = _height_from(tree, pos)
+            height = max(height, child + 1)
+    return height, pos
+
+
+def tree_depth_by_recursion(tree) -> int:
+    """Edges on the longest root-to-leaf path: one more than the deepest
+    child's, a leaf's 0."""
+    height, end = _height_from(tree, 0)
+    if end != len(tree):
+        raise AssertionError("trailing tokens after the root's subtree")
+    return height
+
+
 def rotations(i: int, n: int) -> set[int]:
     """All indices reachable from i by repeatedly rotating its n bits right."""
     seen = set()

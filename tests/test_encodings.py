@@ -5,7 +5,12 @@ import json
 
 import numpy as np
 import pytest
-from oracles import float_bits_by_floor_and_shift, tree_table_pointwise
+from oracles import (
+    float_bits_by_floor_and_shift,
+    node_depths_by_recursion,
+    tree_depth_by_recursion,
+    tree_table_pointwise,
+)
 
 from boolevo.draws import Draws
 from boolevo.encodings import (
@@ -280,6 +285,16 @@ def test_tree_structure_helpers():
             subtree_at(t, bad)
         with pytest.raises(IndexError):
             replace_at(t, bad, (1,))
+
+
+def test_depth_walks_match_the_recursive_reference():
+    rng = Draws(37)
+    for n in range(1, 8):
+        for depth in range(9):
+            for method in ("grow", "grow", "full"):
+                tree = random_tree(n, rng, max_depth=depth, method=method)
+                assert node_depths(tree) == node_depths_by_recursion(tree)
+                assert tree_depth(tree) == tree_depth_by_recursion(tree)
 
 
 def test_tree_text_round_trip():
