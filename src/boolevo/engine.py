@@ -348,39 +348,51 @@ def de_step(state: _RunState) -> None:
     A trial's random decisions (three distinct slots other than its target,
     the crossover mask and its forced index) never read the population, so
     they are all drawn first, in slot order.  The trials are then built from
-    the live population and keyed in blocks (:meth:`FitnessEvaluator.key_ahead`),
-    and each is charged by its own ``evaluate`` call, in slot order.  A trial
-    at least as good as its target replaces it at once, so later trials of
-    the generation may read it: a replacement that a later trial of the
-    block reads drops the block, and the next trial builds the rest again.
+    the live population in blocks of up to ``block_rows``, each keyed with
+    one :meth:`FitnessEvaluator.key_ahead`, and each is charged by its own
+    ``evaluate`` call, in slot order.  A trial at least as good as its target
+    replaces it at once, so later trials of the generation may read it.  A
+    later trial of the block whose three slots include a slot replaced
+    since the block was built is stale: when its turn comes it is built
+    again from the live population, with the same float operations, and
+    ``evaluate`` keys it on its own, while the rest of the block keeps its
+    keys.
     """
     pop, rng, cfg, evaluator = state.pop, state.rng, state.config, state.evaluator
     size, dim = len(pop), len(pop[0].genotype)
-    slots, cross = [], []
+    slots, uniforms, forced = [], [], []
     for target in range(size):
         slots.append(_draw_distinct(rng, size, 3, taboo=(target,)))
-        mask = rng.uniforms(dim) < cfg.de_crossover
-        mask[rng.below(dim)] = True
-        cross.append(mask)
-    slots, cross = np.array(slots), np.array(cross)
-    trials: list = []
-    for target in range(size):
-        if not trials:
-            end = min(size, target + evaluator.block_rows)
-            genotypes = np.array([individual.genotype for individual in pop])
-            r1, r2, r3 = slots[target:end].T
-            mutant = genotypes[r1] + cfg.de_weight * (genotypes[r2] - genotypes[r3])
-            np.clip(mutant, 0.0, 1.0, out=mutant)
-            block = np.where(cross[target:end], mutant, genotypes[target:end])
-            trials = evaluator.key_ahead(block)[::-1]
-        trial = trials.pop()
-        key = evaluator.evaluate(trial)
-        if key >= pop[target].key:
-            # a copy: a row of the keyed block would keep the whole block alive
-            pop[target] = Individual(trial.copy(), key)
-            if (slots[target + 1:target + 1 + len(trials)] == target).any():
-                trials = []
-            state.note(pop[target])
+        uniforms.append(rng.uniforms(dim))
+        forced.append(rng.below(dim))
+    cross = np.array(uniforms) < cfg.de_crossover
+    cross[np.arange(size), forced] = True
+    slot_rows = np.array(slots)
+    for start in range(0, size, evaluator.block_rows):
+        end = min(size, start + evaluator.block_rows)
+        genotypes = np.array([individual.genotype for individual in pop])
+        block = _de_trials(
+            *genotypes[slot_rows[start:end].T], cross[start:end], genotypes[start:end], cfg.de_weight
+        )
+        replaced: set[int] = set()  # slots replaced since the block was built
+        for target, trial in enumerate(evaluator.key_ahead(block), start):
+            if not replaced.isdisjoint(slots[target]):
+                parents = (pop[slot].genotype for slot in slots[target])
+                trial = _de_trials(*parents, cross[target], pop[target].genotype, cfg.de_weight)
+            key = evaluator.evaluate(trial)
+            if key >= pop[target].key:
+                # a copy: a row of the keyed block would keep the whole block alive
+                pop[target] = Individual(trial.copy(), key)
+                replaced.add(target)
+                state.note(pop[target])
+
+
+def _de_trials(first, second, third, cross, targets, weight: float) -> np.ndarray:
+    """rand/1/bin trials, one per row or a single one: the clipped mutant
+    ``first + weight * (second - third)`` where ``cross`` is set, else the target."""
+    mutant = first + weight * (second - third)
+    np.clip(mutant, 0.0, 1.0, out=mutant)
+    return np.where(cross, mutant, targets)
 
 
 def run(config: RunConfig) -> RunRecord:

@@ -346,21 +346,29 @@ class FitnessEvaluator:
                 raise BudgetExhausted(EXHAUSTED_TIME)
 
     def evaluate(self, genotype) -> int:
-        """Charge one evaluation and return the fitness key."""
+        """Charge one evaluation and return the fitness key.
+
+        While rows keyed by :meth:`key_ahead` are left, each call uses up
+        the next one and returns its key only if ``genotype`` is that row.
+        """
         self.charge()
-        ahead = self._ahead
-        if ahead and ahead[-1][0] is genotype:
-            return ahead.pop()[1]
+        if self._ahead:
+            row, key = self._ahead.pop()
+            if row is genotype:
+                return key
         return spectrum_key(self._spectrum(genotype), self.n, self.weights)
 
     def key_ahead(self, block: np.ndarray) -> list:
         """Key a 2-D block of bitstring or float genotypes, one per row, now.
 
-        Returns the rows.  :meth:`evaluate` called with them in that order
-        knows each by identity, charges it and returns its key without a
-        product; any other argument, a row out of order included, is keyed
-        from scratch.  The block becomes read-only, so a row cannot change
-        between its keying and its charge.  Replaces the previous block.
+        Returns the rows.  Each of the next ``len(block)`` :meth:`evaluate`
+        calls uses up one row, in order: a call given its row, known by
+        identity, returns the row's key without a product; a call given
+        anything else, a row out of order included, keys its argument from
+        scratch, and the rows after stay matched with the calls after.  So
+        a caller can swap one row for another genotype and keep the rest
+        keyed.  The block becomes read-only, so a row cannot change between
+        its keying and its charge.  Replaces the previous block.
         """
         block.flags.writeable = False
         rows = list(block)

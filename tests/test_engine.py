@@ -15,6 +15,7 @@ from boolevo.engine import (
     SST,
     RunConfig,
     RunRecord,
+    _draw_distinct,
     _initialise,
     _RunState,
     _sst_generation,
@@ -366,27 +367,24 @@ def _de_generations(step, space, budget=None, stop_at_note=None):
     return seen, notes, state.evaluator.evaluations, None
 
 
-def _first_rebuild(space):
-    """The evaluations done when a ``key_ahead`` spy saw the first block
-    rebuilt, or None."""
+def _first_stale(space):
+    """The evaluations done, its own charge included, when the first stale
+    trial was keyed on its own, or None."""
     state = _de_state(space)
     _initialise(state)
-    size = len(state.pop)
-    key_ahead = state.evaluator.key_ahead
-    block_end, rebuild = 0, None
+    spectrum = state.evaluator._spectrum
+    first = None
 
-    def spy(block):
-        nonlocal block_end, rebuild
-        target = (state.evaluator.evaluations - size) % size
-        if rebuild is None and 0 < target < block_end:
-            rebuild = state.evaluator.evaluations
-        block_end = target + len(block)
-        return key_ahead(block)
+    def spy(genotype):
+        nonlocal first
+        if first is None:
+            first = state.evaluator.evaluations
+        return spectrum(genotype)
 
-    state.evaluator.key_ahead = spy
+    state.evaluator._spectrum = spy
     for _ in range(DE_GENERATIONS):
         de_step(state)
-    return rebuild
+    return first
 
 
 @pytest.mark.parametrize("space", list(DE_SPACES))
@@ -396,10 +394,10 @@ def test_de_blocks_match_the_per_trial_step(space):
     full = _de_generations(de_step_per_trial, kwargs)
     assert _de_generations(de_step, kwargs) == full
     assert full[3] is None and full[2] == size * (DE_GENERATIONS + 1)
-    # the first rebuilt block's trials fall in the first two generations, so
-    # the cuts below stop inside it too
-    rebuild = _first_rebuild(kwargs)
-    assert rebuild is not None and rebuild + 2 < 3 * size
+    # the first stale trial falls in the first two generations, so the cuts
+    # below stop on both sides of it
+    stale = _first_stale(kwargs)
+    assert stale is not None and size < stale < 3 * size
     # a budget cut at every trial of the first two generations
     for budget in range(size, 3 * size):
         want = _de_generations(de_step_per_trial, kwargs, budget=budget)
@@ -412,6 +410,48 @@ def test_de_blocks_match_the_per_trial_step(space):
             want = _de_generations(de_step_per_trial, kwargs, stop_at_note=stop_at_note)
             assert want[2:] == (evaluations, Stop)
             assert _de_generations(de_step, kwargs, stop_at_note=stop_at_note) == want
+
+
+def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
+    # FP-DE at n = 7 (block_rows 256): one block per generation of 50; a
+    # trial is keyed on its own exactly when one of its three slots was
+    # replaced earlier in its generation
+    space = DE_SPACES["n7-pop50"]
+    size = space["population_size"]
+    state = _de_state(space)
+    _initialise(state)
+    evaluator = state.evaluator
+    slots, replaced, alone, blocks = [], set(), set(), []
+
+    def draw_distinct(*args, **kwargs):
+        slots.append(_draw_distinct(*args, **kwargs))
+        return slots[-1]
+
+    def note(individual):
+        replaced.add(evaluator.evaluations - size - 1)  # the trial's index in the run
+
+    key_ahead, spectrum = evaluator.key_ahead, evaluator._spectrum
+
+    def spy_key_ahead(block):
+        blocks.append(len(block))
+        return key_ahead(block)
+
+    def spy_spectrum(genotype):
+        alone.add(evaluator.evaluations - size - 1)
+        return spectrum(genotype)
+
+    monkeypatch.setattr(engine, "_draw_distinct", draw_distinct)
+    state.note = note
+    evaluator.key_ahead, evaluator._spectrum = spy_key_ahead, spy_spectrum
+    for _ in range(DE_GENERATIONS):
+        de_step(state)
+    assert blocks == [size] * DE_GENERATIONS
+    stale = set()
+    for trial, drawn in enumerate(slots):
+        first = trial - trial % size  # the first trial of its generation
+        if any(first + slot in replaced for slot in drawn if first + slot < trial):
+            stale.add(trial)
+    assert stale and alone == stale
 
 
 # SST block configs: every genotype kind and both search spaces, run at each

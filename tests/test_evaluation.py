@@ -457,6 +457,36 @@ def test_keyed_ahead_keys_reach_only_their_own_rows(n, encoding, mode, decode):
         assert ev.evaluations == count
 
 
+@pytest.mark.parametrize(
+    "n,encoding,mode,decode",
+    [(1, "bitstring", "general", 4), (7, "bitstring", "general", 4),
+     (13, "bitstring", "general", 4), (9, "bitstring", ROTATION, 4),
+     (7, "float", "general", 4), (7, "float", ROTATION, 2)],
+)
+def test_a_foreign_genotype_takes_one_keyed_rows_turn(n, encoding, mode, decode):
+    # a genotype evaluated in a keyed row's place uses up that row alone:
+    # the rows after it still get their keys without a product
+    ev = FitnessEvaluator(n, encoding, mode, decode=decode)
+    rng = Draws(54)
+
+    def sample():
+        return random_genotype(encoding, n, rng, mode=mode, decode=decode)
+
+    rows = ev.key_ahead(np.array([sample() for _ in range(4)]))
+    spectrum, products = ev._spectrum, []
+
+    def spy(genotype):
+        products.append(genotype)
+        return spectrum(genotype)
+
+    ev._spectrum = spy
+    order = [rows[0], sample(), rows[2], rows[3]]
+    for genotype in order:
+        table = genotype_table(genotype, encoding, n, mode, decode)
+        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
+    assert len(products) == 1 and products[0] is order[1]
+
+
 @pytest.mark.parametrize("n,mode", [(2, "general"), (9, "general"), (12, "general"),
                                     (13, "general"), (7, ROTATION), (11, ROTATION)])
 def test_keyed_ahead_block_rows_equal_the_vector_keys(n, mode):
