@@ -236,12 +236,6 @@ def _pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _unpack_bits(value: int, length: int) -> np.ndarray:
-    nbytes = max(1, (length + 7) // 8)
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=length, bitorder="little")
-
-
 def _eval_packed(tree: Tree, masks: tuple[int, ...], full: int) -> int:
     # operands come after their operator in preorder, so a reverse pass finds
     # every operator's values on the stack with its first child on top
@@ -271,11 +265,26 @@ def _eval_packed(tree: Tree, masks: tuple[int, ...], full: int) -> int:
     return stack[0]
 
 
-def tree_truth_bits(tree: Tree, n: int) -> np.ndarray:
-    """Output column of a valid tree over all ``2**n`` assignments (unchecked)."""
+def tree_truth_rows(trees, n: int) -> np.ndarray:
+    """Output columns of valid trees over all ``2**n`` assignments, one row
+    per tree (unchecked).
+
+    The packed ints are joined into one buffer and unpacked at once; each
+    takes at least one byte, so the rows are trimmed to ``2**n`` columns.
+    """
     size = 1 << n
     full = (1 << size) - 1
-    return _unpack_bits(_eval_packed(tree, _variable_masks(n), full), size)
+    masks = _variable_masks(n)
+    nbytes = max(1, size // 8)
+    raw = b"".join(_eval_packed(tree, masks, full).to_bytes(nbytes, "little") for tree in trees)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(trees), nbytes)
+    return np.unpackbits(rows, axis=1, count=size, bitorder="little")
+
+
+def tree_truth_bits(tree: Tree, n: int) -> np.ndarray:
+    """Output column of a valid tree over all ``2**n`` assignments (unchecked):
+    the one row of :func:`tree_truth_rows`."""
+    return tree_truth_rows((tree,), n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -244,19 +244,36 @@ class _RunState:
 
 
 def _initialise(state: _RunState) -> None:
-    cfg = state.config
-    for _ in range(cfg.population_size):
-        genotype = random_genotype(
-            cfg.encoding,
-            cfg.n,
-            state.rng,
-            mode=cfg.mode,
-            decode=cfg.decode,
-            max_depth=cfg.max_depth,
-            max_nodes=cfg.max_nodes,
-        )
-        state.pop.append(Individual(genotype, state.evaluator.evaluate(genotype)))
-        state.note(state.pop[-1])
+    """Draw and evaluate the initial population, ``block_rows`` genotypes at a time.
+
+    A block's genotypes are drawn first, in order, and keyed with one
+    :meth:`FitnessEvaluator.key_ahead`; each is then charged by its own
+    ``evaluate`` call and noted, in order.  No draw reads a key, so the
+    population, its charges and its notes are those of drawing and
+    evaluating one genotype at a time, and a stop falls on the same
+    evaluation; it leaves only the rest of its block drawn in vain.
+    """
+    cfg, evaluator = state.config, state.evaluator
+    tree = cfg.encoding == "tree"
+    for start in range(0, cfg.population_size, evaluator.block_rows):
+        count = min(evaluator.block_rows, cfg.population_size - start)
+        block = [
+            random_genotype(
+                cfg.encoding,
+                cfg.n,
+                state.rng,
+                mode=cfg.mode,
+                decode=cfg.decode,
+                max_depth=cfg.max_depth,
+                max_nodes=cfg.max_nodes,
+            )
+            for _ in range(count)
+        ]
+        for genotype in evaluator.key_ahead(block if tree else np.array(block)):
+            key = evaluator.evaluate(genotype)
+            # a copy, as in sst_step: a row would keep the whole block alive
+            state.pop.append(Individual(genotype if tree else genotype.copy(), key))
+            state.note(state.pop[-1])
 
 
 def _draw_distinct(rng: Draws, size: int, count: int, taboo=()) -> list[int]:
@@ -288,9 +305,11 @@ def sst_step(state: _RunState, steps: int) -> int:
     follows, then the children are built from the population as it was
     before the block, so no child is a parent in its own block: bitstring
     and float children as one row block (crossover, then mutation of the
-    rows whose coin fell below ``p_mutation``), keyed with one
-    :meth:`FitnessEvaluator.key_ahead`; tree children one at a time, each
-    just before its charge.  Each child is then charged by its own
+    rows whose coin fell below ``p_mutation``); tree children one row at a
+    time, in row order, and only as many as the budget can charge plus the
+    one whose charge stops the run, so a budget stop builds no tree in
+    vain.  The children are keyed with one
+    :meth:`FitnessEvaluator.key_ahead`.  Each is then charged by its own
     ``evaluate`` call, replaces its row's loser and is noted, in row order,
     so a budget, time or target stop falls on the same evaluation as it
     would one step at a time.
@@ -310,28 +329,26 @@ def sst_step(state: _RunState, steps: int) -> int:
     coins = [rng.uniform() < p_mutation for _ in range(rows)]
     tree = state.config.encoding == "tree"
     if tree:
-        children = _tree_children(state, parents, coins)
+        built = rows
+        if evaluator.budget is not None:
+            built = min(rows, evaluator.budget - evaluator.evaluations + 1)
+        block = []
+        for a, b, coin in zip(parents[0::2], parents[1::2], coins[:built]):
+            child = state.crossover(a, b, rng)
+            block.append(state.mutate(child, rng) if coin else child)
     else:
         genotypes = np.array(parents)
         block = state.crossover(genotypes[0::2], genotypes[1::2], rng)
         mutated = [row for row, coin in enumerate(coins) if coin]
         if mutated:
             block[mutated] = state.mutate(block[mutated], rng)
-        children = evaluator.key_ahead(block)
+    children = evaluator.key_ahead(block)
     for loser, child in zip(losers, children):
         key = evaluator.evaluate(child)
         # a copy: a row of the keyed block would keep the whole block alive
         pop[loser] = Individual(child if tree else child.copy(), key)
         state.note(pop[loser])
     return rows
-
-
-def _tree_children(state: _RunState, parents: list, coins: list[bool]):
-    """Each row's tree child, crossed over and mutated only when the block's
-    loop takes it, so a stop inside a block builds no child in vain."""
-    for a, b, coin in zip(parents[0::2], parents[1::2], coins):
-        child = state.crossover(a, b, state.rng)
-        yield state.mutate(child, state.rng) if coin else child
 
 
 def _sst_generation(state: _RunState) -> None:

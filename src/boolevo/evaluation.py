@@ -64,6 +64,7 @@ from .encodings import (
     float_bits,
     target_length,
     tree_truth_bits,
+    tree_truth_rows,
 )
 # compute_orbits is called at set-up; orbit_sign_patterns, the reference for
 # _orbit_rows, stays a module name here only because benchmarks/tracer.py
@@ -273,9 +274,9 @@ class FitnessEvaluator:
 
     Raw genotypes are the forms the search loops actually carry: uint8 bit
     arrays for the bitstring encoding, float64 arrays for the float encoding
-    and flat preorder token tuples for trees.  They are not re-validated
-    here; one from outside the search goes through
-    :func:`~boolevo.encodings.check_genotype` first.
+    and flat preorder token tuples for trees; a block of any of them can be
+    keyed at once.  They are not re-validated here; one from outside the
+    search goes through :func:`~boolevo.encodings.check_genotype` first.
     Every call to :meth:`evaluate` (and every flip probed through
     :class:`BitFlipSession`) charges one evaluation; crossing the budget or
     the wall-clock limit raises :class:`BudgetExhausted`.  Keying genotypes
@@ -326,8 +327,9 @@ class FitnessEvaluator:
             self._product = lambda values: vector(float_bits(values, decode))
             self._block_product = lambda rows: block(float_bits(rows, decode).reshape(len(rows), -1))
         elif encoding == "tree":
-            vector = self._product
+            vector, block = self._product, self._block_product
             self._product = lambda tree: vector(tree_truth_bits(tree, n))
+            self._block_product = lambda trees: block(tree_truth_rows(trees, n))
         #: bits in a bitstring genotype for this search space, and entries
         #: in a spectrum: ``2**n``, or ``g`` in the rotation-symmetric space
         self.genotype_length = target_length(n, mode)
@@ -358,19 +360,22 @@ class FitnessEvaluator:
                 return key
         return spectrum_key(self._spectrum(genotype), self.n, self.weights)
 
-    def key_ahead(self, block: np.ndarray) -> list:
-        """Key a 2-D block of bitstring or float genotypes, one per row, now.
+    def key_ahead(self, block) -> list:
+        """Key a block of genotypes now: a 2-D array of bitstring or float
+        genotypes, one per row, or a list of trees.
 
-        Returns the rows.  Each of the next ``len(block)`` :meth:`evaluate`
-        calls uses up one row, in order: a call given its row, known by
-        identity, returns the row's key without a product; a call given
-        anything else, a row out of order included, keys its argument from
-        scratch, and the rows after stay matched with the calls after.  So
-        a caller can swap one row for another genotype and keep the rest
-        keyed.  The block becomes read-only, so a row cannot change between
-        its keying and its charge.  Replaces the previous block.
+        Returns the rows, or the trees themselves.  Each of the next
+        ``len(block)`` :meth:`evaluate` calls uses up one row, in order: a
+        call given its row, known by identity, returns the row's key
+        without a product; a call given anything else, a row out of order
+        included, keys its argument from scratch, and the rows after stay
+        matched with the calls after.  So a caller can swap one row for
+        another genotype and keep the rest keyed.  An array block becomes read-only, so a row cannot change
+        between its keying and its charge; trees are tuples.  Replaces the
+        previous block.
         """
-        block.flags.writeable = False
+        if self.encoding != "tree":
+            block.flags.writeable = False
         rows = list(block)
         keys = spectrum_key(self._block_spectra(block), self.n, self.weights)
         self._ahead = list(zip(rows, keys))[::-1]
@@ -388,8 +393,8 @@ class FitnessEvaluator:
         spectrum[0] += 1 << self.n
         return spectrum
 
-    def _block_spectra(self, block: np.ndarray) -> np.ndarray:
-        """:meth:`_spectrum` of each row of a block of bitstring or float genotypes.
+    def _block_spectra(self, block) -> np.ndarray:
+        """:meth:`_spectrum` of each genotype of a block, as :meth:`key_ahead` takes it.
 
         A path of its own: shape-generic indexing in :meth:`_spectrum` cost
         every vector evaluation about half a microsecond.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from boolevo.encodings import _random_node, node_depths, replace_at, tree_depth
+from boolevo.encodings import _random_node, node_depths, random_genotype, replace_at, tree_depth
 from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
@@ -298,6 +298,24 @@ def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None)
         else:
             failures += 1
     return current
+
+
+def initialise_per_genotype(state) -> None:
+    """The initial population one genotype at a time: draw it, key it on its
+    own with ``evaluate`` and note it, before the next is drawn."""
+    cfg = state.config
+    for _ in range(cfg.population_size):
+        genotype = random_genotype(
+            cfg.encoding,
+            cfg.n,
+            state.rng,
+            mode=cfg.mode,
+            decode=cfg.decode,
+            max_depth=cfg.max_depth,
+            max_nodes=cfg.max_nodes,
+        )
+        state.pop.append(Individual(genotype, state.evaluator.evaluate(genotype)))
+        state.note(state.pop[-1])
 
 
 def sst_step_per_row(state, steps) -> int:

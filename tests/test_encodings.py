@@ -30,6 +30,7 @@ from boolevo.encodings import (
     tree_from_text,
     tree_to_text,
     tree_truth_bits,
+    tree_truth_rows,
 )
 from boolevo.engine import deserialize_genotype
 from boolevo.orbits import compute_orbits, is_rotation_symmetric
@@ -260,6 +261,17 @@ def test_tree_evaluator_matches_pointwise_interpreter():
         n = 1 + rng.below(6)
         tree = random_tree(n, rng, max_depth=1 + rng.below(5))
         assert tree_truth_bits(tree, n).tolist() == tree_table_pointwise(tree, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_truth_rows_stack_the_one_tree_columns(n):
+    # below n = 3 each tree's packed int takes a byte, trimmed to 2**n columns
+    rng = Draws(40 + n)
+    trees = [random_tree(n, rng, max_depth=rng.below(6)) for _ in range(12)]
+    rows = tree_truth_rows(trees, n)
+    assert rows.shape == (len(trees), 1 << n) and rows.dtype == np.uint8
+    assert np.array_equal(rows, np.array([tree_truth_bits(tree, n) for tree in trees]))
+    assert rows.tolist() == [tree_table_pointwise(tree, n) for tree in trees]
 
 
 def test_genotype_table_decodes_trees():

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial, sst_step_per_row
+from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
@@ -244,9 +244,13 @@ def test_best_truth_table_consistent_with_reported_nonlinearity():
 def test_record_cross_check_catches_a_wrong_spectrum(monkeypatch):
     from boolevo.evaluation import FitnessEvaluator
 
-    spectrum = FitnessEvaluator._spectrum
+    # both paths: a bitstring search keys every genotype in blocks
+    spectrum, block_spectra = FitnessEvaluator._spectrum, FitnessEvaluator._block_spectra
     monkeypatch.setattr(
         FitnessEvaluator, "_spectrum", lambda self, genotype: spectrum(self, genotype) * 0
+    )
+    monkeypatch.setattr(
+        FitnessEvaluator, "_block_spectra", lambda self, block: block_spectra(self, block) * 0
     )
     with pytest.raises(RuntimeError, match="seed 7"):
         run(small_config())
@@ -482,28 +486,7 @@ def _sst_blocks(step, space, size, budget=None, stop_at_note=None):
     cfg = RunConfig(population_size=size, seed=3, **space)
     evaluator = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode, budget=budget)
     state = _RunState(cfg, evaluator, Draws(cfg.seed))
-    notes, ends = [], []
-    run_note = state.note
-
-    def note(individual):
-        if state.best is None or individual.key > state.best.key:
-            notes.append((evaluator.evaluations, individual.key))
-        run_note(individual)
-        if len(notes) == stop_at_note:
-            raise BudgetExhausted(EXHAUSTED_TARGET)
-
-    def view():
-        genotypes = repr([individual.genotype for individual in state.pop]).encode()
-        if cfg.encoding != "tree":
-            genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
-        return (
-            [individual.key for individual in state.pop],
-            hashlib.sha256(genotypes).hexdigest(),
-            evaluator.evaluations,
-            list(notes),
-        )
-
-    state.note = note
+    notes, ends = _record_notes(state, stop_at_note), []
     seen = []
     try:
         _initialise(state)
@@ -512,11 +495,44 @@ def _sst_blocks(step, space, size, budget=None, stop_at_note=None):
             while done < size:
                 done += step(state, size - done)
                 ends.append(evaluator.evaluations)
-                seen.append((*view(), state.rng.below(2**64)))
+                seen.append((*_view(state, notes), state.rng.below(2**64)))
     except BudgetExhausted as stop:
-        seen.append(view())
+        seen.append(_view(state, notes))
         return seen, notes, ends, stop.reason
     return seen, notes, ends, None
+
+
+def _record_notes(state, stop_at_note):
+    """Wrap ``state.note`` to record each new best as ``(evaluations, key)``
+    and to raise a target stop at new best number ``stop_at_note``; return
+    the list it fills."""
+    notes = []
+    run_note = state.note
+
+    def note(individual):
+        if state.best is None or individual.key > state.best.key:
+            notes.append((state.evaluator.evaluations, individual.key))
+        run_note(individual)
+        if len(notes) == stop_at_note:
+            raise BudgetExhausted(EXHAUSTED_TARGET)
+
+    state.note = note
+    return notes
+
+
+def _view(state, notes):
+    """Each slot's key, a digest of the population's genotypes, the
+    evaluations and a copy of ``notes``."""
+    pop = state.pop
+    genotypes = repr([individual.genotype for individual in pop]).encode()
+    if state.config.encoding != "tree":
+        genotypes = b"".join(individual.genotype.tobytes() for individual in pop)
+    return (
+        [individual.key for individual in pop],
+        hashlib.sha256(genotypes).hexdigest(),
+        state.evaluator.evaluations,
+        list(notes),
+    )
 
 
 def _mid_block(evaluation, ends, start):
@@ -555,6 +571,89 @@ def test_sst_blocks_match_the_per_row_step(space, size):
     want = _sst_blocks(sst_step_per_row, kwargs, size, stop_at_note=mid[0])
     assert want[3] == EXHAUSTED_TARGET and want[0][-1][2] == notes[mid[0] - 1][0]
     assert _sst_blocks(sst_step, kwargs, size, stop_at_note=mid[0]) == want
+
+
+def test_a_budget_cut_gp_block_builds_only_the_children_it_can_charge():
+    # GP at n = 5, population 50: blocks of 16 rows; a block builds the
+    # children the budget can charge and the one whose charge stops the run
+    cfg = RunConfig(n=5, encoding="tree", population_size=50, seed=6)
+    for remaining in (0, 1, 7, 15, 16, 17):
+        evaluator = FitnessEvaluator(cfg.n, cfg.encoding, budget=cfg.population_size + remaining)
+        state = _RunState(cfg, evaluator, Draws(cfg.seed))
+        _initialise(state)
+        built = []
+        crossover = state.crossover
+        state.crossover = lambda a, b, rng: built.append(a) or crossover(a, b, rng)
+        if remaining >= 16:
+            assert sst_step(state, cfg.population_size) == len(built) == 16
+        with pytest.raises(BudgetExhausted):
+            sst_step(state, cfg.population_size)
+        assert len(built) == remaining + 1
+        assert evaluator.evaluations == evaluator.budget
+
+
+# initial populations: every SST space at population 50, in one block, and
+# two that span two blocks: 64 + 6 bitstrings at n = 9, 256 + 44 trees at n = 7
+INIT_SPACES = {
+    **{space: (kwargs, 50) for space, kwargs in SST_SPACES.items()},
+    "general-n9-70": (dict(n=9), 70),
+    "tree-n7-300": (dict(n=7, encoding="tree"), 300),
+}
+
+
+def _initialised(initialise, space, size, stop_at_note=None):
+    """The state ``initialise`` leaves, as :func:`_view` shows it, and then
+    the next ``rng.below(2**64)``, or the state it stopped in when the note
+    of new best number ``stop_at_note`` raised, as a run's target stop does."""
+    cfg = RunConfig(population_size=size, seed=8, **space)
+    evaluator = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode)
+    state = _RunState(cfg, evaluator, Draws(cfg.seed))
+    notes = _record_notes(state, stop_at_note)
+    try:
+        initialise(state)
+    except BudgetExhausted:
+        return _view(state, notes)
+    return (*_view(state, notes), state.rng.below(2**64))
+
+
+@pytest.mark.parametrize("space", list(INIT_SPACES))
+def test_blocked_initialisation_matches_the_per_genotype_loop(space, monkeypatch):
+    kwargs, size = INIT_SPACES[space]
+    full = _initialised(initialise_per_genotype, kwargs, size)
+    blocks, products = [], []
+    key_ahead, spectrum = FitnessEvaluator.key_ahead, FitnessEvaluator._spectrum
+
+    def spy(evaluator, block):
+        blocks.append(len(block))
+        return key_ahead(evaluator, block)
+
+    def spy_spectrum(evaluator, genotype):
+        products.append(genotype)
+        return spectrum(evaluator, genotype)
+
+    monkeypatch.setattr(FitnessEvaluator, "key_ahead", spy)
+    monkeypatch.setattr(FitnessEvaluator, "_spectrum", spy_spectrum)
+    assert _initialised(_initialise, kwargs, size) == full
+    assert full[2] == size
+    # one key_ahead per block of block_rows, and no genotype keyed on its own
+    cfg = RunConfig(population_size=size, **kwargs)
+    block_rows = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode).block_rows
+    assert blocks == [min(block_rows, size - start) for start in range(0, size, block_rows)]
+    assert not products
+    # a target stop at each new best noted inside a block, neither at its
+    # first row nor at its last
+    ends = np.cumsum(blocks).tolist()
+    notes = full[3]
+    mid = [number for number, (evaluation, _) in enumerate(notes, 1) if _mid_block(evaluation, ends, 0)]
+    if kwargs["n"] == 1:
+        # every function of one variable has the same key
+        assert len(notes) == 1
+        return
+    assert mid
+    for number in mid:
+        want = _initialised(initialise_per_genotype, kwargs, size, stop_at_note=number)
+        assert want[2] == notes[number - 1][0] and len(want) == 4
+        assert _initialised(_initialise, kwargs, size, stop_at_note=number) == want
 
 
 def test_sst_block_slots_are_distinct_and_parents_come_from_before_the_block(monkeypatch):

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import nonlinearity_by_distance
+from oracles import nonlinearity_by_distance, tree_table_pointwise
 
 import boolevo.evaluation as evaluation
 from boolevo.draws import Draws
@@ -485,6 +485,30 @@ def test_a_foreign_genotype_takes_one_keyed_rows_turn(n, encoding, mode, decode)
         table = genotype_table(genotype, encoding, n, mode, decode)
         assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
     assert len(products) == 1 and products[0] is order[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
+def test_keyed_ahead_tree_keys_equal_the_reference(n):
+    # a list of trees is keyed as one block; each tree, given in its turn,
+    # gets its key without a product, and anything else is keyed on its own
+    ev = FitnessEvaluator(n, "tree")
+    rng = Draws(56)
+    trees = [random_genotype("tree", n, rng, max_depth=5) for _ in range(20)]
+    spectrum, products = ev._spectrum, []
+
+    def spy(genotype):
+        products.append(genotype)
+        return spectrum(genotype)
+
+    ev._spectrum = spy
+    rows = ev.key_ahead(trees)
+    assert len(rows) == len(trees) and all(row is tree for row, tree in zip(rows, trees))
+    other = random_genotype("tree", n, rng, max_depth=5)
+    order = rows[:5] + [other] + rows[6:]
+    for genotype in order:
+        table = TruthTable(n, tree_table_pointwise(genotype, n))
+        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
+    assert len(products) == 1 and products[0] is other
 
 
 @pytest.mark.parametrize("n,mode", [(2, "general"), (9, "general"), (12, "general"),
