@@ -41,10 +41,11 @@ Hadamard entry per factor, or ``-2`` times an orbit sign pattern entry (at
 most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and every
 candidate spectrum entry of :class:`BitFlipSession` is a Walsh value, at
 most ``2**n <= 2**16``.  A weighted count adds the sizes of orbits that hold
-at most ``2**n`` masks together, so it is at most ``2**n`` too.  A block of
-genotypes keyed at once (:meth:`FitnessEvaluator.key_ahead`) is one product
-with one row per genotype, and each row adds the same terms as that
-genotype's vector product, so the same bound holds row by row.
+at most ``2**n`` masks together, so it is at most ``2**n`` too.  Every
+genotype is keyed as a row of one product: a block keyed at once
+(:meth:`FitnessEvaluator.key_ahead`) has one row per genotype, and a
+genotype keyed alone is a one-row block.  No row's sums take terms from
+another row, so the same bound holds row by row.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ from .encodings import (
     check_space,
     float_bits,
     target_length,
-    tree_truth_bits,
+    tree_truth_bits,  # noqa: F401
     tree_truth_rows,
 )
 # compute_orbits is called at set-up; orbit_sign_patterns, the reference for
-# _orbit_rows, stays a module name here only because benchmarks/tracer.py
-# wraps it
+# _orbit_rows, and tree_truth_bits, the one-tree case of tree_truth_rows,
+# stay module names here only because benchmarks/tracer.py wraps them
 from .orbits import compute_orbits, orbit_sign_patterns, rotate_index  # noqa: F401
-from .truthtable import hadamard_transform, spectrum_key
+from .truthtable import _check_bits, hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
 EXHAUSTED_TIME = "time"
@@ -173,8 +174,8 @@ def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndar
     return product.reshape(bits.shape)
 
 
-def _products(factors: tuple[np.ndarray, ...]):
-    """Bind float32 ``bits @ R`` for one vector of 0/1 bits and for a block of rows."""
+def _product(factors: tuple[np.ndarray, ...]):
+    """Bind float32 ``bits @ R`` for a block of rows of 0/1 bits."""
     if len(factors) == 1:
         (rows,) = factors
 
@@ -183,24 +184,20 @@ def _products(factors: tuple[np.ndarray, ...]):
         def product(bits):
             return bits.astype(np.float32).dot(rows)
 
-        return product, product
+        return product
     if len(factors) > 2:
-        product = partial(_chain_product, factors)
-        return product, product
+        return partial(_chain_product, factors)
     first, last = factors
     size = len(first)
 
-    # apart from _chain_product, whose loop cost a vector about 1 us more
-    # at n = 7 to 12, and a 25-row block at n = 7 too, when n = 7 ran two
-    # factors
-    def vector_product(bits):
-        return (first @ bits.astype(np.float32).reshape(size, -1) @ last).reshape(-1)
-
-    def block_product(bits):
+    # apart from _chain_product, whose loop cost a one-row block about 1 us
+    # more at n = 9 and 11 (8.7 against 7.8 us at n = 11), and a 64-row
+    # block at n = 9 about 0.5 us more
+    def product(bits):
         count = len(bits)
         return (first @ bits.astype(np.float32).reshape(count, size, -1) @ last).reshape(count, -1)
 
-    return vector_product, block_product
+    return product
 
 
 @lru_cache(maxsize=None)
@@ -274,9 +271,10 @@ class FitnessEvaluator:
 
     Raw genotypes are the forms the search loops actually carry: uint8 bit
     arrays for the bitstring encoding, float64 arrays for the float encoding
-    and flat preorder token tuples for trees; a block of any of them can be
-    keyed at once.  They are not re-validated here; one from outside the
-    search goes through :func:`~boolevo.encodings.check_genotype` first.
+    and flat preorder token tuples for trees.  Every genotype is keyed as a
+    row of one product: a block of them keyed at once, or one keyed alone
+    as a one-row block.  They are not re-validated here; one from outside
+    the search goes through :func:`~boolevo.encodings.check_genotype` first.
     Every call to :meth:`evaluate` (and every flip probed through
     :class:`BitFlipSession`) charges one evaluation; crossing the budget or
     the wall-clock limit raises :class:`BudgetExhausted`.  Keying genotypes
@@ -321,15 +319,13 @@ class FitnessEvaluator:
             self._flip_factors = tuple(zip(self._factors, _position_digits(n)))[::-1]
         # the decode step and the product, bound once, so that a spectrum
         # tests neither the encoding nor the number of factors
-        self._product, self._block_product = _products(self._factors)
+        self._product = _product(self._factors)
         if encoding == "float":
-            vector, block = self._product, self._block_product
-            self._product = lambda values: vector(float_bits(values, decode))
-            self._block_product = lambda rows: block(float_bits(rows, decode).reshape(len(rows), -1))
+            product = self._product
+            self._product = lambda rows: product(float_bits(rows, decode).reshape(len(rows), -1))
         elif encoding == "tree":
-            vector, block = self._product, self._block_product
-            self._product = lambda tree: vector(tree_truth_bits(tree, n))
-            self._block_product = lambda trees: block(tree_truth_rows(trees, n))
+            product = self._product
+            self._product = lambda trees: product(tree_truth_rows(trees, n))
         #: bits in a bitstring genotype for this search space, and entries
         #: in a spectrum: ``2**n``, or ``g`` in the rotation-symmetric space
         self.genotype_length = target_length(n, mode)
@@ -358,7 +354,8 @@ class FitnessEvaluator:
             row, key = self._ahead.pop()
             if row is genotype:
                 return key
-        return spectrum_key(self._spectrum(genotype), self.n, self.weights)
+        block = [genotype] if self.encoding == "tree" else genotype[None]
+        return spectrum_key(self._block_spectra(block)[0], self.n, self.weights)
 
     def key_ahead(self, block) -> list:
         """Key a block of genotypes now: a 2-D array of bitstring or float
@@ -383,23 +380,14 @@ class FitnessEvaluator:
 
     # -- spectrum algebra ---------------------------------------------------
 
-    def _spectrum(self, genotype) -> np.ndarray:
-        """Float32 spectrum ``2**n * [a = 0] + bits @ R`` of a genotype.
-
-        ``2**n`` entries, one per mask, or in the rotation-symmetric space
-        ``g``, one per orbit of the mask.
-        """
-        spectrum = self._product(genotype)
-        spectrum[0] += 1 << self.n
-        return spectrum
-
     def _block_spectra(self, block) -> np.ndarray:
-        """:meth:`_spectrum` of each genotype of a block, as :meth:`key_ahead` takes it.
+        """Float32 spectra ``2**n * [a = 0] + bits @ R`` of a block of
+        genotypes, one row each, as :meth:`key_ahead` takes it.
 
-        A path of its own: shape-generic indexing in :meth:`_spectrum` cost
-        every vector evaluation about half a microsecond.
+        ``2**n`` entries a row, one per mask, or in the rotation-symmetric
+        space ``g``, one per orbit of the mask.
         """
-        spectra = self._block_product(block)
+        spectra = self._product(block)
         spectra[:, 0] += 1 << self.n
         return spectra
 
@@ -442,13 +430,13 @@ class BitFlipSession:
         if evaluator.encoding != "bitstring":
             raise ValueError("bit-flip search needs the bitstring encoding")
         self.evaluator = evaluator
-        self.bits = np.array(bits, dtype=np.uint8, copy=True)
+        self.bits = _check_bits(bits, "genotype bits")
         if self.bits.shape != (evaluator.genotype_length,):
             raise ValueError(
                 f"expected {evaluator.genotype_length} genotype bits, "
                 f"got shape {self.bits.shape}"
             )
-        self.spectrum = evaluator._spectrum(self.bits)
+        self.spectrum = evaluator._block_spectra(self.bits[None])[0]
         self.key = spectrum_key(self.spectrum, evaluator.n, evaluator.weights)
         # keys of flipping positions _block_start, _block_start + 1, ...
         self._block_start = 0

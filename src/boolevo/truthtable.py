@@ -184,18 +184,13 @@ def spectrum_key(spectrum: np.ndarray, n: int, weights: np.ndarray | None = None
     row, gives a list with the key of each row.
     """
     mags = np.abs(spectrum)
-    if mags.ndim == 1:
-        peak = np.maximum.reduce(mags)
-        hits = mags == peak
-        count = int(np.count_nonzero(hits) if weights is None else hits.dot(weights))
-        return (((1 << (n - 1)) - int(peak) // 2) << n) + ((1 << n) - count)
     peaks = np.maximum.reduce(mags, axis=-1, keepdims=True)
     hits = mags == peaks
     if weights is None:
         counts = np.add.reduce(hits, axis=-1, dtype=np.int32)
     else:
         counts = (hits @ weights).astype(np.int32)
-    nls = (1 << (n - 1)) - peaks[:, 0].astype(np.int64) // 2
+    nls = (1 << (n - 1)) - peaks[..., 0].astype(np.int64) // 2
     return ((nls << n) + ((1 << n) - counts)).tolist()
 
 

@@ -14,6 +14,19 @@ from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
 
+def keyed_alone(block):
+    """The genotype that a one-row ``_block_spectra`` block holds, or None
+    for a block of more rows.
+
+    ``evaluate`` keys a genotype on its own as ``[tree]`` or as
+    ``genotype[None]``, a view whose ``base`` is the genotype when the
+    genotype owns its data, as a fresh draw does.
+    """
+    if len(block) != 1:
+        return None
+    return block[0] if isinstance(block, list) else block.base
+
+
 def naive_walsh(bits) -> list[int]:
     """W(a) = sum_x (-1)^(f(x) XOR parity(a AND x)), by direct double loop."""
     bits = list(int(b) for b in bits)

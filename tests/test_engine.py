@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row
+from oracles import de_step_per_trial, initialise_per_genotype, keyed_alone, sst_step_per_row
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
@@ -244,11 +244,7 @@ def test_best_truth_table_consistent_with_reported_nonlinearity():
 def test_record_cross_check_catches_a_wrong_spectrum(monkeypatch):
     from boolevo.evaluation import FitnessEvaluator
 
-    # both paths: a bitstring search keys every genotype in blocks
-    spectrum, block_spectra = FitnessEvaluator._spectrum, FitnessEvaluator._block_spectra
-    monkeypatch.setattr(
-        FitnessEvaluator, "_spectrum", lambda self, genotype: spectrum(self, genotype) * 0
-    )
+    block_spectra = FitnessEvaluator._block_spectra
     monkeypatch.setattr(
         FitnessEvaluator, "_block_spectra", lambda self, block: block_spectra(self, block) * 0
     )
@@ -376,16 +372,16 @@ def _first_stale(space):
     trial was keyed on its own, or None."""
     state = _de_state(space)
     _initialise(state)
-    spectrum = state.evaluator._spectrum
+    block_spectra = state.evaluator._block_spectra
     first = None
 
-    def spy(genotype):
+    def spy(block):
         nonlocal first
-        if first is None:
+        if first is None and keyed_alone(block) is not None:
             first = state.evaluator.evaluations
-        return spectrum(genotype)
+        return block_spectra(block)
 
-    state.evaluator._spectrum = spy
+    state.evaluator._block_spectra = spy
     for _ in range(DE_GENERATIONS):
         de_step(state)
     return first
@@ -434,19 +430,20 @@ def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
     def note(individual):
         replaced.add(evaluator.evaluations - size - 1)  # the trial's index in the run
 
-    key_ahead, spectrum = evaluator.key_ahead, evaluator._spectrum
+    key_ahead, block_spectra = evaluator.key_ahead, evaluator._block_spectra
 
     def spy_key_ahead(block):
         blocks.append(len(block))
         return key_ahead(block)
 
-    def spy_spectrum(genotype):
-        alone.add(evaluator.evaluations - size - 1)
-        return spectrum(genotype)
+    def spy_spectra(block):
+        if keyed_alone(block) is not None:
+            alone.add(evaluator.evaluations - size - 1)
+        return block_spectra(block)
 
     monkeypatch.setattr(engine, "_draw_distinct", draw_distinct)
     state.note = note
-    evaluator.key_ahead, evaluator._spectrum = spy_key_ahead, spy_spectrum
+    evaluator.key_ahead, evaluator._block_spectra = spy_key_ahead, spy_spectra
     for _ in range(DE_GENERATIONS):
         de_step(state)
     assert blocks == [size] * DE_GENERATIONS
@@ -621,18 +618,19 @@ def test_blocked_initialisation_matches_the_per_genotype_loop(space, monkeypatch
     kwargs, size = INIT_SPACES[space]
     full = _initialised(initialise_per_genotype, kwargs, size)
     blocks, products = [], []
-    key_ahead, spectrum = FitnessEvaluator.key_ahead, FitnessEvaluator._spectrum
+    key_ahead, block_spectra = FitnessEvaluator.key_ahead, FitnessEvaluator._block_spectra
 
     def spy(evaluator, block):
         blocks.append(len(block))
         return key_ahead(evaluator, block)
 
-    def spy_spectrum(evaluator, genotype):
-        products.append(genotype)
-        return spectrum(evaluator, genotype)
+    def spy_spectra(evaluator, block):
+        if (genotype := keyed_alone(block)) is not None:
+            products.append(genotype)
+        return block_spectra(evaluator, block)
 
     monkeypatch.setattr(FitnessEvaluator, "key_ahead", spy)
-    monkeypatch.setattr(FitnessEvaluator, "_spectrum", spy_spectrum)
+    monkeypatch.setattr(FitnessEvaluator, "_block_spectra", spy_spectra)
     assert _initialised(_initialise, kwargs, size) == full
     assert full[2] == size
     # one key_ahead per block of block_rows, and no genotype keyed on its own

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import nonlinearity_by_distance, tree_table_pointwise
+from oracles import keyed_alone, nonlinearity_by_distance, tree_table_pointwise
 
 import boolevo.evaluation as evaluation
 from boolevo.draws import Draws
@@ -54,11 +54,29 @@ def test_spectrum_key_keys_each_row_of_a_block():
         tables = rng.integers(0, 2, (6, 1 << n), dtype=np.uint8)
         tables[0] = 0  # a single peak, at W(0) = 2**n
         block = np.array([walsh_transform(TruthTable(n, t)).values for t in tables])
-        for dtype in (np.int64, np.float32):
+        # int32 as walsh_transform gives it, int64, and float32 as the evaluator does
+        for dtype in (np.int32, np.int64, np.float32):
             keys = spectrum_key(block.astype(dtype), n)
             assert keys == [reference_key(t, n) for t in tables]
             assert all(type(key) is int for key in keys)
-            assert type(spectrum_key(block[1].astype(dtype), n)) is int
+            for spectrum, key in zip(block.astype(dtype), keys):
+                assert type(spectrum_key(spectrum, n)) is int
+                assert spectrum_key(spectrum, n) == key
+    # the weighted key of RS spectra in orbit coordinates, a vector and a block alike
+    for n in (1, 3, 9):
+        table = compute_orbits(n)
+        weights = table.orbit_sizes.astype(np.float32)
+        orbit_tables = rng.integers(0, 2, (6, table.num_orbits), dtype=np.uint8)
+        orbit_tables[0] = 0
+        truths = [expand(table, t) for t in orbit_tables]
+        block = np.array([walsh_transform(t).values[table.representatives] for t in truths])
+        for dtype in (np.int32, np.float32):
+            keys = spectrum_key(block.astype(dtype), n, weights)
+            assert keys == [reference_key(t.bits, n) for t in truths]
+            assert all(type(key) is int for key in keys)
+            for spectrum, key in zip(block.astype(dtype), keys):
+                assert type(spectrum_key(spectrum, n, weights)) is int
+                assert spectrum_key(spectrum, n, weights) == key
 
 
 def test_factor_chain_rule():
@@ -98,7 +116,7 @@ def test_factor_chain_rule():
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 12, 13, 14, 16])
 def test_factor_chain_keys_equal_the_reference(n):
-    # one, two and three factors on the vector, keyed-ahead block and
+    # one, two and three factors on the one-row, keyed-ahead block and
     # flip-plus-commit paths, each against the reference transform
     ev = FitnessEvaluator(n, "bitstring")
     size = 1 << n
@@ -109,7 +127,7 @@ def test_factor_chain_keys_equal_the_reference(n):
     )
     want = [walsh_transform(TruthTable(n, bits)).values for bits in tables]
     for bits, values in zip(tables, want):
-        assert np.array_equal(ev._spectrum(bits).astype(np.int64), values)
+        assert np.array_equal(ev._block_spectra(bits[None])[0].astype(np.int64), values)
     assert np.array_equal(ev._block_spectra(tables).astype(np.int64), np.array(want))
     keys = [reference_key(bits, n) for bits in tables]
     assert [ev.evaluate(row) for row in ev.key_ahead(tables.copy())] == keys
@@ -134,7 +152,7 @@ def test_general_bitstring_path_exact():
         tables = [np.zeros(size, dtype=np.uint8), np.ones(size, dtype=np.uint8)]
         tables += [rng.integers(0, 2, size, dtype=np.uint8) for _ in range(5)]
         for bits in tables:
-            got = np.asarray(ev._spectrum(bits), dtype=np.int64)
+            got = np.asarray(ev._block_spectra(bits[None])[0], dtype=np.int64)
             want = walsh_transform(TruthTable(n, bits)).values
             assert np.array_equal(got, want)
 
@@ -152,7 +170,7 @@ def test_rotation_bitstring_path_exact():
         tables = [np.zeros(table.num_orbits, np.uint8), np.ones(table.num_orbits, np.uint8)]
         tables += [rng.integers(0, 2, table.num_orbits, dtype=np.uint8) for _ in range(5)]
         for orbit_bits in tables:
-            got = np.asarray(ev._spectrum(orbit_bits), dtype=np.int64)
+            got = np.asarray(ev._block_spectra(orbit_bits[None])[0], dtype=np.int64)
             want = walsh_transform(expand(table, orbit_bits)).values
             assert np.array_equal(got, want[table.representatives])
             assert ev.evaluate(orbit_bits) == reference_key(expand(table, orbit_bits).bits, n)
@@ -197,7 +215,7 @@ def test_float_path_exact():
             else:
                 truth = TruthTable(n, bits)
                 want = walsh_transform(truth).values
-            got = np.asarray(ev._spectrum(values), dtype=np.int64)
+            got = np.asarray(ev._block_spectra(values[None])[0], dtype=np.int64)
             assert np.array_equal(got, want)
             assert ev.evaluate(values) == reference_key(truth.bits, n)
 
@@ -207,7 +225,7 @@ def test_tree_path_exact():
     ev = FitnessEvaluator(5, "tree")
     for _ in range(20):
         tree = random_tree(5, rng, max_depth=5)
-        got = np.asarray(ev._spectrum(tree), dtype=np.int64)
+        got = np.asarray(ev._block_spectra([tree])[0], dtype=np.int64)
         want = walsh_transform(TruthTable(5, tree_truth_bits(tree, 5))).values
         assert np.array_equal(got, want)
 
@@ -416,6 +434,16 @@ def test_bitflip_session_blocks_stay_under_the_cap(n, mode, monkeypatch):
     assert [r for r, _ in blocks] == [min(rows, length - start) for start in starts]
 
 
+@pytest.mark.parametrize("entry", [2, 0.7, -1])
+def test_bitflip_session_rejects_entries_that_are_not_bits(entry):
+    # each was cast to uint8 before: 2 keyed and then failed on a probe,
+    # 0.7 became 0 and -1 became 255
+    ev = FitnessEvaluator(3, "bitstring")
+    bits = [entry] * 8 if entry == 0.7 else [entry] + [0] * 7
+    with pytest.raises(ValueError, match="^genotype bits must be 0 or 1$"):
+        BitFlipSession(ev, bits)
+
+
 def test_bitflip_session_needs_probe_before_commit():
     ev = FitnessEvaluator(3, "bitstring")
     session = BitFlipSession(ev, np.zeros(8, dtype=np.uint8))
@@ -473,13 +501,14 @@ def test_a_foreign_genotype_takes_one_keyed_rows_turn(n, encoding, mode, decode)
         return random_genotype(encoding, n, rng, mode=mode, decode=decode)
 
     rows = ev.key_ahead(np.array([sample() for _ in range(4)]))
-    spectrum, products = ev._spectrum, []
+    block_spectra, products = ev._block_spectra, []
 
-    def spy(genotype):
-        products.append(genotype)
-        return spectrum(genotype)
+    def spy(block):
+        if (genotype := keyed_alone(block)) is not None:
+            products.append(genotype)
+        return block_spectra(block)
 
-    ev._spectrum = spy
+    ev._block_spectra = spy
     order = [rows[0], sample(), rows[2], rows[3]]
     for genotype in order:
         table = genotype_table(genotype, encoding, n, mode, decode)
@@ -494,13 +523,14 @@ def test_keyed_ahead_tree_keys_equal_the_reference(n):
     ev = FitnessEvaluator(n, "tree")
     rng = Draws(56)
     trees = [random_genotype("tree", n, rng, max_depth=5) for _ in range(20)]
-    spectrum, products = ev._spectrum, []
+    block_spectra, products = ev._block_spectra, []
 
-    def spy(genotype):
-        products.append(genotype)
-        return spectrum(genotype)
+    def spy(block):
+        if (genotype := keyed_alone(block)) is not None:
+            products.append(genotype)
+        return block_spectra(block)
 
-    ev._spectrum = spy
+    ev._block_spectra = spy
     rows = ev.key_ahead(trees)
     assert len(rows) == len(trees) and all(row is tree for row, tree in zip(rows, trees))
     other = random_genotype("tree", n, rng, max_depth=5)
@@ -514,7 +544,8 @@ def test_keyed_ahead_tree_keys_equal_the_reference(n):
 @pytest.mark.parametrize("n,mode", [(2, "general"), (9, "general"), (12, "general"),
                                     (13, "general"), (7, ROTATION), (11, ROTATION)])
 def test_keyed_ahead_block_rows_equal_the_vector_keys(n, mode):
-    # every row of a full block adds the same terms as its vector product
+    # every row of a full block gets the key of its genotype keyed alone,
+    # a one-row block: a row's sums take no terms from the other rows
     ev = FitnessEvaluator(n, "bitstring", mode)
     rng = np.random.default_rng(53)
     block = rng.integers(0, 2, (ev.block_rows, ev.genotype_length), dtype=np.uint8)
