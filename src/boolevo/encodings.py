@@ -110,9 +110,10 @@ def _validate_tree(tree: Tree, n: int) -> None:
         raise ValueError(f"incomplete tree: {open_slots} operand(s) missing")
 
 
-def subtree_end(tree: Tree, index: int) -> int:
-    """End of the subtree rooted at preorder ``index``: it is ``tree[index:end]``."""
-    open_slots = 1
+def subtree_end(tree: Tree, index: int, count: int = 1) -> int:
+    """End of the subtree rooted at preorder ``index``: it is ``tree[index:end]``;
+    with ``count``, the end of that many sibling subtrees in a row."""
+    open_slots = count
     while open_slots:
         open_slots += OPERATOR_ARITY.get(tree[index], 0) - 1
         index += 1
@@ -140,21 +141,7 @@ def node_depths(tree: Tree) -> list[int]:
 
 def tree_depth(tree: Tree) -> int:
     """Edges on the longest root-to-leaf path; a lone leaf has depth 0."""
-    deepest = 0
-    pending = [0]  # as in node_depths
-    for token in tree:
-        depth = pending.pop()
-        arity = OPERATOR_ARITY.get(token)
-        if arity:
-            depth += 1
-            pending.append(depth)
-            if arity > 1:
-                pending.append(depth)
-                if arity > 2:
-                    pending.append(depth)
-        elif depth > deepest:
-            deepest = depth
-    return deepest
+    return max(node_depths(tree))
 
 
 def subtree_at(tree: Tree, index: int) -> Tree:
@@ -418,23 +405,28 @@ def random_tree(
 def _random_node(n: int, rng: Draws, budget: int, method: str) -> Tree:
     # one draw per node, in preorder; the stack holds the depth budgets of the
     # nodes still to draw, and siblings share a budget
-    below = rng.below
+    below, ops, grow = rng.below, len(OPERATOR_NAMES), method != "full"
     tokens: list = []
     pending = [budget]
     while pending:
         budget = pending.pop()
         if budget <= 0:
             pick = below(n)
-        elif method == "full":
-            pick = n + below(len(OPERATOR_NAMES))
         else:
-            pick = below(n + len(OPERATOR_NAMES))
+            pick = below(n + ops) if grow else n + below(ops)
         if pick < n:
             tokens.append(pick + 1)
-        else:
-            op = OPERATOR_NAMES[pick - n]
-            tokens.append(op)
-            pending.extend([budget - 1] * OPERATOR_ARITY[op])
+            continue
+        op = OPERATOR_NAMES[pick - n]
+        tokens.append(op)
+        # the one to three child budgets, pushed without building a list
+        arity = OPERATOR_ARITY[op]
+        budget -= 1
+        pending.append(budget)
+        if arity > 1:
+            pending.append(budget)
+            if arity > 2:
+                pending.append(budget)
     return tuple(tokens)
 
 

@@ -7,9 +7,10 @@ or mutation, so a block has the distribution of as many children made one
 at a time.  The per-row decisions are scalar draws, which cost less than
 vector draws at these row counts.  The tree operators take and return one
 raw genotype, a flat preorder token tuple; they address nodes by preorder
-index and build children by splicing.  Every random decision comes from the
-:class:`~boolevo.draws.Draws` an operator is handed, so runs replay exactly
-from a seed.
+index and build children by splicing, and walk a child's depths once, in
+the crossover's cap check (:func:`make_operators`).  Every random decision
+comes from the :class:`~boolevo.draws.Draws` an operator is handed, so runs
+replay exactly from a seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .encodings import (
     replace_at,
     subtree_at,
     subtree_end,
-    tree_depth,
 )
 
 # ---------------------------------------------------------------------------
@@ -115,31 +115,31 @@ def crossover_float(a: np.ndarray, b: np.ndarray, rng: Draws) -> np.ndarray:
 _TREE_RETRIES = 5
 
 
-def _within_limits(tree: Tree, max_depth: int, max_nodes: int) -> bool:
-    return len(tree) <= max_nodes and tree_depth(tree) <= max_depth
-
-
-def _spliced_depth(depths: list[int], index: int, end: int, subtree: Tree) -> int:
-    """Depth of ``tree[:index] + subtree + tree[end:]``, with no walk of it.
-
-    ``depths`` is ``node_depths(tree)``: the nodes outside the replaced span
-    keep their depths, and those of ``subtree`` sit ``depths[index]`` deeper.
-    """
-    outside = max(max(depths[:index], default=0), max(depths[end:], default=0))
-    return max(outside, depths[index] + tree_depth(subtree))
+def _splice_fits(depths: list[int], index: int, end: int, max_depth: int) -> bool:
+    """Whether ``tree[:index] + subtree + tree[end:]`` fits ``max_depth``, with
+    ``depths = node_depths(tree)``.  A grow ``subtree`` drawn at budget
+    ``max_depth - depths[index]`` is never taller than ``max(budget, 0)``,
+    so it fits exactly when its root does."""
+    outside = max(depths[:index] + depths[end:], default=0)
+    return depths[index] <= max_depth and outside <= max_depth
 
 
 def subtree_mutation(
-    tree: Tree, n: int, rng: Draws, max_depth: int, max_nodes: int
+    tree: Tree, n: int, rng: Draws, max_depth: int, max_nodes: int, depths=None
 ) -> Tree:
-    """Replace a random node with a fresh grow-tree fitted to the depth cap."""
-    depths = node_depths(tree)
+    """Replace a random node with a fresh grow-tree fitted to the depth cap.
+
+    ``depths`` is ``node_depths(tree)``, walked here unless given; no
+    candidate child is walked (:func:`_splice_fits`).
+    """
+    if depths is None:
+        depths = node_depths(tree)
     for _ in range(_TREE_RETRIES):
         index = rng.below(len(tree))
         subtree = _random_node(n, rng, max_depth - depths[index], "grow")
         end = subtree_end(tree, index)
         child = tree[:index] + subtree + tree[end:]
-        if len(child) <= max_nodes and _spliced_depth(depths, index, end, subtree) <= max_depth:
+        if len(child) <= max_nodes and _splice_fits(depths, index, end, max_depth):
             return child
     return tree
 
@@ -178,9 +178,10 @@ def uniform_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
 def size_fair_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Subtree swap where the donor is at most twice-plus-one the removed size."""
     index_a = rng.below(len(a))
-    limit = 2 * (subtree_end(a, index_a) - index_a) + 1
+    end_a = subtree_end(a, index_a)
+    limit = 2 * (end_a - index_a) + 1
     # one reverse pass over b: a subtree ends where its last child's ends
-    donors = []
+    donors = []  # (start, end) of each donor that fits the limit
     ends = []  # subtree ends of the nodes whose parent is still to come
     for j in range(len(b) - 1, -1, -1):
         arity = OPERATOR_ARITY.get(b[j], 0)
@@ -191,36 +192,38 @@ def size_fair_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
             end = j + 1
         ends.append(end)
         if end - j <= limit:
-            donors.append(j)
+            donors.append((j, end))
     donors.reverse()
-    donor = donors[rng.below(len(donors))]
-    return replace_at(a, index_a, subtree_at(b, donor))
+    start, end = donors[rng.below(len(donors))]
+    return a[:index_a] + b[start:end] + a[end_a:]
 
 
 def _joint_preorder(a: Tree, b: Tree, any_arity: bool) -> list[tuple[int, int]]:
     """Preorder ``(i, j)`` pairs of the nodes at the same coordinates in both trees.
 
     The walk goes on into paired children where the two arities agree, or,
-    with ``any_arity``, into the child slots that both nodes have.
+    with ``any_arity``, into the child slots that both nodes have; after them
+    a node's unpaired children are skipped by one ``subtree_end`` per tree.
     """
+    arity_of = OPERATOR_ARITY.get
     pairs: list[tuple[int, int]] = []
-
-    def walk(i: int, j: int) -> tuple[int, int]:
+    i = j = 0
+    open_nodes = []  # per node on the path: [paired children left, unpaired in a, in b]
+    while True:
         pairs.append((i, j))
-        arity_a = OPERATOR_ARITY.get(a[i], 0)
-        arity_b = OPERATOR_ARITY.get(b[j], 0)
+        arity_a, arity_b = arity_of(a[i], 0), arity_of(b[j], 0)
         shared = min(arity_a, arity_b) if any_arity or arity_a == arity_b else 0
         i, j = i + 1, j + 1
-        for _ in range(shared):
-            i, j = walk(i, j)
-        for _ in range(arity_a - shared):
-            i = subtree_end(a, i)
-        for _ in range(arity_b - shared):
-            j = subtree_end(b, j)
-        return i, j
-
-    walk(0, 0)
-    return pairs
+        node = [shared, arity_a - shared, arity_b - shared]
+        open_nodes.append(node)
+        while not node[0]:
+            open_nodes.pop()
+            if node[1] or node[2]:
+                i, j = subtree_end(a, i, node[1]), subtree_end(b, j, node[2])
+            if not open_nodes:
+                return pairs
+            node = open_nodes[-1]
+        node[0] -= 1
 
 
 def _swap_at_pair(a: Tree, b: Tree, pairs: list, rng: Draws) -> Tree:
@@ -253,19 +256,21 @@ def crossover_tree(
     rng: Draws,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
-) -> Tree:
-    """One of five tree crossovers, chosen uniformly per call.
+) -> tuple[Tree, list[int] | None]:
+    """One of five tree crossovers, chosen uniformly per call, and its ``node_depths``.
 
     If the offspring breaks the depth or size cap the draw is retried a few
-    times; after that the first parent is returned unchanged (trees are
-    immutable tuples, so the parent itself is a safe copy).
+    times; after that the first parent comes back unchanged with None for its
+    depths (trees are immutable tuples, so the parent itself is a safe copy).
     """
     for _ in range(_TREE_RETRIES):
         op = _TREE_CROSSOVERS[rng.below(len(_TREE_CROSSOVERS))]
         child = op(a, b, rng)
-        if _within_limits(child, max_depth, max_nodes):
-            return child
-    return a
+        if len(child) <= max_nodes:
+            depths = node_depths(child)
+            if max(depths) <= max_depth:
+                return child, depths
+    return a, None
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +290,15 @@ def make_operators(
     if encoding == "float":
         return mutate_float, crossover_float
     if encoding == "tree":
+        last = [None, None]  # the last crossover's child and its depths, or a parent and None
 
         def mutate(tree, rng):
-            return subtree_mutation(tree, n, rng, max_depth, max_nodes)
+            depths = last[1] if tree is last[0] else None
+            return subtree_mutation(tree, n, rng, max_depth, max_nodes, depths)
 
         def crossover(a, b, rng):
-            return crossover_tree(a, b, rng, max_depth, max_nodes)
+            last[:] = crossover_tree(a, b, rng, max_depth, max_nodes)
+            return last[0]
 
         return mutate, crossover
     raise ValueError(f"unknown encoding {encoding!r}")

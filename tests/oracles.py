@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from boolevo.encodings import _random_node, node_depths, random_genotype, replace_at, tree_depth
+from boolevo.encodings import OPERATOR_ARITY, OPERATOR_NAMES, random_genotype, replace_at
 from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
@@ -250,13 +250,60 @@ def size_fair_crossover_by_subtree_walks(a, b, rng):
     return a[:index_a] + b[donor:_subtree_end(b, donor)] + a[end_a:]
 
 
+def random_node_by_list_pushes(n, rng, budget, method):
+    """Random grow or full tree, one draw per node in preorder, that pushes
+    each operator's child budgets as a list."""
+    tokens: list = []
+    pending = [budget]
+    while pending:
+        budget = pending.pop()
+        if budget <= 0:
+            pick = rng.below(n)
+        elif method == "full":
+            pick = n + rng.below(len(OPERATOR_NAMES))
+        else:
+            pick = rng.below(n + len(OPERATOR_NAMES))
+        if pick < n:
+            tokens.append(pick + 1)
+        else:
+            op = OPERATOR_NAMES[pick - n]
+            tokens.append(op)
+            pending.extend([budget - 1] * OPERATOR_ARITY[op])
+    return tuple(tokens)
+
+
+def joint_preorder_by_recursion(a, b, any_arity):
+    """Preorder pairs of the nodes at the same coordinates in both trees, by
+    recursive descent into the shared child slots, skipping each unshared
+    child with its own walk."""
+    pairs = []
+
+    def walk(i, j):
+        pairs.append((i, j))
+        arity_a = OPERATOR_ARITY.get(a[i], 0)
+        arity_b = OPERATOR_ARITY.get(b[j], 0)
+        shared = min(arity_a, arity_b) if any_arity or arity_a == arity_b else 0
+        i, j = i + 1, j + 1
+        for _ in range(shared):
+            i, j = walk(i, j)
+        for _ in range(arity_a - shared):
+            i = _subtree_end(a, i)
+        for _ in range(arity_b - shared):
+            j = _subtree_end(b, j)
+        return i, j
+
+    walk(0, 0)
+    return pairs
+
+
 def subtree_mutation_by_tree_walks(tree, n, rng, max_depth, max_nodes):
     """Subtree mutation that measures each candidate child with a full depth walk."""
-    depths = node_depths(tree)
+    depths = node_depths_by_recursion(tree)
     for _ in range(5):
         index = rng.below(len(tree))
-        child = replace_at(tree, index, _random_node(n, rng, max_depth - depths[index], "grow"))
-        if len(child) <= max_nodes and tree_depth(child) <= max_depth:
+        subtree = random_node_by_list_pushes(n, rng, max_depth - depths[index], "grow")
+        child = replace_at(tree, index, subtree)
+        if len(child) <= max_nodes and tree_depth_by_recursion(child) <= max_depth:
             return child
     return tree
 

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     float_bits_by_floor_and_shift,
     node_depths_by_recursion,
+    random_node_by_list_pushes,
     tree_depth_by_recursion,
     tree_table_pointwise,
 )
@@ -16,6 +17,7 @@ from boolevo.draws import Draws
 from boolevo.encodings import (
     GENERAL,
     ROTATION,
+    _random_node,
     check_genotype,
     float_bits,
     float_dimension,
@@ -283,6 +285,7 @@ def test_genotype_table_decodes_trees():
 def test_tree_structure_helpers():
     t = IF_TREE
     assert [subtree_end(t, i) for i in range(len(t))] == [7, 2, 5, 4, 5, 7, 7]
+    assert [subtree_end(t, 1, count) for count in range(4)] == [1, 2, 5, 7]
     assert node_depths(t) == [0, 1, 1, 2, 2, 1, 2]
     assert tree_depth(t) == 2
     assert tree_depth((1,)) == 0
@@ -307,6 +310,19 @@ def test_depth_walks_match_the_recursive_reference():
                 tree = random_tree(n, rng, max_depth=depth, method=method)
                 assert node_depths(tree) == node_depths_by_recursion(tree)
                 assert tree_depth(tree) == tree_depth_by_recursion(tree)
+
+
+def test_random_node_matches_the_list_pushes():
+    # same trees and the same next draw; a negative budget, which a mutation
+    # below a node deeper than its cap draws at, makes one leaf
+    rng, oracle_rng = Draws(38), Draws(38)
+    for n in range(1, 8):
+        for budget in range(-1, 9):
+            for method in ("grow", "full"):
+                for _ in range(3):
+                    want = random_node_by_list_pushes(n, oracle_rng, budget, method)
+                    assert _random_node(n, rng, budget, method) == want
+                    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_tree_text_round_trip():

@@ -9,7 +9,7 @@ from oracles import de_step_per_trial, initialise_per_genotype, keyed_alone, sst
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
-from boolevo import engine
+from boolevo import encodings, engine, operators
 from boolevo.engine import (
     DE,
     SST,
@@ -587,6 +587,34 @@ def test_a_budget_cut_gp_block_builds_only_the_children_it_can_charge():
             sst_step(state, cfg.population_size)
         assert len(built) == remaining + 1
         assert evaluator.evaluations == evaluator.budget
+
+
+def test_a_gp_block_walks_the_depths_of_each_child_once(monkeypatch):
+    # parents at most 3 deep make children at most 6 deep, so each
+    # crossover's first candidate fits the cap of 7 and is walked once; the
+    # mutation of a crossover's child reuses that walk
+    cfg = RunConfig(n=5, encoding="tree", population_size=50, seed=6)
+    shallow = RunConfig(n=5, encoding="tree", population_size=50, max_depth=3, seed=6)
+    state = _RunState(shallow, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
+    _initialise(state)
+    parents = state.pop
+    state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
+    state.pop = parents
+    walked, crossed, mutated = [], [], []
+
+    def node_depths(tree):
+        walked.append(tree)
+        return encodings_node_depths(tree)
+
+    encodings_node_depths = encodings.node_depths
+    monkeypatch.setattr(encodings, "node_depths", node_depths)
+    monkeypatch.setattr(operators, "node_depths", node_depths)
+    crossover, mutate = state.crossover, state.mutate
+    state.crossover = lambda a, b, rng: crossed.append(crossover(a, b, rng)) or crossed[-1]
+    state.mutate = lambda tree, rng: mutated.append(tree) or mutate(tree, rng)
+    assert sst_step(state, cfg.population_size) == 16
+    assert len(crossed) == 16 and 0 < len(mutated) < 16
+    assert walked == crossed
 
 
 # initial populations: every SST space at population 50, in one block, and

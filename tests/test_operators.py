@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from boolevo.draws import Draws
-from boolevo.encodings import node_depths, random_tree, subtree_end, tree_depth
+from boolevo.encodings import _random_node, node_depths, random_tree, subtree_end, tree_depth
 from boolevo.operators import (
-    _spliced_depth,
+    _joint_preorder,
+    _splice_fits,
     context_preserving_crossover,
     crossover_bitstring,
     crossover_float,
@@ -27,9 +28,11 @@ from boolevo.operators import (
 )
 from oracles import (
     crossover_bitstring_by_where,
+    joint_preorder_by_recursion,
     mutate_bitstring_by_window_permutation,
     size_fair_crossover_by_subtree_walks,
     subtree_mutation_by_tree_walks,
+    tree_depth_by_recursion,
     tree_table_pointwise,
 )
 
@@ -214,16 +217,27 @@ def test_subtree_mutation_respects_depth():
         assert len(child) <= 500
 
 
-def test_spliced_depth_equals_a_walk_of_the_child():
+def test_splice_fits_equals_a_walk_of_the_child():
+    # caps from 0 to 8 over parents of depth 0 to 8, so many parents are
+    # deeper than the cap, some of them outside the replaced span
     rng = Draws(65)
+    fits = set()
     for depth in range(9):
         for _ in range(400):
             tree = random_tree(7, rng, max_depth=depth)
-            subtree = random_tree(7, rng, max_depth=rng.below(6))
+            max_depth = rng.below(9)
+            depths = node_depths(tree)
             index = rng.below(len(tree))
+            budget = max_depth - depths[index]
+            subtree = _random_node(7, rng, budget, "grow")
+            assert tree_depth_by_recursion(subtree) <= max(budget, 0)
             end = subtree_end(tree, index)
             child = tree[:index] + subtree + tree[end:]
-            assert _spliced_depth(node_depths(tree), index, end, subtree) == tree_depth(child)
+            fit = _splice_fits(depths, index, end, max_depth)
+            assert fit == (tree_depth_by_recursion(child) <= max_depth)
+            fits.add((fit, depths[index] <= max_depth))
+    # both outcomes, and misses with the replaced node within the cap
+    assert fits == {(True, True), (False, True), (False, False)}
 
 
 def test_subtree_mutation_matches_a_depth_walk_per_candidate():
@@ -238,6 +252,44 @@ def test_subtree_mutation_matches_a_depth_walk_per_candidate():
                 want = subtree_mutation_by_tree_walks(tree, 7, oracle_rng, max_depth, max_nodes)
                 assert subtree_mutation(tree, 7, rng, max_depth, max_nodes) == want
     assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+
+
+def test_mutate_after_crossover_reuses_the_childs_depths_with_the_same_outcome():
+    # the tree operators made by make_operators hand the crossover child's
+    # depths to the mutation; mutate must give what a walk per candidate
+    # gives, on that child, on an equal but distinct tuple, on a parent given
+    # back after five failed crossovers and on a tree never crossed over.
+    # Parents up to 6 deep under a cap of 5 make crossovers give up, and
+    # mutations of parents deeper than the cap
+    n, max_depth, max_nodes = 6, 5, 40
+    tree_rng = Draws(69)
+    rng, oracle_rng = Draws(70), Draws(70)
+    mutate, crossover = make_operators("tree", n, max_depth, max_nodes)
+    given_back = 0
+    for _ in range(300):
+        a, b = random_pair(tree_rng, n=n, depth=6)
+        child = crossover(a, b, rng)
+        want = crossover_tree(a, b, oracle_rng, max_depth, max_nodes)[0]
+        assert child == want
+        given_back += child is a
+        for tree in (child, tuple(list(child)), a):
+            want = subtree_mutation_by_tree_walks(tree, n, oracle_rng, max_depth, max_nodes)
+            assert mutate(tree, rng) == want
+    assert given_back > 5
+    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+
+
+def test_joint_preorder_matches_the_recursive_walk():
+    rng = Draws(71)
+    for n in range(1, 8):
+        for depth in range(9):
+            for method in ("grow", "full"):
+                for _ in range(2):
+                    a = random_tree(n, rng, depth, method)
+                    b = random_tree(n, rng, rng.below(depth + 1), method)
+                    for any_arity in (False, True):
+                        want = joint_preorder_by_recursion(a, b, any_arity)
+                        assert _joint_preorder(a, b, any_arity) == want
 
 
 def test_subtree_crossover_inserts_donor_subtree():
@@ -335,9 +387,10 @@ def test_crossover_tree_respects_limits_or_returns_parent():
     for _ in range(200):
         a = random_tree(4, rng, max_depth=4)
         b = random_tree(4, rng, max_depth=4)
-        child = crossover_tree(a, b, rng, max_depth=4, max_nodes=60)
+        child, depths = crossover_tree(a, b, rng, max_depth=4, max_nodes=60)
         assert tree_depth(child) <= 4
         assert len(child) <= 60
+        assert depths == (None if child is a else node_depths(child))
 
 
 def test_tree_operators_produce_valid_trees():
@@ -345,7 +398,7 @@ def test_tree_operators_produce_valid_trees():
     for _ in range(100):
         a = random_tree(3, rng, max_depth=4)
         b = random_tree(3, rng, max_depth=4)
-        child = crossover_tree(a, b, rng)
+        child = crossover_tree(a, b, rng)[0]
         tree_table_pointwise(child, 3)  # raises if malformed
         child = subtree_mutation(a, 3, rng, max_depth=7, max_nodes=500)
         tree_table_pointwise(child, 3)
