@@ -11,6 +11,12 @@ go to the wrapped generator and its bit generator, which the blocks share.
 an interval", ACM TOMACS 2019) and ``uniform`` is numpy's own double, so
 every draw is exactly uniform.  The stream is not the one that calling the
 ``Generator`` methods one by one would give.
+
+The common case of ``below`` is one word times ``k``, whose high word is
+the pick when the low word is at least ``k``.  ``encodings._random_node``
+takes that case inline, once per tree node, and hands the rare lower
+products back to ``below`` with the word pushed back, so the words read
+and the picks are the same.
 """
 
 from __future__ import annotations
@@ -40,14 +46,24 @@ class Draws:
         self._words.extend(raw[::-1].tolist())
 
     def below(self, k: int) -> int:
-        """Uniform int in ``[0, k)``, for ``1 <= k <= 2**64``."""
-        if not 0 < k <= _WORD:
+        """Uniform int in ``[0, k)``, for ``1 <= k <= 2**64``.
+
+        A refused ``k`` leaves the unread words as they were, so the next
+        scalar draw is the one it would have been.
+        """
+        if k < 1:
             raise ValueError(f"below needs 1 <= k <= 2**64, got {k!r}")
         words = self._words
         if not words:
             self._refill()
-        m = words.pop() * k
+        word = words.pop()
+        m = word * k
         if m & _LOW < k:
+            # every low product is below a k over 2**64, so it is refused
+            # here, off the common path
+            if k > _WORD:
+                words.append(word)
+                raise ValueError(f"below needs 1 <= k <= 2**64, got {k!r}")
             # reject the (2**64 - k) % k low products that would bias the result
             threshold = (_WORD - k) % k
             while m & _LOW < threshold:

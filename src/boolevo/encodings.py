@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .draws import Draws
+from .draws import _LOW, Draws
 from .orbits import compute_orbits, expand
 from .truthtable import TruthTable, _check_bits, _check_dimension
 
@@ -225,30 +225,29 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 def _eval_packed(tree: Tree, masks: tuple[int, ...], full: int) -> int:
     # operands come after their operator in preorder, so a reverse pass finds
-    # every operator's values on the stack with its first child on top
+    # every operator's values on the stack with its first child on top; an
+    # operator's value replaces its last child's in place
     stack: list[int] = []
-    push, pop = stack.append, stack.pop
     for token in reversed(tree):
         if type(token) is int:
-            push(masks[token - 1])
+            stack.append(masks[token - 1])
         elif token == "NOT":
-            push(full ^ pop())
+            stack[-1] ^= full
         else:
-            a = pop()
-            b = pop()
+            a = stack.pop()
             if token == "OR":
-                push(a | b)
+                stack[-1] |= a
             elif token == "XOR":
-                push(a ^ b)
+                stack[-1] ^= a
             elif token == "AND":
-                push(a & b)
+                stack[-1] &= a
             elif token == "AND2":
-                push(a & (full ^ b))
+                stack[-1] = a & (full ^ stack[-1])
             elif token == "XNOR":
-                push(full ^ a ^ b)
+                stack[-1] ^= full ^ a
             else:  # IF
-                c = pop()
-                push((a & b) | ((full ^ a) & c))
+                b = stack.pop()
+                stack[-1] = (a & b) | ((full ^ a) & stack[-1])
     return stack[0]
 
 
@@ -403,21 +402,41 @@ def random_tree(
 
 
 def _random_node(n: int, rng: Draws, budget: int, method: str) -> Tree:
-    # one draw per node, in preorder; the stack holds the depth budgets of the
-    # nodes still to draw, and siblings share a budget
-    below, ops, grow = rng.below, len(OPERATOR_NAMES), method != "full"
+    """Random grow or full tree of at most ``max(budget, 0)`` depth, one draw
+    per node in preorder.
+
+    A node's draw is ``rng.below(k)`` taken inline in its common case: one
+    word times ``k``, whose high word is the pick when the low word is at
+    least ``k``.  A lower product, which one word in about ``2**64 / k``
+    gives, goes back to the list and to ``below``, whose rejection loop then
+    reads that word again.  So the words read, the trees and the next draw
+    are those of a ``below`` call per node.
+    """
+    words, refill, below = rng._words, rng._refill, rng.below
+    ops, grow = len(OPERATOR_NAMES), method != "full"
+    inner = n + ops if grow else ops  # the bound of a node with budget left
     tokens: list = []
+    # the depth budgets of the nodes still to draw, next one on top; siblings
+    # share a budget
     pending = [budget]
     while pending:
         budget = pending.pop()
-        if budget <= 0:
-            pick = below(n)
+        k = inner if budget > 0 else n
+        if not words:
+            refill()
+        word = words.pop()
+        pick = word * k
+        if pick & _LOW >= k:
+            pick >>= 64
         else:
-            pick = below(n + ops) if grow else n + below(ops)
-        if pick < n:
-            tokens.append(pick + 1)
-            continue
-        op = OPERATOR_NAMES[pick - n]
+            words.append(word)
+            pick = below(k)
+        if grow or budget <= 0:
+            if pick < n:
+                tokens.append(pick + 1)
+                continue
+            pick -= n
+        op = OPERATOR_NAMES[pick]
         tokens.append(op)
         # the one to three child budgets, pushed without building a list
         arity = OPERATOR_ARITY[op]

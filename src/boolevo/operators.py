@@ -120,8 +120,11 @@ def _splice_fits(depths: list[int], index: int, end: int, max_depth: int) -> boo
     ``depths = node_depths(tree)``.  A grow ``subtree`` drawn at budget
     ``max_depth - depths[index]`` is never taller than ``max(budget, 0)``,
     so it fits exactly when its root does."""
-    outside = max(depths[:index] + depths[end:], default=0)
-    return depths[index] <= max_depth and outside <= max_depth
+    return (
+        depths[index] <= max_depth
+        and max(depths[:index], default=0) <= max_depth
+        and max(depths[end:], default=0) <= max_depth
+    )
 
 
 def subtree_mutation(
@@ -180,55 +183,69 @@ def size_fair_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     index_a = rng.below(len(a))
     end_a = subtree_end(a, index_a)
     limit = 2 * (end_a - index_a) + 1
+    arity_of = OPERATOR_ARITY.get
     # one reverse pass over b: a subtree ends where its last child's ends
-    donors = []  # (start, end) of each donor that fits the limit
+    donors = []  # (start, end) of each donor that fits the limit, last one first
     ends = []  # subtree ends of the nodes whose parent is still to come
     for j in range(len(b) - 1, -1, -1):
-        arity = OPERATOR_ARITY.get(b[j], 0)
+        arity = arity_of(b[j], 0)
         if arity:
-            end = ends[-arity]  # the first child is on top
-            del ends[-arity:]
+            # the first child's end is on top; the last child's, which is
+            # this node's end too, stays on the stack
+            if arity > 1:
+                ends.pop()
+                if arity > 2:
+                    ends.pop()
+            end = ends[-1]
         else:
             end = j + 1
-        ends.append(end)
+            ends.append(end)
         if end - j <= limit:
             donors.append((j, end))
-    donors.reverse()
-    start, end = donors[rng.below(len(donors))]
+    # the draw indexes the donors in preorder
+    start, end = donors[len(donors) - 1 - rng.below(len(donors))]
     return a[:index_a] + b[start:end] + a[end_a:]
 
 
-def _joint_preorder(a: Tree, b: Tree, any_arity: bool) -> list[tuple[int, int]]:
-    """Preorder ``(i, j)`` pairs of the nodes at the same coordinates in both trees.
+def _joint_preorder(a: Tree, b: Tree, any_arity: bool) -> tuple[list, list]:
+    """Preorder ``(i, j)`` pairs of the nodes at the same coordinates in both
+    trees, and the ``(end_i, end_j)`` ends of each pair's two subtrees.
 
     The walk goes on into paired children where the two arities agree, or,
     with ``any_arity``, into the child slots that both nodes have; after them
     a node's unpaired children are skipped by one ``subtree_end`` per tree.
+    When a pair closes the walk stands at the ends of its two subtrees.
     """
     arity_of = OPERATOR_ARITY.get
     pairs: list[tuple[int, int]] = []
+    ends: list = []
     i = j = 0
-    open_nodes = []  # per node on the path: [paired children left, unpaired in a, in b]
+    # per pair on the path: [paired children left, unpaired in a, in b, its index]
+    open_nodes = []
     while True:
-        pairs.append((i, j))
         arity_a, arity_b = arity_of(a[i], 0), arity_of(b[j], 0)
         shared = min(arity_a, arity_b) if any_arity or arity_a == arity_b else 0
+        node = [shared, arity_a - shared, arity_b - shared, len(pairs)]
+        pairs.append((i, j))
+        ends.append(None)
         i, j = i + 1, j + 1
-        node = [shared, arity_a - shared, arity_b - shared]
         open_nodes.append(node)
         while not node[0]:
             open_nodes.pop()
             if node[1] or node[2]:
                 i, j = subtree_end(a, i, node[1]), subtree_end(b, j, node[2])
+            ends[node[3]] = (i, j)
             if not open_nodes:
-                return pairs
+                return pairs, ends
             node = open_nodes[-1]
         node[0] -= 1
 
 
-def _swap_at_pair(a: Tree, b: Tree, pairs: list, rng: Draws) -> Tree:
-    i, j = pairs[rng.below(len(pairs))]
-    return replace_at(a, i, subtree_at(b, j))
+def _swap_at_pair(a: Tree, b: Tree, joint: tuple[list, list], rng: Draws) -> Tree:
+    pairs, ends = joint
+    pick = rng.below(len(pairs))
+    (i, j), (end_i, end_j) = pairs[pick], ends[pick]
+    return a[:i] + b[j:end_j] + a[end_i:]
 
 
 def one_point_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:

@@ -51,9 +51,9 @@ def bits_to_hex(bits: np.ndarray) -> str:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size % 4 != 0:
         raise ValueError("bit vector length must be a multiple of 4")
-    nibbles = bits.reshape(-1, 4)
-    values = nibbles[:, 0] * 8 + nibbles[:, 1] * 4 + nibbles[:, 2] * 2 + nibbles[:, 3]
-    return "".join("0123456789abcdef"[v] for v in values)
+    # packbits puts each position's bit high first, so a byte's two hex
+    # digits are its two nibbles in index order; a last half byte pads with 0
+    return np.packbits(bits).tobytes().hex()[: bits.size // 4]
 
 
 def bits_from_hex(digits: str, length: int) -> np.ndarray:

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from boolevo.encodings import OPERATOR_ARITY, OPERATOR_NAMES, random_genotype, replace_at
+from boolevo.encodings import (
+    OPERATOR_ARITY,
+    OPERATOR_NAMES,
+    random_genotype,
+    replace_at,
+    subtree_at,
+)
 from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
@@ -230,6 +236,14 @@ def float_bits_by_floor_and_shift(values, decode: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
+def bits_to_hex_per_digit(bits) -> str:
+    """Hex form of a bit vector whose length is a multiple of 4, one digit
+    per nibble, the lowest position the digit's most significant bit."""
+    nibbles = np.asarray(bits, dtype=np.uint8).reshape(-1, 4)
+    values = nibbles[:, 0] * 8 + nibbles[:, 1] * 4 + nibbles[:, 2] * 2 + nibbles[:, 3]
+    return "".join("0123456789abcdef"[v] for v in values)
+
+
 def _subtree_end(tree, pos: int) -> int:
     """End of the subtree at preorder ``pos``, by recursive descent."""
     tag = tree[pos]
@@ -294,6 +308,14 @@ def joint_preorder_by_recursion(a, b, any_arity):
 
     walk(0, 0)
     return pairs
+
+
+def joint_crossover_by_subtree_walks(a, b, any_arity, rng):
+    """One-point (``any_arity`` false) or context-preserving crossover that
+    finds the chosen pair's two subtrees by walking them again."""
+    pairs = joint_preorder_by_recursion(a, b, any_arity)
+    i, j = pairs[rng.below(len(pairs))]
+    return replace_at(a, i, subtree_at(b, j))
 
 
 def subtree_mutation_by_tree_walks(tree, n, rng, max_depth, max_nodes):

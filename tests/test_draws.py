@@ -58,6 +58,18 @@ def test_below_rejects_empty_and_oversized_ranges():
     assert 0 <= draws.below(2**64) < 2**64
 
 
+@pytest.mark.parametrize("drawn", [0, 5, BLOCK_WORDS - 1, BLOCK_WORDS])
+def test_a_refused_below_leaves_the_next_draw(drawn):
+    # a bound over 2**64 is refused after a word is read; the word goes back
+    draws, fresh = Draws(13), Draws(13)
+    for _ in range(drawn):
+        assert draws.below(9) == fresh.below(9)
+    for k in (2**64 + 1, 0, 2**65):
+        with pytest.raises(ValueError, match="below needs"):
+            draws.below(k)
+    assert [draws.below(1 << 62) for _ in range(3)] == [fresh.below(1 << 62) for _ in range(3)]
+
+
 @pytest.mark.parametrize("length", [20, 64, 8192])
 def test_bits_are_uint8_zeros_and_ones(length):
     bits = Draws(3).bits(length)

@@ -1,6 +1,7 @@
 """Encoding/decoding behaviour, with the tree evaluator checked against a
 separate per-assignment interpreter."""
 
+import copy
 import json
 
 import numpy as np
@@ -323,6 +324,62 @@ def test_random_node_matches_the_list_pushes():
                     want = random_node_by_list_pushes(n, oracle_rng, budget, method)
                     assert _random_node(n, rng, budget, method) == want
                     assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+
+
+def low_word_below_accepts(k):
+    """A word whose product with ``k`` has a low word below ``k`` that
+    ``below`` still accepts: exactly its threshold ``(2**64 - k) % k``."""
+    threshold = (2**64 - k) % k
+    shift = (k & -k).bit_length() - 1  # the twos in k, which divide the threshold too
+    word = (threshold >> shift) * pow(k >> shift, -1, 2 ** (64 - shift)) % 2**64
+    assert 0 < (word * k) % 2**64 == threshold < k
+    return word
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("method", ["grow", "full"])
+def test_random_node_hands_low_products_back_to_below(n, method):
+    # no bound at n = 3, 5 or 7 (n, n + 7 and 7) is a power of two, so below
+    # rejects the word 0, whose low product 0 is under (2**64 - k) % k, and
+    # reads the next word; a word at that threshold has a low product under
+    # k too, but below takes it.  The inline draw must hand both to below
+    inner = 7 if method == "full" else n + 7  # the bound of every draw at budget > 0
+    consumed = {}
+    for word in (0, low_word_below_accepts(inner), low_word_below_accepts(n)):
+        for seed in range(12):
+            for position in range(4):
+                rng = Draws(seed)
+                rng.below(2)  # fills the block
+                words = rng._words
+                words.insert(len(words) - position, word)  # read after `position` words
+                unread = len(words)
+                oracle_rng = copy.deepcopy(rng)
+                want = random_node_by_list_pushes(n, oracle_rng, 3, method)
+                assert _random_node(n, rng, 3, method) == want
+                assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+                used = unread - len(rng._words) - 1 > position
+                consumed[position] = consumed.get(position, 0) + used
+    # a root draw always reads the word, and the later draws often do
+    assert consumed[0] == 3 * 12
+    assert min(consumed.values()) > 12
+
+
+def test_random_node_refills_mid_tree_as_below_does():
+    # the word list drained to a few words, so a tree refills while drawing
+    refilled = 0
+    for n in (3, 5, 7):
+        for method in ("grow", "full"):
+            for seed in range(12):
+                for left in range(4):
+                    rng = Draws(100 + seed)
+                    rng.below(2)
+                    del rng._words[: len(rng._words) - left]  # keeps the next `left`
+                    oracle_rng = copy.deepcopy(rng)
+                    want = random_node_by_list_pushes(n, oracle_rng, 3, method)
+                    assert _random_node(n, rng, 3, method) == want
+                    refilled += len(rng._words) > left
+                    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+    assert refilled > 3 * 2 * 12
 
 
 def test_tree_text_round_trip():

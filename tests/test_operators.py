@@ -28,6 +28,7 @@ from boolevo.operators import (
 )
 from oracles import (
     crossover_bitstring_by_where,
+    joint_crossover_by_subtree_walks,
     joint_preorder_by_recursion,
     mutate_bitstring_by_window_permutation,
     size_fair_crossover_by_subtree_walks,
@@ -288,8 +289,32 @@ def test_joint_preorder_matches_the_recursive_walk():
                     a = random_tree(n, rng, depth, method)
                     b = random_tree(n, rng, rng.below(depth + 1), method)
                     for any_arity in (False, True):
-                        want = joint_preorder_by_recursion(a, b, any_arity)
-                        assert _joint_preorder(a, b, any_arity) == want
+                        pairs, ends = _joint_preorder(a, b, any_arity)
+                        assert pairs == joint_preorder_by_recursion(a, b, any_arity)
+                        # each pair's ends are its two subtrees' ends
+                        want = [(subtree_end(a, i), subtree_end(b, j)) for i, j in pairs]
+                        assert ends == want
+
+
+def test_tree_crossovers_match_the_subtree_walks():
+    # one-point and context-preserving children splice at the ends the joint
+    # walk passed, size-fair ones at the ends of one reverse pass; each must
+    # give the child and the next draw of walking the chosen subtrees again
+    tree_rng = Draws(73)
+    rng, oracle_rng = Draws(74), Draws(74)
+    for n in range(1, 8):
+        for depth in range(9):
+            for method in ("grow", "full"):
+                for _ in range(3):
+                    a = random_tree(n, tree_rng, depth, method)
+                    b = random_tree(n, tree_rng, tree_rng.below(depth + 1), method)
+                    want = joint_crossover_by_subtree_walks(a, b, False, oracle_rng)
+                    assert one_point_tree_crossover(a, b, rng) == want
+                    want = joint_crossover_by_subtree_walks(a, b, True, oracle_rng)
+                    assert context_preserving_crossover(a, b, rng) == want
+                    want = size_fair_crossover_by_subtree_walks(a, b, oracle_rng)
+                    assert size_fair_crossover(a, b, rng) == want
+                    assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
 def test_subtree_crossover_inserts_donor_subtree():

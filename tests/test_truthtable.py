@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     affine_tables,
     batch_walsh_by_matrix,
+    bits_to_hex_per_digit,
     naive_walsh,
     nonlinearity_by_distance,
 )
@@ -223,6 +224,20 @@ def test_hex_rejects_bad_input():
         TruthTable.from_hex("0g", 3)
     with pytest.raises(ValueError):
         TruthTable(1, [0, 1]).to_hex()
+
+
+@pytest.mark.parametrize("length", [4, 8, 12, 128, 2048, 8192])
+def test_bits_to_hex_matches_one_digit_per_nibble(length):
+    rng = np.random.default_rng(length)
+    for bits in (
+        rng.integers(0, 2, length, dtype=np.uint8),
+        np.zeros(length, dtype=np.uint8),
+        np.ones(length, dtype=np.uint8),
+    ):
+        digits = bits_to_hex(bits)
+        assert digits == bits_to_hex_per_digit(bits)
+        assert len(digits) == length // 4
+        assert np.array_equal(bits_from_hex(digits, length), bits)
 
 
 def test_bits_hex_helpers_on_non_power_of_two_lengths():
