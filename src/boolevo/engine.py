@@ -155,19 +155,30 @@ def serialize_genotype(genotype, encoding: str, n: int, mode: str, decode: int) 
 
 def deserialize_genotype(data: dict):
     """Inverse of :func:`serialize_genotype`: the raw genotype, validated."""
-    encoding, n = data["encoding"], data["n"]
+    encoding, n = _field(data, "encoding"), _field(data, "n")
     mode, decode = data.get("mode", GENERAL), data.get("decode", DEFAULT_DECODE)
     if encoding == "bitstring" and "hex" in data:
         genotype = bits_from_hex(data["hex"], target_length(n, mode))
     elif encoding == "bitstring":
-        genotype = [int(c) for c in data["bits"]]
+        bits = _field(data, "bits")
+        # ASCII 0 and 1 alone: int() would take any Unicode digit
+        if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+            raise ValueError(f"genotype field 'bits' must be a string of 0s and 1s, got {bits!r}")
+        genotype = [int(c) for c in bits]
     elif encoding == "float":
-        genotype = data["values"]
+        genotype = _field(data, "values")
     elif encoding == "tree":
-        genotype = tree_from_text(data["text"])
+        genotype = tree_from_text(_field(data, "text"))
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
     return check_genotype(genotype, encoding, n, mode, decode)
+
+
+def _field(data: dict, name: str):
+    """``data[name]``, or a one-line error that names the missing field."""
+    if name not in data:
+        raise ValueError(f"genotype record has no {name!r} field")
+    return data[name]
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +259,9 @@ def _initialise(state: _RunState) -> None:
 
     A block's genotypes are drawn first, in order, and keyed with one
     :meth:`FitnessEvaluator.key_ahead`; each is then charged by its own
-    ``evaluate`` call and noted, in order.  No draw reads a key, so the
-    population, its charges and its notes are those of drawing and
-    evaluating one genotype at a time, and a stop falls on the same
+    ``evaluate`` call, given its key, and noted, in order.  No draw reads a
+    key, so the population, its charges and its notes are those of drawing
+    and evaluating one genotype at a time, and a stop falls on the same
     evaluation; it leaves only the rest of its block drawn in vain.
     """
     cfg, evaluator = state.config, state.evaluator
@@ -269,10 +280,8 @@ def _initialise(state: _RunState) -> None:
             )
             for _ in range(count)
         ]
-        for genotype in evaluator.key_ahead(block if tree else np.array(block)):
-            key = evaluator.evaluate(genotype)
-            # a copy, as in sst_step: a row would keep the whole block alive
-            state.pop.append(Individual(genotype if tree else genotype.copy(), key))
+        for genotype, key in zip(block, evaluator.key_ahead(block if tree else np.array(block))):
+            state.pop.append(Individual(genotype, evaluator.evaluate(genotype, key)))
             state.note(state.pop[-1])
 
 
@@ -310,9 +319,9 @@ def sst_step(state: _RunState, steps: int) -> int:
     one whose charge stops the run, so a budget stop builds no tree in
     vain.  The children are keyed with one
     :meth:`FitnessEvaluator.key_ahead`.  Each is then charged by its own
-    ``evaluate`` call, replaces its row's loser and is noted, in row order,
-    so a budget, time or target stop falls on the same evaluation as it
-    would one step at a time.
+    ``evaluate`` call, given its key, replaces its row's loser and is noted,
+    in row order, so a budget, time or target stop falls on the same
+    evaluation as it would one step at a time.
     """
     pop, rng, evaluator = state.pop, state.rng, state.evaluator
     rows = min(len(pop) // 3, evaluator.block_rows, steps)
@@ -342,9 +351,8 @@ def sst_step(state: _RunState, steps: int) -> int:
         mutated = [row for row, coin in enumerate(coins) if coin]
         if mutated:
             block[mutated] = state.mutate(block[mutated], rng)
-    children = evaluator.key_ahead(block)
-    for loser, child in zip(losers, children):
-        key = evaluator.evaluate(child)
+    for loser, child, key in zip(losers, block, evaluator.key_ahead(block)):
+        key = evaluator.evaluate(child, key)
         # a copy: a row of the keyed block would keep the whole block alive
         pop[loser] = Individual(child if tree else child.copy(), key)
         state.note(pop[loser])
@@ -367,13 +375,13 @@ def de_step(state: _RunState) -> None:
     they are all drawn first, in slot order.  The trials are then built from
     the live population in blocks of up to ``block_rows``, each keyed with
     one :meth:`FitnessEvaluator.key_ahead`, and each is charged by its own
-    ``evaluate`` call, in slot order.  A trial at least as good as its target
-    replaces it at once, so later trials of the generation may read it.  A
-    later trial of the block whose three slots include a slot replaced
-    since the block was built is stale: when its turn comes it is built
-    again from the live population, with the same float operations, and
-    ``evaluate`` keys it on its own, while the rest of the block keeps its
-    keys.
+    ``evaluate`` call, given its key, in slot order.  A trial at least as
+    good as its target replaces it at once, so later trials of the
+    generation may read it.  A later trial of the block whose three slots
+    include a slot replaced since the block was built is stale: when its
+    turn comes it is built again from the live population, with the same
+    float operations, and ``evaluate`` is given no key, so it keys the new
+    trial on its own.
     """
     pop, rng, cfg, evaluator = state.pop, state.rng, state.config, state.evaluator
     size, dim = len(pop), len(pop[0].genotype)
@@ -392,11 +400,12 @@ def de_step(state: _RunState) -> None:
             *genotypes[slot_rows[start:end].T], cross[start:end], genotypes[start:end], cfg.de_weight
         )
         replaced: set[int] = set()  # slots replaced since the block was built
-        for target, trial in enumerate(evaluator.key_ahead(block), start):
+        for target, trial, key in zip(range(start, end), block, evaluator.key_ahead(block)):
             if not replaced.isdisjoint(slots[target]):
                 parents = (pop[slot].genotype for slot in slots[target])
                 trial = _de_trials(*parents, cross[target], pop[target].genotype, cfg.de_weight)
-            key = evaluator.evaluate(trial)
+                key = None
+            key = evaluator.evaluate(trial, key)
             if key >= pop[target].key:
                 # a copy: a row of the keyed block would keep the whole block alive
                 pop[target] = Individual(trial.copy(), key)

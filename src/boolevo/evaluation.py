@@ -277,9 +277,9 @@ class FitnessEvaluator:
     the search goes through :func:`~boolevo.encodings.check_genotype` first.
     Every call to :meth:`evaluate` (and every flip probed through
     :class:`BitFlipSession`) charges one evaluation; crossing the budget or
-    the wall-clock limit raises :class:`BudgetExhausted`.  Keying genotypes
-    ahead with :meth:`key_ahead` charges nothing; their :meth:`evaluate`
-    calls do.
+    the wall-clock limit raises :class:`BudgetExhausted`.  Keying a block
+    with :meth:`key_ahead` charges nothing: the caller hands each key to
+    the :meth:`evaluate` call that charges its genotype.
     """
 
     def __init__(
@@ -331,8 +331,6 @@ class FitnessEvaluator:
         self.genotype_length = target_length(n, mode)
         #: most spectra in one block
         self.block_rows = max(1, BLOCK_ELEMENTS // self.genotype_length)
-        # (genotype, key) pairs keyed ahead, the next one last
-        self._ahead: list[tuple[np.ndarray, int]] = []
 
     def charge(self) -> None:
         """Account for one fitness evaluation, or refuse to."""
@@ -343,40 +341,30 @@ class FitnessEvaluator:
             if time.perf_counter() > self._deadline:
                 raise BudgetExhausted(EXHAUSTED_TIME)
 
-    def evaluate(self, genotype) -> int:
-        """Charge one evaluation and return the fitness key.
+    def evaluate(self, genotype, key: int | None = None) -> int:
+        """Charge one evaluation and return the fitness key of ``genotype``.
 
-        While rows keyed by :meth:`key_ahead` are left, each call uses up
-        the next one and returns its key only if ``genotype`` is that row.
+        ``key`` is the genotype's key from :meth:`key_ahead`, returned as it
+        is; without one, the genotype is keyed alone, as a one-row block.
         """
         self.charge()
-        if self._ahead:
-            row, key = self._ahead.pop()
-            if row is genotype:
-                return key
+        if key is not None:
+            return key
         block = [genotype] if self.encoding == "tree" else genotype[None]
         return spectrum_key(self._block_spectra(block)[0], self.n, self.weights)
 
-    def key_ahead(self, block) -> list:
-        """Key a block of genotypes now: a 2-D array of bitstring or float
-        genotypes, one per row, or a list of trees.
+    def key_ahead(self, block) -> list[int]:
+        """The keys of a block of genotypes, one per row, in order: a 2-D
+        array of bitstring or float genotypes, or a list of trees.
 
-        Returns the rows, or the trees themselves.  Each of the next
-        ``len(block)`` :meth:`evaluate` calls uses up one row, in order: a
-        call given its row, known by identity, returns the row's key
-        without a product; a call given anything else, a row out of order
-        included, keys its argument from scratch, and the rows after stay
-        matched with the calls after.  So a caller can swap one row for
-        another genotype and keep the rest keyed.  An array block becomes read-only, so a row cannot change
-        between its keying and its charge; trees are tuples.  Replaces the
-        previous block.
+        Charges nothing: each genotype is charged when it is given to
+        :meth:`evaluate` with its key.  An array block becomes read-only, so
+        a row cannot change between its keying and its charge; trees are
+        tuples.
         """
         if self.encoding != "tree":
             block.flags.writeable = False
-        rows = list(block)
-        keys = spectrum_key(self._block_spectra(block), self.n, self.weights)
-        self._ahead = list(zip(rows, keys))[::-1]
-        return rows
+        return spectrum_key(self._block_spectra(block), self.n, self.weights)
 
     # -- spectrum algebra ---------------------------------------------------
 

@@ -11,8 +11,8 @@ Variants:
   them all to the parent, keys the children as one block
   (:meth:`FitnessEvaluator.key_ahead`), and after an accepted trial applies
   the unused ones to the new parent.  Each trial is still charged by its own
-  ``evaluate`` call, in order.  A tree mutation draws from the parent's
-  shape, so a tree climb uses blocks of one child.
+  ``evaluate`` call, given its key, in order.  A tree mutation draws from
+  the parent's shape, so a tree climb keys blocks of one child.
 * ``ls2`` (bitstring only) sweeps the genotype positions in ascending order,
   committing every strictly improving single-bit flip, until a whole sweep
   passes without improvement.  It rides :class:`BitFlipSession`: one float32
@@ -85,9 +85,9 @@ def ls_mutation(
             count = min(trials - failures, evaluator.block_rows) - len(moves)
             drawn = mutate(np.broadcast_to(identity, (count, len(identity))), rng)
             moves = np.concatenate([moves, drawn])
-            children = evaluator.key_ahead(_apply(encoding, current.genotype, moves))
-        for tried, child in enumerate(children, 1):
-            key = evaluator.evaluate(child)
+            children = _apply(encoding, current.genotype, moves)
+        for tried, (child, key) in enumerate(zip(children, evaluator.key_ahead(children)), 1):
+            key = evaluator.evaluate(child, key)
             if key > current.key:
                 current = Individual(child, key)
                 failures = 0

@@ -13,11 +13,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DIMENSION = 16
+
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
 
 #: Largest verified nonlinearity of an n-variable function, for the odd
 #: dimensions this package targets.
@@ -64,16 +67,13 @@ def bits_from_hex(digits: str, length: int) -> np.ndarray:
         raise ValueError(
             f"expected {length // 4} hex digits for {length} bits, got {len(digits)}"
         )
-    try:
-        values = np.array([int(c, 16) for c in digits], dtype=np.uint8)
-    except ValueError as exc:
-        raise ValueError(f"invalid hex string: {digits!r}") from exc
-    bits = np.empty(length, dtype=np.uint8)
-    bits[0::4] = (values >> 3) & 1
-    bits[1::4] = (values >> 2) & 1
-    bits[2::4] = (values >> 1) & 1
-    bits[3::4] = values & 1
-    return bits
+    # ASCII digits alone: int() would take any Unicode digit, and fromhex
+    # would skip whitespace that unpackbits then pads with zero bits
+    if _HEX_DIGITS.fullmatch(digits) is None:
+        raise ValueError(f"invalid hex string: {digits!r}")
+    # an odd digit count pads the last byte with a zero nibble
+    data = bytes.fromhex(digits + "0" * (len(digits) % 2))
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=length)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,19 +20,6 @@ from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
 
 
-def keyed_alone(block):
-    """The genotype that a one-row ``_block_spectra`` block holds, or None
-    for a block of more rows.
-
-    ``evaluate`` keys a genotype on its own as ``[tree]`` or as
-    ``genotype[None]``, a view whose ``base`` is the genotype when the
-    genotype owns its data, as a fresh draw does.
-    """
-    if len(block) != 1:
-        return None
-    return block[0] if isinstance(block, list) else block.base
-
-
 def naive_walsh(bits) -> list[int]:
     """W(a) = sum_x (-1)^(f(x) XOR parity(a AND x)), by direct double loop."""
     bits = list(int(b) for b in bits)
@@ -244,6 +231,13 @@ def bits_to_hex_per_digit(bits) -> str:
     return "".join("0123456789abcdef"[v] for v in values)
 
 
+def bits_from_hex_per_digit(digits: str) -> np.ndarray:
+    """Bits of a hex string, one ``int(c, 16)`` a digit, the digit's most
+    significant bit at its lowest position."""
+    return np.array([(int(c, 16) >> shift) & 1 for c in digits for shift in (3, 2, 1, 0)],
+                    dtype=np.uint8)
+
+
 def _subtree_end(tree, pos: int) -> int:
     """End of the subtree at preorder ``pos``, by recursive descent."""
     tag = tree[pos]
@@ -409,11 +403,10 @@ def sst_step_per_row(state, steps) -> int:
     parents are the other two in draw order.  The mutation coins are drawn
     next, then the children are built from the population before the block
     with the same operator calls as the library's step.  Each child is then
-    evaluated from a copy, so that nothing keyed ahead is used, and replaces
-    its loser before the next child is evaluated.  Tree children are all
-    built before the first is evaluated, which draws the same numbers as
-    building each just before its charge, and differs only in what a stop
-    leaves undrawn.
+    evaluated on its own and replaces its loser before the next child is
+    evaluated.  Tree children are all built before the first is evaluated,
+    which draws the same numbers as building each just before its charge,
+    and differs only in what a stop leaves undrawn.
     """
     pop, rng = state.pop, state.rng
     rows = min(len(pop) // 3, state.evaluator.block_rows, steps)
@@ -439,7 +432,7 @@ def sst_step_per_row(state, steps) -> int:
         if mutated:
             children[mutated] = state.mutate(children[mutated], rng)
     for loser, child in zip(losers, children):
-        key = state.evaluator.evaluate(child if state.config.encoding == "tree" else child.copy())
+        key = state.evaluator.evaluate(child)
         pop[loser] = Individual(child, key)
         state.note(pop[loser])
     return rows

@@ -124,6 +124,13 @@ def test_verify_rejects_garbage(capsys):
     assert "error" in stderr
 
 
+def test_verify_rejects_digits_that_are_not_ascii_hex(capsys):
+    # int("\u0663", 16) == 3, but an Arabic-Indic three is no hex digit
+    code, stdout, stderr = run_cli(capsys, "verify", "\u0663\u0663", "--n", "3")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: invalid hex string") and stderr.count("\n") == 1
+
+
 def test_orbits_subcommand(capsys):
     code, stdout, _ = run_cli(capsys, "orbits", "--n", "7")
     assert code == 0

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial, initialise_per_genotype, keyed_alone, sst_step_per_row
+from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
@@ -369,19 +369,20 @@ def _de_generations(step, space, budget=None, stop_at_note=None):
 
 def _first_stale(space):
     """The evaluations done, its own charge included, when the first stale
-    trial was keyed on its own, or None."""
+    trial was keyed on its own (given to ``evaluate`` without a key), or None."""
     state = _de_state(space)
     _initialise(state)
-    block_spectra = state.evaluator._block_spectra
+    evaluate = state.evaluator.evaluate
     first = None
 
-    def spy(block):
+    def spy(genotype, key=None):
         nonlocal first
-        if first is None and keyed_alone(block) is not None:
+        result = evaluate(genotype, key)
+        if first is None and key is None:
             first = state.evaluator.evaluations
-        return block_spectra(block)
+        return result
 
-    state.evaluator._block_spectra = spy
+    state.evaluator.evaluate = spy
     for _ in range(DE_GENERATIONS):
         de_step(state)
     return first
@@ -430,20 +431,20 @@ def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
     def note(individual):
         replaced.add(evaluator.evaluations - size - 1)  # the trial's index in the run
 
-    key_ahead, block_spectra = evaluator.key_ahead, evaluator._block_spectra
+    key_ahead, evaluate = evaluator.key_ahead, evaluator.evaluate
 
     def spy_key_ahead(block):
         blocks.append(len(block))
         return key_ahead(block)
 
-    def spy_spectra(block):
-        if keyed_alone(block) is not None:
-            alone.add(evaluator.evaluations - size - 1)
-        return block_spectra(block)
+    def spy_evaluate(genotype, key=None):
+        if key is None:
+            alone.add(evaluator.evaluations - size)  # the trial's index in the run
+        return evaluate(genotype, key)
 
     monkeypatch.setattr(engine, "_draw_distinct", draw_distinct)
     state.note = note
-    evaluator.key_ahead, evaluator._block_spectra = spy_key_ahead, spy_spectra
+    evaluator.key_ahead, evaluator.evaluate = spy_key_ahead, spy_evaluate
     for _ in range(DE_GENERATIONS):
         de_step(state)
     assert blocks == [size] * DE_GENERATIONS
@@ -645,27 +646,27 @@ def _initialised(initialise, space, size, stop_at_note=None):
 def test_blocked_initialisation_matches_the_per_genotype_loop(space, monkeypatch):
     kwargs, size = INIT_SPACES[space]
     full = _initialised(initialise_per_genotype, kwargs, size)
-    blocks, products = [], []
-    key_ahead, block_spectra = FitnessEvaluator.key_ahead, FitnessEvaluator._block_spectra
+    blocks, alone = [], []
+    key_ahead, evaluate = FitnessEvaluator.key_ahead, FitnessEvaluator.evaluate
 
     def spy(evaluator, block):
         blocks.append(len(block))
         return key_ahead(evaluator, block)
 
-    def spy_spectra(evaluator, block):
-        if (genotype := keyed_alone(block)) is not None:
-            products.append(genotype)
-        return block_spectra(evaluator, block)
+    def spy_evaluate(evaluator, genotype, key=None):
+        if key is None:
+            alone.append(genotype)
+        return evaluate(evaluator, genotype, key)
 
     monkeypatch.setattr(FitnessEvaluator, "key_ahead", spy)
-    monkeypatch.setattr(FitnessEvaluator, "_block_spectra", spy_spectra)
+    monkeypatch.setattr(FitnessEvaluator, "evaluate", spy_evaluate)
     assert _initialised(_initialise, kwargs, size) == full
     assert full[2] == size
     # one key_ahead per block of block_rows, and no genotype keyed on its own
     cfg = RunConfig(population_size=size, **kwargs)
     block_rows = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode).block_rows
     assert blocks == [min(block_rows, size - start) for start in range(0, size, block_rows)]
-    assert not products
+    assert not alone
     # a target stop at each new best noted inside a block, neither at its
     # first row nor at its last
     ends = np.cumsum(blocks).tolist()
@@ -806,3 +807,28 @@ def test_genotype_serialization_round_trip():
 def test_deserialize_rejects_genotypes_of_the_wrong_size(data):
     with pytest.raises(ValueError):
         deserialize_genotype(data)
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"encoding": "bitstring", "n": 1, "bits": "0\u0661"}, "bits"),
+        ({"encoding": "bitstring", "n": 1, "bits": "0x"}, "bits"),
+        ({"encoding": "bitstring", "n": 1, "bits": [0, 1]}, "bits"),
+        ({"encoding": "bitstring", "n": 3}, "bits"),
+        ({"encoding": "float", "n": 3}, "values"),
+        ({"encoding": "tree", "n": 3}, "text"),
+        ({"encoding": "bitstring", "bits": "01"}, "n"),
+        ({"n": 1, "bits": "01"}, "encoding"),
+    ],
+)
+def test_deserialize_names_a_missing_or_malformed_field(data, field):
+    # one line that names the field, never a KeyError or int()'s message
+    with pytest.raises(ValueError, match=f"'{field}'") as error:
+        deserialize_genotype(data)
+    assert "\n" not in str(error.value)
+
+
+def test_deserialize_reads_a_bits_record():
+    bits = deserialize_genotype({"encoding": "bitstring", "n": 1, "bits": "01"})
+    assert bits.dtype == np.uint8 and np.array_equal(bits, [0, 1])

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import keyed_alone, nonlinearity_by_distance, tree_table_pointwise
+from oracles import nonlinearity_by_distance, tree_table_pointwise
 
 import boolevo.evaluation as evaluation
 from boolevo.draws import Draws
@@ -130,7 +130,7 @@ def test_factor_chain_keys_equal_the_reference(n):
         assert np.array_equal(ev._block_spectra(bits[None])[0].astype(np.int64), values)
     assert np.array_equal(ev._block_spectra(tables).astype(np.int64), np.array(want))
     keys = [reference_key(bits, n) for bits in tables]
-    assert [ev.evaluate(row) for row in ev.key_ahead(tables.copy())] == keys
+    assert ev.key_ahead(tables.copy()) == keys
     bits = tables[-1].copy()
     session = BitFlipSession(ev, bits)
     for position in sorted({0, 1, size // 3, size - 1}):
@@ -458,6 +458,18 @@ def test_individual_holds_genotype_and_key():
     assert ind.key >> 3 == 2
 
 
+def _spy_products(ev) -> list:
+    """Replace ``ev``'s spectrum product with one that records each block it keys."""
+    block_spectra, products = ev._block_spectra, []
+
+    def spy(block):
+        products.append(block)
+        return block_spectra(block)
+
+    ev._block_spectra = spy
+    return products
+
+
 @pytest.mark.parametrize(
     "n,encoding,mode,decode",
     [(1, "bitstring", "general", 4), (7, "bitstring", "general", 4),
@@ -465,80 +477,59 @@ def test_individual_holds_genotype_and_key():
      (7, "float", "general", 4), (7, "float", ROTATION, 2)],
 )
 def test_keyed_ahead_keys_reach_only_their_own_rows(n, encoding, mode, decode):
+    # key_ahead returns each row's own key and charges nothing; evaluate
+    # charges one evaluation a call, returns the key it is given without a
+    # product, and without one keys its own genotype as a one-row block
     ev = FitnessEvaluator(n, encoding, mode, decode=decode)
     rng = Draws(52)
 
     def sample():
         return random_genotype(encoding, n, rng, mode=mode, decode=decode)
 
+    def reference(genotype):
+        table = genotype_table(genotype, encoding, n, mode, decode)
+        return spectrum_key(walsh_transform(table).values, n)
+
     block = np.array([sample() for _ in range(min(4, ev.block_rows + 1))])
-    rows = ev.key_ahead(block)
-    assert len(rows) == len(block)
+    keys = ev.key_ahead(block)
+    assert keys == [reference(row) for row in block]
+    assert ev.evaluations == 0
     with pytest.raises(ValueError):
-        rows[0][0] = rows[0][1]  # a keyed row cannot change before its charge
-    # another object, an equal copy, rows out of order, twice and in order
-    order = [sample(), block[0].copy(), rows[-1], rows[0], rows[0], block[1]]
-    order += rows[1:] + rows
-    for count, genotype in enumerate(order, 1):
-        table = genotype_table(genotype, encoding, n, mode, decode)
-        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
+        block[0, 0] = block[0, 1]  # a keyed row cannot change before its charge
+    products = _spy_products(ev)
+    for count, (row, key) in enumerate(zip(block, keys), 1):
+        assert ev.evaluate(row, key) == key
         assert ev.evaluations == count
-
-
-@pytest.mark.parametrize(
-    "n,encoding,mode,decode",
-    [(1, "bitstring", "general", 4), (7, "bitstring", "general", 4),
-     (13, "bitstring", "general", 4), (9, "bitstring", ROTATION, 4),
-     (7, "float", "general", 4), (7, "float", ROTATION, 2)],
-)
-def test_a_foreign_genotype_takes_one_keyed_rows_turn(n, encoding, mode, decode):
-    # a genotype evaluated in a keyed row's place uses up that row alone:
-    # the rows after it still get their keys without a product
-    ev = FitnessEvaluator(n, encoding, mode, decode=decode)
-    rng = Draws(54)
-
-    def sample():
-        return random_genotype(encoding, n, rng, mode=mode, decode=decode)
-
-    rows = ev.key_ahead(np.array([sample() for _ in range(4)]))
-    block_spectra, products = ev._block_spectra, []
-
-    def spy(block):
-        if (genotype := keyed_alone(block)) is not None:
-            products.append(genotype)
-        return block_spectra(block)
-
-    ev._block_spectra = spy
-    order = [rows[0], sample(), rows[2], rows[3]]
-    for genotype in order:
-        table = genotype_table(genotype, encoding, n, mode, decode)
-        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
-    assert len(products) == 1 and products[0] is order[1]
+    assert not products
+    # no key: the genotype itself is keyed, a row of the last block included
+    for count, genotype in enumerate([sample(), block[-1], block[0].copy()], len(block) + 1):
+        assert ev.evaluate(genotype) == reference(genotype)
+        assert ev.evaluations == count
+        assert len(products[-1]) == 1 and np.array_equal(products[-1][0], genotype)
+    assert len(products) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
 def test_keyed_ahead_tree_keys_equal_the_reference(n):
-    # a list of trees is keyed as one block; each tree, given in its turn,
-    # gets its key without a product, and anything else is keyed on its own
+    # a list of trees is keyed as one block; each tree given its key is
+    # charged without a product, and a tree given none is keyed on its own
     ev = FitnessEvaluator(n, "tree")
     rng = Draws(56)
     trees = [random_genotype("tree", n, rng, max_depth=5) for _ in range(20)]
-    block_spectra, products = ev._block_spectra, []
 
-    def spy(block):
-        if (genotype := keyed_alone(block)) is not None:
-            products.append(genotype)
-        return block_spectra(block)
+    def reference(tree):
+        table = TruthTable(n, tree_table_pointwise(tree, n))
+        return spectrum_key(walsh_transform(table).values, n)
 
-    ev._block_spectra = spy
-    rows = ev.key_ahead(trees)
-    assert len(rows) == len(trees) and all(row is tree for row, tree in zip(rows, trees))
+    products = _spy_products(ev)
+    keys = ev.key_ahead(trees)
+    assert keys == [reference(tree) for tree in trees]
+    assert ev.evaluations == 0 and products == [trees]
+    assert [ev.evaluate(tree, key) for tree, key in zip(trees, keys)] == keys
+    assert ev.evaluations == len(trees) and len(products) == 1
     other = random_genotype("tree", n, rng, max_depth=5)
-    order = rows[:5] + [other] + rows[6:]
-    for genotype in order:
-        table = TruthTable(n, tree_table_pointwise(genotype, n))
-        assert ev.evaluate(genotype) == spectrum_key(walsh_transform(table).values, n)
-    assert len(products) == 1 and products[0] is other
+    assert ev.evaluate(other) == reference(other)
+    assert ev.evaluations == len(trees) + 1 and products[1] == [other]
 
 
 @pytest.mark.parametrize("n,mode", [(2, "general"), (9, "general"), (12, "general"),
@@ -551,5 +542,6 @@ def test_keyed_ahead_block_rows_equal_the_vector_keys(n, mode):
     block = rng.integers(0, 2, (ev.block_rows, ev.genotype_length), dtype=np.uint8)
     block[0] = 0
     block[-1] = 1
-    want = [ev.evaluate(bits.copy()) for bits in block]
-    assert [ev.evaluate(row) for row in ev.key_ahead(block)] == want
+    want = [ev.evaluate(bits) for bits in block]
+    assert ev.key_ahead(block) == want
+    assert ev.evaluations == len(block)

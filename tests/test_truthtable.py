@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     affine_tables,
     batch_walsh_by_matrix,
+    bits_from_hex_per_digit,
     bits_to_hex_per_digit,
     naive_walsh,
     nonlinearity_by_distance,
@@ -238,6 +239,26 @@ def test_bits_to_hex_matches_one_digit_per_nibble(length):
         assert digits == bits_to_hex_per_digit(bits)
         assert len(digits) == length // 4
         assert np.array_equal(bits_from_hex(digits, length), bits)
+
+
+@pytest.mark.parametrize("length", [4, 12, 128, 8192])
+def test_bits_from_hex_matches_one_nibble_per_digit(length):
+    # odd and even digit counts, in lower and upper case
+    rng = np.random.default_rng(length + 1)
+    digits = "".join(rng.choice(list("0123456789abcdef"), length // 4))
+    for text in (digits, digits.upper(), "0" * (length // 4), "F" * (length // 4)):
+        bits = bits_from_hex(text, length)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, bits_from_hex_per_digit(text))
+
+
+@pytest.mark.parametrize("bad", ["\u0663", "\uff11", " ", "g", "+"])
+def test_bits_from_hex_rejects_anything_but_ascii_hex_digits(bad):
+    # an Arabic-Indic three and a fullwidth one are digits to int(), and
+    # fromhex skips a space; none of them is a hex digit of a record
+    for digits, length in ((bad * 2, 8), ("0" + bad, 8), (bad + "00", 12), ("0" + bad + "0", 12)):
+        with pytest.raises(ValueError, match="invalid hex string"):
+            bits_from_hex(digits, length)
 
 
 def test_bits_hex_helpers_on_non_power_of_two_lengths():
