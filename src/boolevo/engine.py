@@ -46,6 +46,7 @@ from .evaluation import (
 from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, VARIANTS, LsConfig, apply_ls
 from .operators import make_operators
 from .truthtable import (
+    MAX_DIMENSION,
     bits_from_hex,
     bits_to_hex,
     spectrum_key,
@@ -110,6 +111,9 @@ class RunConfig:
             check_int("target nonlinearity", self.target_nonlinearity, 0)
         if self.seed is not None:
             check_int("seed", self.seed, 0)
+        # the label keys the campaign summary and echoes into every record
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
 
     def derived_label(self) -> str:
         if self.label:
@@ -156,9 +160,15 @@ def serialize_genotype(genotype, encoding: str, n: int, mode: str, decode: int) 
 def deserialize_genotype(data: dict):
     """Inverse of :func:`serialize_genotype`: the raw genotype, validated."""
     encoding, n = _field(data, "encoding"), _field(data, "n")
+    # n sizes the hex payload, so it is checked before any payload is read
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"genotype field 'n' must be an int in 1..{MAX_DIMENSION}, got {n!r}")
     mode, decode = data.get("mode", GENERAL), data.get("decode", DEFAULT_DECODE)
     if encoding == "bitstring" and "hex" in data:
-        genotype = bits_from_hex(data["hex"], target_length(n, mode))
+        digits = data["hex"]
+        if not isinstance(digits, str):
+            raise ValueError(f"genotype field 'hex' must be a string of hex digits, got {digits!r}")
+        genotype = bits_from_hex(digits, target_length(n, mode))
     elif encoding == "bitstring":
         bits = _field(data, "bits")
         # ASCII 0 and 1 alone: int() would take any Unicode digit
@@ -168,7 +178,10 @@ def deserialize_genotype(data: dict):
     elif encoding == "float":
         genotype = _field(data, "values")
     elif encoding == "tree":
-        genotype = tree_from_text(_field(data, "text"))
+        text = _field(data, "text")
+        if not isinstance(text, str):
+            raise ValueError(f"genotype field 'text' must be a string, got {text!r}")
+        genotype = tree_from_text(text)
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
     return check_genotype(genotype, encoding, n, mode, decode)

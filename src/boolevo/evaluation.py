@@ -160,7 +160,7 @@ def _position_digits(n: int) -> tuple[np.ndarray, ...]:
 
 def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndarray:
     """Float32 ``bits @ R`` for rows of 0/1 bits, ``R`` the Kronecker product
-    of ``k >= 3`` factors.
+    of ``k >= 2`` factors.
 
     Each factor multiplies one axis of the rows cut into a ``k``-axis table:
     the last one from the right, the others from the left, each as one
@@ -175,29 +175,19 @@ def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndar
 
 
 def _product(factors: tuple[np.ndarray, ...]):
-    """Bind float32 ``bits @ R`` for a block of rows of 0/1 bits."""
+    """Bind float32 ``bits @ R`` for a block of rows of 0/1 bits: one
+    factor's ``.dot``, or :func:`_chain_product` for two or more."""
     if len(factors) == 1:
         (rows,) = factors
 
-        # ndarray.dot: about 0.8 us less per call than @ for the g x g
-        # rotation-symmetric products at n = 7 and 9
+        # apart from _chain_product, whose 3-D first matmul took a 16-row
+        # block at n = 7 from 6.0 to 16.5 us; ndarray.dot is about 0.8 us
+        # less a call than @ for the g x g rotation-symmetric products
         def product(bits):
             return bits.astype(np.float32).dot(rows)
 
         return product
-    if len(factors) > 2:
-        return partial(_chain_product, factors)
-    first, last = factors
-    size = len(first)
-
-    # apart from _chain_product, whose loop cost a one-row block about 1 us
-    # more at n = 9 and 11 (8.7 against 7.8 us at n = 11), and a 64-row
-    # block at n = 9 about 0.5 us more
-    def product(bits):
-        count = len(bits)
-        return (first @ bits.astype(np.float32).reshape(count, size, -1) @ last).reshape(count, -1)
-
-    return product
+    return partial(_chain_product, factors)
 
 
 @lru_cache(maxsize=None)
@@ -221,12 +211,7 @@ def _orbit_rows(n: int) -> np.ndarray:
     for _ in range(n):
         total += signs[rotated[:, None] & reps]
         rotated = rotate_index(rotated, n)
-    # at a 64-byte boundary: keying a block of 25 genotypes at n = 9 took
-    # about 25 us against a misaligned matrix and 17 us against an aligned one
-    buffer = np.empty(total.size * 4 + 64, dtype=np.uint8)
-    start = -buffer.ctypes.data % 64
-    rows = buffer[start:start + total.size * 4].view(np.float32).reshape(total.shape)
-    rows[...] = -2 * (total * table.orbit_sizes[:, None] // n)
+    rows = (-2 * (total * table.orbit_sizes[:, None] // n)).astype(np.float32)
     rows.flags.writeable = False
     return rows
 

@@ -159,22 +159,19 @@ def uniform_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
 
     Where both parents carry operators of the same arity the child takes one
     of the two operators and goes on into the paired children; anywhere the
-    shapes diverge it takes the whole subtree from one parent.
+    shapes diverge it takes the whole subtree from one parent.  One draw per
+    pair of the joint walk, in preorder.
     """
+    pairs, ends = _joint_preorder(a, b, any_arity=False)
+    arity_of = OPERATOR_ARITY.get
+    below = rng.below
     child: list = []
-    i = j = 0
-    unpaired = 1  # paired subtrees still to emit
-    while unpaired:
-        unpaired -= 1
-        arity = OPERATOR_ARITY.get(a[i], 0)
-        if arity and arity == OPERATOR_ARITY.get(b[j], 0):
-            child.append(a[i] if rng.below(2) else b[j])
-            i, j = i + 1, j + 1
-            unpaired += arity
+    for (i, j), (end_i, end_j) in zip(pairs, ends):
+        # a pair of leaves takes one token either way
+        if arity_of(a[i], 0) == arity_of(b[j], 0):
+            child.append(a[i] if below(2) else b[j])
         else:
-            end_a, end_b = subtree_end(a, i), subtree_end(b, j)
-            child.extend(a[i:end_a] if rng.below(2) else b[j:end_b])
-            i, j = end_a, end_b
+            child.extend(a[i:end_i] if below(2) else b[j:end_j])
     return tuple(child)
 
 

@@ -312,6 +312,27 @@ def joint_crossover_by_subtree_walks(a, b, any_arity, rng):
     return replace_at(a, i, subtree_at(b, j))
 
 
+def uniform_crossover_by_own_walk(a, b, rng):
+    """Uniform tree crossover that walks the common shape itself: one draw
+    per node pair where the arities agree, or per diverging pair, whose
+    whole subtree comes from one parent."""
+    child = []
+    i = j = 0
+    unpaired = 1  # paired subtrees still to emit
+    while unpaired:
+        unpaired -= 1
+        arity = OPERATOR_ARITY.get(a[i], 0)
+        if arity and arity == OPERATOR_ARITY.get(b[j], 0):
+            child.append(a[i] if rng.below(2) else b[j])
+            i, j = i + 1, j + 1
+            unpaired += arity
+        else:
+            end_a, end_b = _subtree_end(a, i), _subtree_end(b, j)
+            child.extend(a[i:end_a] if rng.below(2) else b[j:end_b])
+            i, j = end_a, end_b
+    return tuple(child)
+
+
 def subtree_mutation_by_tree_walks(tree, n, rng, max_depth, max_nodes):
     """Subtree mutation that measures each candidate child with a full depth walk."""
     depths = node_depths_by_recursion(tree)

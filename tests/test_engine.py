@@ -102,6 +102,10 @@ def test_config_validation_rejects_bad_combinations():
             small_config(**bad).validate()
     with pytest.raises(ValueError, match="must be an integer of at least"):
         small_config(n=np.int64(5)).validate()
+    # the label keys the campaign summary: a list there would lose every run
+    for label in (["x"], 5):
+        with pytest.raises(ValueError, match="label must be a string"):
+            small_config(label=label).validate()
     small_config().validate()
     small_config(time_limit=0.5).validate()
     small_config(p_mutation=np.float64(0.5), time_limit=1).validate()
@@ -820,6 +824,11 @@ def test_deserialize_rejects_genotypes_of_the_wrong_size(data):
         ({"encoding": "tree", "n": 3}, "text"),
         ({"encoding": "bitstring", "bits": "01"}, "n"),
         ({"n": 1, "bits": "01"}, "encoding"),
+        ({"encoding": "bitstring", "n": "x", "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": 99, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": 3, "hex": 3}, "hex"),
+        ({"encoding": "tree", "n": 3, "text": 5}, "text"),
+        ({"encoding": "tree", "n": "3", "text": "x1"}, "n"),
     ],
 )
 def test_deserialize_names_a_missing_or_malformed_field(data, field):

@@ -114,7 +114,7 @@ def test_factor_chain_rule():
         np.testing.assert_array_equal(product, want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 12, 13, 14, 16])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16])
 def test_factor_chain_keys_equal_the_reference(n):
     # one, two and three factors on the one-row, keyed-ahead block and
     # flip-plus-commit paths, each against the reference transform
@@ -181,7 +181,7 @@ def test_orbit_rows_equal_the_sign_pattern_reference():
         reps = compute_orbits(n).representatives
         rows = evaluation._orbit_rows(n)
         assert rows.shape == (len(reps), len(reps))
-        assert rows.dtype == np.float32 and rows.ctypes.data % 64 == 0
+        assert rows.dtype == np.float32
         np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n)[:, reps])
 
 

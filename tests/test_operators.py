@@ -35,6 +35,7 @@ from oracles import (
     subtree_mutation_by_tree_walks,
     tree_depth_by_recursion,
     tree_table_pointwise,
+    uniform_crossover_by_own_walk,
 )
 
 ROWS = 400
@@ -298,8 +299,9 @@ def test_joint_preorder_matches_the_recursive_walk():
 
 def test_tree_crossovers_match_the_subtree_walks():
     # one-point and context-preserving children splice at the ends the joint
-    # walk passed, size-fair ones at the ends of one reverse pass; each must
-    # give the child and the next draw of walking the chosen subtrees again
+    # walk passed, uniform ones emit its pairs, size-fair ones splice at the
+    # ends of one reverse pass; each must give the child and the next draw of
+    # walking the trees again
     tree_rng = Draws(73)
     rng, oracle_rng = Draws(74), Draws(74)
     for n in range(1, 8):
@@ -312,6 +314,8 @@ def test_tree_crossovers_match_the_subtree_walks():
                     assert one_point_tree_crossover(a, b, rng) == want
                     want = joint_crossover_by_subtree_walks(a, b, True, oracle_rng)
                     assert context_preserving_crossover(a, b, rng) == want
+                    want = uniform_crossover_by_own_walk(a, b, oracle_rng)
+                    assert uniform_tree_crossover(a, b, rng) == want
                     want = size_fair_crossover_by_subtree_walks(a, b, oracle_rng)
                     assert size_fair_crossover(a, b, rng) == want
                     assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
