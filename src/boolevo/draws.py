@@ -4,8 +4,9 @@ A :class:`Draws` wraps one ``numpy.random.default_rng(seed)``.  Scalar draws
 (:meth:`~Draws.below`, :meth:`~Draws.uniform`) read raw 64-bit words from a
 Python list that is refilled a block at a time, so each costs a fraction of
 a scalar ``Generator`` call.  Vector draws (:meth:`~Draws.bits`,
-:meth:`~Draws.uniforms`, :meth:`~Draws.permutation`, :meth:`~Draws.sample`)
-go to the wrapped generator and its bit generator, which the blocks share.
+:meth:`~Draws.uniforms`, :meth:`~Draws.permutation`, :meth:`~Draws.shuffle`,
+:meth:`~Draws.sample`) go to the wrapped generator and its bit generator,
+which the blocks share.
 
 ``below`` is Lemire's exact bounded draw ("Fast random integer generation in
 an interval", ACM TOMACS 2019) and ``uniform`` is numpy's own double, so
@@ -13,10 +14,13 @@ every draw is exactly uniform.  The stream is not the one that calling the
 ``Generator`` methods one by one would give.
 
 The common case of ``below`` is one word times ``k``, whose high word is
-the pick when the low word is at least ``k``.  ``encodings._random_node``
-takes that case inline, once per tree node, and hands the rare lower
-products back to ``below`` with the word pushed back, so the words read
-and the picks are the same.
+the pick when the low word is at least ``k``.  Three hot loops take that
+case inline: ``encodings._random_node`` once per tree node, and
+``operators.mutate_bitstring`` and ``operators.crossover_bitstring`` for
+each row's positions and cut.  They hand the rare lower products back to
+``below`` with the word pushed back, so the words read and the picks are
+the same.  Their coins are ``below(2)``, which never rejects and so is the
+top bit of one word.
 """
 
 from __future__ import annotations
@@ -94,6 +98,15 @@ class Draws:
     def permutation(self, x):
         """A random permutation of ``range(x)`` for an int, else of the array ``x``."""
         return self._generator.permutation(x)
+
+    def shuffle(self, view: np.ndarray) -> None:
+        """Reorder the 1-D array ``view`` in place.
+
+        The same Fisher-Yates draws as ``permutation(len(view))``, so
+        ``view`` ends as ``view[permutation(len(view))]`` would be, and the
+        generator in the same state.
+        """
+        self._generator.shuffle(view)
 
     def sample(self, k: int, m: int) -> np.ndarray:
         """``m`` distinct values from ``range(k)``, in random order."""

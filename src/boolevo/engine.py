@@ -49,6 +49,8 @@ from .truthtable import (
     MAX_DIMENSION,
     bits_from_hex,
     bits_to_hex,
+    covering_radius_bound,
+    odd_upper_bound,
     spectrum_key,
     walsh_transform,
 )
@@ -109,6 +111,16 @@ class RunConfig:
         check_int("max nodes", self.max_nodes, 1)
         if self.target_nonlinearity is not None:
             check_int("target nonlinearity", self.target_nonlinearity, 0)
+            # a target that no function reaches would only run out the budget
+            if self.n % 2:
+                bound, name = odd_upper_bound(self.n), "odd-n upper bound"
+            else:
+                bound, name = covering_radius_bound(self.n), "covering radius bound"
+            if self.target_nonlinearity > bound:
+                raise ValueError(
+                    f"target nonlinearity {self.target_nonlinearity} is above the "
+                    f"{name} {bound} at n = {self.n}"
+                )
         if self.seed is not None:
             check_int("seed", self.seed, 0)
         # the label keys the campaign summary and echoes into every record

@@ -74,8 +74,11 @@ def ls_mutation(
     encoding = evaluator.encoding
     tree = encoding == "tree"
     if not tree:
-        identity = _identity(encoding, len(individual.genotype))
-        moves = identity[None][:0]  # mutations of the identity drawn for the next trials
+        # as many identity rows as one block draws at most, built once per climb
+        identities = np.tile(
+            _identity(encoding, len(individual.genotype)), (min(trials, evaluator.block_rows), 1)
+        )
+        moves = identities[:0]  # mutations of the identity drawn for the next trials
     current = individual
     failures = 0
     while failures < trials:
@@ -83,7 +86,7 @@ def ls_mutation(
             children = [mutate(current.genotype, rng)]
         else:
             count = min(trials - failures, evaluator.block_rows) - len(moves)
-            drawn = mutate(np.broadcast_to(identity, (count, len(identity))), rng)
+            drawn = mutate(identities[:count], rng)
             moves = np.concatenate([moves, drawn])
             children = _apply(encoding, current.genotype, moves)
         for tried, (child, key) in enumerate(zip(children, evaluator.key_ahead(children)), 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .draws import Draws
+from .draws import _LOW, Draws
 from .encodings import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_NODES,
@@ -38,23 +38,66 @@ def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
     """Flip one bit of each row, or shuffle a window of it, chosen uniformly.
 
     A flip takes a uniform position.  A shuffle takes two uniform positions
-    ``a`` and ``b`` and reorders the window ``[min(a, b), max(a, b)]`` by a
-    uniform permutation of its indices: the same Fisher-Yates draws, and so
-    the same child, as ``rng.permutation(window)``, but on an int64
-    ``arange`` rather than on the entries one by one.  Works on rows of any
+    ``a`` and ``b`` and reorders the window ``[min(a, b), max(a, b)]`` with
+    the Fisher-Yates draws of ``rng.permutation(window)``, and so makes the
+    same child.  Rows of 8-byte entries, such as the local search's int64
+    index rows, are shuffled in place (:meth:`Draws.shuffle`).  A 1-byte bit
+    row gathers its window through a shuffled int64 ``arange`` instead,
+    since numpy swaps only 8-byte items fast: shuffling a uint8 window in
+    place is slower from a few hundred entries up.  Works on rows of any
     integer type, so the local search can record moves on rows of indices.
+
+    The coin and the positions are ``rng.below`` taken inline, as in
+    :mod:`boolevo.draws`: the coin is one word's top bit, and a position the
+    high word of one word times the row length, unless its low word is
+    under the length, when the word goes back to ``below``.
     """
     count, length = rows.shape
+    if count and length < 1:
+        raise ValueError(f"mutation needs rows of at least 1 entry, got {length}")
     children = rows.copy()
-    below = rng.below
+    flat = children.reshape(-1)  # a view: a flip indexes it once
+    in_place = children.itemsize == 8
+    words, refill, below = rng._words, rng._refill, rng.below
     for row in range(count):
-        if below(2):
-            a, b = below(length), below(length)
-            start, stop = min(a, b), max(a, b) + 1
+        if not words:
+            refill()
+        if words.pop() >> 63:
+            if not words:
+                refill()
+            word = words.pop()
+            a = word * length
+            if a & _LOW >= length:
+                a >>= 64
+            else:
+                words.append(word)
+                a = below(length)
+            if not words:
+                refill()
+            word = words.pop()
+            b = word * length
+            if b & _LOW >= length:
+                b >>= 64
+            else:
+                words.append(word)
+                b = below(length)
+            start, stop = (a, b + 1) if a < b else (b, a + 1)
             window = children[row, start:stop]
-            children[row, start:stop] = window[rng.permutation(stop - start)]
+            if in_place:
+                rng.shuffle(window)
+            else:
+                window[:] = window[rng.permutation(stop - start)]
         else:
-            children[row, below(length)] ^= 1
+            if not words:
+                refill()
+            word = words.pop()
+            position = word * length
+            if position & _LOW >= length:
+                position >>= 64
+            else:
+                words.append(word)
+                position = below(length)
+            flat[row * length + position] ^= 1
     return children
 
 
@@ -64,17 +107,32 @@ def crossover_bitstring(a: np.ndarray, b: np.ndarray, rng: Draws) -> np.ndarray:
     One-point takes ``a`` up to a uniform cut in ``1 .. length - 1`` and
     ``b`` after it.  Uniform takes each position from ``a`` or ``b`` by one
     uniform bit, 1 taking ``a``; the rows that draw it share one draw of
-    bits and one select, the bit identity ``b ^ ((a ^ b) & mask)``.
+    bits and one select, the bit identity ``b ^ ((a ^ b) & mask)``.  The
+    coin and the cut are ``rng.below`` taken inline, as in
+    :func:`mutate_bitstring`.
     """
     count, length = a.shape
     children = b.copy()
-    below = rng.below
+    words, refill, below = rng._words, rng._refill, rng.below
+    cuts = length - 1
+    if count and cuts < 1:
+        raise ValueError(f"one-point crossover needs rows of at least 2 entries, got {length}")
     mixed = []
     for row in range(count):
-        if below(2):
+        if not words:
+            refill()
+        if words.pop() >> 63:
             mixed.append(row)
         else:
-            cut = 1 + below(length - 1)
+            if not words:
+                refill()
+            word = words.pop()
+            cut = word * cuts
+            if cut & _LOW >= cuts:
+                cut = 1 + (cut >> 64)
+            else:
+                words.append(word)
+                cut = 1 + below(cuts)
             children[row, :cut] = a[row, :cut]
     if mixed:
         take_a = rng.bits(len(mixed) * length).reshape(len(mixed), length)

@@ -173,6 +173,16 @@ def rotations(i: int, n: int) -> set[int]:
     return seen
 
 
+def next_draws(rng) -> tuple:
+    """The next scalar draw, raw words and Fisher-Yates draws of ``rng``.
+
+    Together they pin its state: the unread words of its block, the bit
+    generator, and the half word that the bit generator keeps for the next
+    32-bit draw of a shuffle.
+    """
+    return rng.below(1 << 62), rng.bits(64).tolist(), rng.permutation(9).tolist()
+
+
 # ---------------------------------------------------------------------------
 # earlier formulas of rewritten library code, kept to pin the rewrites
 
@@ -210,6 +220,23 @@ def mutate_bitstring_by_window_permutation(rows, rng) -> np.ndarray:
             child[start : end + 1] = rng.permutation(child[start : end + 1])
         else:
             child[rng.below(length)] ^= 1
+    return children
+
+
+def mutate_bitstring_by_index_gather(rows, rng) -> np.ndarray:
+    """Row-block bitstring mutation with one ``below`` call per draw, whose
+    window shuffle gathers the window through ``rng.permutation`` of its
+    indices, for rows of every item size."""
+    count, length = rows.shape
+    children = rows.copy()
+    for row in range(count):
+        if rng.below(2):
+            a, b = rng.below(length), rng.below(length)
+            start, stop = min(a, b), max(a, b) + 1
+            window = children[row, start:stop]
+            children[row, start:stop] = window[rng.permutation(stop - start)]
+        else:
+            children[row, rng.below(length)] ^= 1
     return children
 
 

@@ -220,6 +220,12 @@ def test_invalid_run_configuration_exits_nonzero(capsys):
     assert "decode" in stderr
 
 
+def test_search_rejects_an_unreachable_target(capsys):
+    code, out, stderr = run_cli(capsys, "search", "--n", "7", "--target-nl", "100")
+    assert code == 1 and out == ""
+    assert stderr == "error: target nonlinearity 100 is above the odd-n upper bound 58 at n = 7\n"
+
+
 @pytest.mark.parametrize("limit", ["nan", "inf", "0"])
 def test_time_limit_must_be_positive_and_finite(capsys, limit):
     code, _, stderr = run_cli(capsys, "search", "--n", "4", "--time-limit", limit)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import next_draws
 
 from boolevo.draws import BLOCK_WORDS, Draws
 
@@ -89,12 +90,35 @@ def test_sample_is_distinct_and_in_range():
         assert all(0 <= pick < k for pick in picks)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_shuffle_of_a_row_view_is_the_gather_through_permutation(dtype):
+    # the same Fisher-Yates draws in place as on a permuted arange, so the
+    # same view and the same generator state after it
+    for length in (1, 2, 20, 60, 512, 8192):
+        rows = (np.arange(3 * length) * 7 % 251).reshape(3, length).astype(dtype)
+        others = rows[[0, 2]].copy()
+        draws, fresh = Draws(31), Draws(31)
+        for start, stop in ((0, length), (length // 3, length - length // 4)):
+            view = rows[1, start:stop]
+            want = view[fresh.permutation(len(view))]
+            draws.shuffle(view)
+            assert view.dtype == dtype and np.array_equal(view, want)
+        assert np.array_equal(rows[[0, 2]], others)
+        assert next_draws(draws) == next_draws(fresh)
+
+
 def test_same_seed_same_stream_across_scalar_and_vector_draws():
+    def shuffled(draws):
+        rows = np.tile(np.arange(10), (2, 1))
+        draws.shuffle(rows[1, 3:])
+        return rows.tolist()
+
     def mixed(draws):
         return (
             [draws.below(9) for _ in range(BLOCK_WORDS + 10)],
             draws.uniforms(3).tolist(),
             draws.permutation(6).tolist(),
+            shuffled(draws),
             draws.bits(12).tolist(),
             draws.uniform(),
         )

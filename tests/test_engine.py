@@ -62,6 +62,16 @@ def test_config_validation_rejects_bad_combinations():
         small_config(evaluation_budget=5).validate()
     with pytest.raises(ValueError):
         small_config(ls="ls9").validate()
+    # a target above the bound on nonlinearity at n would only run out the
+    # budget; the bound itself and the criteria's targets pass
+    for n, target, bound in ((7, 59, "odd-n upper bound 58"), (9, 245, "odd-n upper bound 244"),
+                             (1, 1, "odd-n upper bound 0"), (8, 121, "covering radius bound 120"),
+                             (4, 7, "covering radius bound 6")):
+        with pytest.raises(ValueError, match=f"target nonlinearity {target} is above the {bound} "):
+            small_config(n=n, target_nonlinearity=target).validate()
+        small_config(n=n, target_nonlinearity=target - 1).validate()
+    small_config(n=7, target_nonlinearity=56).validate()
+    small_config(n=9, target_nonlinearity=240).validate()
     # a NaN deadline never passes, so NaN must not get through either
     for limit in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time limit"):

@@ -5,6 +5,8 @@ every row of a block for the property that the row's kind of crossover or
 mutation must have.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,9 @@ from oracles import (
     crossover_bitstring_by_where,
     joint_crossover_by_subtree_walks,
     joint_preorder_by_recursion,
+    mutate_bitstring_by_index_gather,
     mutate_bitstring_by_window_permutation,
+    next_draws,
     size_fair_crossover_by_subtree_walks,
     subtree_mutation_by_tree_walks,
     tree_depth_by_recursion,
@@ -39,11 +43,54 @@ from oracles import (
 )
 
 ROWS = 400
+#: Row lengths of the inline-draw checks: n = 1 and 7 to 13 general, and
+#: rotation-symmetric n = 7 and 9 (20 and 60 orbits).
+LENGTHS = (2, 20, 60, 128, 512, 8192)
 
 
 def identity_rows(length, rows=ROWS):
     """Rows whose entry ``2 * i`` stands for bit ``i``: a flip makes it odd."""
     return np.tile(np.arange(0, 2 * length, 2), (rows, 1))
+
+
+def bit_rows(length, rows=20):
+    return np.random.default_rng(length).integers(0, 2, (rows, length), dtype=np.uint8)
+
+
+def low_product_words(k):
+    """Words whose product with ``k`` has a low word under ``k``, the words
+    that an inline draw hands back to ``below``: 0, which ``below`` rejects
+    unless ``k`` is a power of two, and words at ``below``'s threshold
+    ``(2**64 - k) % k``, which it accepts."""
+    threshold = (2**64 - k) % k
+    shift = (k & -k).bit_length() - 1  # the twos in k, which divide the threshold too
+    step = 1 << (64 - shift)  # adding it to a word leaves its low product alone
+    word = (threshold >> shift) * pow(k >> shift, -1, step) % step
+    words = sorted({0, word, (word + step) % 2**64})
+    assert all((w * k) % 2**64 == (threshold if w else 0) < k for w in words)
+    return words
+
+
+def draws_reading_next(seed, words):
+    """A ``Draws`` whose next scalar draws read ``words`` in order."""
+    rng = Draws(seed)
+    rng.below(2)  # fills the block
+    rng._words.extend(reversed(words))
+    return rng
+
+
+def drained_draws(seed, left):
+    """A ``Draws`` with ``left`` unread words, so the next draws refill."""
+    rng = Draws(seed)
+    rng.below(2)
+    del rng._words[: len(rng._words) - left]  # keeps the next `left`
+    return rng
+
+
+#: Coin words: ``below(2)`` is a word's top bit, 1 for a shuffle or a
+#: uniform crossover, 0 for a flip or a one-point crossover.
+HIGH, LOW = 1 << 63, 0
+ORDINARY = 0x9E3779B97F4A7C15  # an odd word, whose low products are not small
 
 
 def is_flip(row):
@@ -145,15 +192,80 @@ def test_uniform_crossover_matches_boolean_select():
 
 
 def test_shuffle_mutation_matches_window_permutation():
-    # permuting indices makes the same Fisher-Yates draws as permuting entries
-    for length in (2, 128, 8192):
-        bits = np.random.default_rng(length).integers(0, 2, (20, length), dtype=np.uint8)
-        rng, oracle_rng = Draws(58), Draws(58)
-        for _ in range(5):
-            children = mutate_bitstring(bits, rng)
-            want = mutate_bitstring_by_window_permutation(bits, oracle_rng)
-            assert children.dtype == want.dtype and np.array_equal(children, want)
-        assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
+    # an in-place shuffle of int64 index rows, and a gather through permuted
+    # indices of uint8 bit rows, make the same Fisher-Yates draws as
+    # permuting the entries, and the inline draws those of a below call each
+    for length in LENGTHS:
+        for rows in (identity_rows(length, 20), bit_rows(length)):
+            rng, oracle_rng, gather_rng = Draws(58), Draws(58), Draws(58)
+            for _ in range(5):
+                children = mutate_bitstring(rows, rng)
+                want = mutate_bitstring_by_window_permutation(rows, oracle_rng)
+                assert children.dtype == want.dtype and np.array_equal(children, want)
+                assert np.array_equal(mutate_bitstring_by_index_gather(rows, gather_rng), want)
+            assert next_draws(rng) == next_draws(oracle_rng) == next_draws(gather_rng)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_bit_mutation_hands_low_products_back_to_below(length):
+    # a low-product word read as a flip's position, as a shuffle's first end
+    # or as its second
+    for rows in (identity_rows(length, 6), bit_rows(length, 6)):
+        for word in low_product_words(length):
+            for coins in ((LOW,), (HIGH,), (HIGH, ORDINARY)):
+                for seed in range(3):
+                    rng = draws_reading_next(seed, (*coins, word))
+                    oracle_rng = copy.deepcopy(rng)
+                    children = mutate_bitstring(rows, rng)
+                    want = mutate_bitstring_by_index_gather(rows, oracle_rng)
+                    assert children.dtype == want.dtype and np.array_equal(children, want)
+                    assert next_draws(rng) == next_draws(oracle_rng)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_bit_crossover_hands_low_products_back_to_below(length):
+    # a low-product word read as the cut of a block's first or second row
+    parents = bit_rows(length, 12)
+    a, b = parents[0::2], parents[1::2]
+    for word in low_product_words(length - 1):
+        for coins in ((LOW,), (HIGH, LOW), (LOW, ORDINARY, LOW)):
+            for seed in range(3):
+                rng = draws_reading_next(seed, (*coins, word))
+                oracle_rng = copy.deepcopy(rng)
+                children = crossover_bitstring(a, b, rng)
+                assert np.array_equal(children, crossover_bitstring_by_where(a, b, oracle_rng))
+                assert next_draws(rng) == next_draws(oracle_rng)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_bit_operators_refill_mid_block_as_below_does(length):
+    # the word list drained to a few words, so a block refills while drawing
+    parents = bit_rows(length, 12)
+    for left in range(4):
+        for seed in range(3):
+            for rows in (identity_rows(length, 6), parents):
+                rng = drained_draws(100 + seed, left)
+                oracle_rng = copy.deepcopy(rng)
+                children = mutate_bitstring(rows, rng)
+                assert np.array_equal(children, mutate_bitstring_by_index_gather(rows, oracle_rng))
+                assert next_draws(rng) == next_draws(oracle_rng)
+            rng = drained_draws(100 + seed, left)
+            oracle_rng = copy.deepcopy(rng)
+            children = crossover_bitstring(parents[0::2], parents[1::2], rng)
+            want = crossover_bitstring_by_where(parents[0::2], parents[1::2], oracle_rng)
+            assert np.array_equal(children, want)
+            assert next_draws(rng) == next_draws(oracle_rng)
+
+
+def test_bit_operators_reject_rows_too_short_to_draw_from():
+    rng = Draws(59)
+    with pytest.raises(ValueError, match="at least 1 entry"):
+        mutate_bitstring(np.zeros((3, 0), dtype=np.uint8), rng)
+    one = np.zeros((3, 1), dtype=np.uint8)
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        crossover_bitstring(one, one, rng)
+    # a single entry still mutates: its one position flips or shuffles alone
+    assert mutate_bitstring(one, rng).shape == (3, 1)
 
 
 def test_crossover_bitstring_mixes_both_kinds():
