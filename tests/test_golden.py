@@ -70,6 +70,25 @@ GOLDEN = {
     # charged (the first seed from 21 up whose target stop falls inside an
     # SST block, neither at its first row nor at its last)
     "tt-sst-target-n7": dict(_N7, target_nonlinearity=53, seed=21),
+    # the n >= 11 cells beyond plain TT: orbit products of g = 188 and 632,
+    # float decode over a two- and a three-factor chain, three-factor flip
+    # rows and 632-orbit flip rows (each LS2 record commits a flip), and
+    # packed trees of 512 and 8192 bits
+    "tt-ri-n11": dict(n=11, mode="rs", population_size=10, evaluation_budget=40, seed=22),
+    "tt-ri-n13": dict(n=13, mode="rs", population_size=10, evaluation_budget=30, seed=23),
+    "fp-sst-n11": dict(
+        n=11, encoding="float", decode=4, population_size=10, evaluation_budget=40, seed=24
+    ),
+    "fp-de-n13": dict(
+        n=13, encoding="float", decode=4, algorithm="de", population_size=10,
+        evaluation_budget=30, seed=25,
+    ),
+    "tt-ls2-n13": dict(n=13, ls="ls2", population_size=10, evaluation_budget=1_500, seed=26),
+    "tt-ri-ls2-n13": dict(
+        n=13, mode="rs", ls="ls2", population_size=10, evaluation_budget=1_500, seed=27
+    ),
+    "gp-n9": dict(n=9, encoding="tree", population_size=20, evaluation_budget=200, seed=28),
+    "gp-n13": dict(n=13, encoding="tree", population_size=10, evaluation_budget=40, seed=29),
 }
 
 
