@@ -15,7 +15,9 @@ Every genotype is a raw value, the same form the search loops carry:
 
 A genotype from outside the search goes through :func:`check_genotype`, the
 one validator, and :func:`genotype_table` is the one decoder to a truth
-table; the evaluator trusts the genotypes the search makes.
+table; the evaluator trusts the genotypes the search makes.  A search space
+goes through :func:`check_space`, whose ``decode`` is checked by
+:func:`~boolevo.truthtable.check_int`, like every integer option.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .draws import _LOW, Draws
 from .orbits import compute_orbits, expand
-from .truthtable import TruthTable, _check_bits, _check_dimension
+from .truthtable import TruthTable, _check_bits, _check_dimension, check_int
 
 #: Operator name -> arity.  AND2 is the masking conjunction a AND NOT b,
 #: IF(a, b, c) returns b where a is true and c elsewhere.
@@ -137,11 +139,6 @@ def node_depths(tree: Tree) -> list[int]:
                 if arity > 2:
                     pending.append(depth)
     return depths
-
-
-def tree_depth(tree: Tree) -> int:
-    """Edges on the longest root-to-leaf path; a lone leaf has depth 0."""
-    return max(node_depths(tree))
 
 
 def subtree_at(tree: Tree, index: int) -> Tree:
@@ -307,11 +304,7 @@ def float_bits(values: np.ndarray, decode: int) -> np.ndarray:
 def float_dimension(n: int, decode: int, mode: str = GENERAL) -> int:
     """Vector length for a float genotype, or raise if ``decode`` cannot tile it."""
     _check_dimension(n)
-    # a bool or numpy int would pass here and then echo into a run record
-    # as true or as a value json cannot write
-    is_int = isinstance(decode, int) and not isinstance(decode, bool)
-    if not is_int or not 1 <= decode <= MAX_DECODE:
-        raise ValueError(f"decode must be a positive int up to {MAX_DECODE}, got {decode!r}")
+    check_int("decode", decode, 1, MAX_DECODE)
     target = target_length(n, mode)
     if target % decode:
         raise ValueError(

@@ -38,9 +38,6 @@ from .evaluation import (
     BudgetExhausted,
     FitnessEvaluator,
     Individual,
-    check_int,
-    check_time_limit,
-    is_real,
     key_to_fitness,
 )
 from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, VARIANTS, LsConfig, apply_ls
@@ -49,7 +46,10 @@ from .truthtable import (
     MAX_DIMENSION,
     bits_from_hex,
     bits_to_hex,
+    check_int,
+    check_time_limit,
     covering_radius_bound,
+    is_real,
     odd_upper_bound,
     spectrum_key,
     walsh_transform,
@@ -173,8 +173,7 @@ def deserialize_genotype(data: dict):
     """Inverse of :func:`serialize_genotype`: the raw genotype, validated."""
     encoding, n = _field(data, "encoding"), _field(data, "n")
     # n sizes the hex payload, so it is checked before any payload is read
-    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"genotype field 'n' must be an int in 1..{MAX_DIMENSION}, got {n!r}")
+    check_int("genotype field 'n'", n, 1, MAX_DIMENSION)
     mode, decode = data.get("mode", GENERAL), data.get("decode", DEFAULT_DECODE)
     if encoding == "bitstring" and "hex" in data:
         digits = data["hex"]

@@ -50,7 +50,6 @@ another row, so the same bound holds row by row.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -61,6 +60,7 @@ from .encodings import (
     DEFAULT_DECODE,
     GENERAL,
     ROTATION,
+    check_genotype,
     check_space,
     float_bits,
     target_length,
@@ -71,7 +71,7 @@ from .encodings import (
 # _orbit_rows, and tree_truth_bits, the one-tree case of tree_truth_rows,
 # stay module names here only because benchmarks/tracer.py wraps them
 from .orbits import compute_orbits, orbit_sign_patterns, rotate_index  # noqa: F401
-from .truthtable import _check_bits, hadamard_transform, spectrum_key
+from .truthtable import check_int, check_time_limit, hadamard_transform, spectrum_key
 
 EXHAUSTED_EVALUATIONS = "budget"
 EXHAUSTED_TIME = "time"
@@ -218,29 +218,6 @@ def _orbit_rows(n: int) -> np.ndarray:
 
 def key_to_fitness(key: int, n: int) -> float:
     return key / (1 << n)
-
-
-def is_real(value) -> bool:
-    """The one type test for float options: a Python int or float, not a bool.
-
-    numpy's float64 subclasses float and serialises; a float32 does not, so
-    it would fail only when the finished run's record is written, and a
-    string would fail at the range comparison with a traceback.
-    """
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def check_time_limit(time_limit: float | None) -> None:
-    """Raise a one-line error unless the limit is None or positive and finite."""
-    # NaN fails both comparisons; a NaN deadline would never pass
-    if time_limit is not None and not (is_real(time_limit) and 0 < time_limit < math.inf):
-        raise ValueError("time limit must be a positive finite number")
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise a one-line error unless ``value`` is an int, not a bool, >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -396,19 +373,15 @@ class BitFlipSession:
     row alone and drops the block.  Every probe, looked up or not, charges
     the evaluator exactly like a full evaluation; the setup recomputes the
     incumbent's spectrum without charging because its fitness is already
-    known.
+    known.  Its bits go through :func:`~boolevo.encodings.check_genotype`.
     """
 
     def __init__(self, evaluator: FitnessEvaluator, bits: np.ndarray):
         if evaluator.encoding != "bitstring":
             raise ValueError("bit-flip search needs the bitstring encoding")
         self.evaluator = evaluator
-        self.bits = _check_bits(bits, "genotype bits")
-        if self.bits.shape != (evaluator.genotype_length,):
-            raise ValueError(
-                f"expected {evaluator.genotype_length} genotype bits, "
-                f"got shape {self.bits.shape}"
-            )
+        # a new uint8 array, which commits flip in place
+        self.bits = check_genotype(bits, "bitstring", evaluator.n, evaluator.mode)
         self.spectrum = evaluator._block_spectra(self.bits[None])[0]
         self.key = spectrum_key(self.spectrum, evaluator.n, evaluator.weights)
         # keys of flipping positions _block_start, _block_start + 1, ...
@@ -420,6 +393,8 @@ class BitFlipSession:
     def try_flip(self, position: int) -> int:
         """Probe flipping one bit and return its key; charges one evaluation."""
         length = len(self.bits)
+        # not check_int: this runs once per probe, and a type test and a
+        # chained comparison cost less than a call
         if type(position) is not int or not 0 <= position < length:
             raise ValueError(f"flip position must be an int in 0..{length - 1}, got {position!r}")
         self.evaluator.charge()

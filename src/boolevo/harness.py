@@ -9,19 +9,19 @@ byte-identical across repeats and across worker counts.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from .engine import RunConfig, RunRecord, run
-from .evaluation import check_int
 from .orbits import is_rotation_symmetric
 from .truthtable import (
     BEST_KNOWN_NONLINEARITY,
     PropertyReport,
     TruthTable,
-    bounds,
+    check_int,
     covering_radius_bound,
     odd_upper_bound,
     property_report,
@@ -69,13 +69,10 @@ def run_campaign(
     Writes ``runs.jsonl`` (one canonical record per line, run order),
     ``summary.csv`` and ``boxplot.csv`` into ``out_dir`` when given.
     """
-    if campaign.num_runs == 0:
-        raise ValueError("a campaign needs at least one run")
-    if campaign.workers == 0:
-        raise ValueError("worker count must be positive")
-    # True, 2.5 or -1 would otherwise reach range() or the pool
+    # True, 2.5 or -1 would otherwise reach range(), the pool or the seeds
     check_int("num_runs", campaign.num_runs, 1)
     check_int("workers", campaign.workers, 1)
+    check_int("seed_base", campaign.seed_base, 0)
     configs = campaign.run_configs()
     if out_dir is not None:
         # made before the runs, so a bad directory fails at once, not after them
@@ -106,8 +103,20 @@ def write_records(records: list[RunRecord], path) -> None:
 
 
 def read_records(path) -> list[RunRecord]:
+    """The records of a ``runs.jsonl`` file; a bad line is a one-line error
+    that starts ``path:line:``."""
+    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        return [RunRecord.from_json(line) for line in handle if line.strip()]
+        for number, line in enumerate(handle, 1):
+            try:
+                if line.strip():
+                    records.append(RunRecord.from_json(line))
+            except json.JSONDecodeError as error:
+                # json's own position counts from the line, not the file
+                raise ValueError(f"{path}:{number}: {error.msg} at column {error.colno}") from None
+            except ValueError as error:
+                raise ValueError(f"{path}:{number}: {error}") from None
+    return records
 
 
 def summarize(records: list[RunRecord]) -> list[SummaryRow]:
@@ -188,41 +197,32 @@ class VerifyReport:
     classification: tuple[str, ...]
 
 
+def _standing(nl: int, value: int, above: str, equal: str, what: str) -> str:
+    """One line placing ``nl`` against one bound: ``above``, ``equal`` or
+    "below", then ``what`` and the bound's value."""
+    phrase = above if nl > value else equal if nl == value else "below"
+    return f"{phrase} {what} {value}"
+
+
 def verify_table(table: TruthTable) -> VerifyReport:
     properties = property_report(table)
-    symmetric = is_rotation_symmetric(table)
-    lines = []
     n, nl = table.n, properties.nonlinearity
     if n % 2 == 0:
-        radius = covering_radius_bound(n)
-        if nl == radius:
-            lines.append(f"bent: meets the even-dimension bound {radius}")
-        else:
-            lines.append(f"below the even-dimension bound {radius}")
+        # no function lies above the bent bound, so only meeting it is named
+        bound = covering_radius_bound(n)
+        lines = [_standing(nl, bound, "below", "bent: meets", "the even-dimension bound")]
     else:
-        quad = quadratic_bound(n)
-        upper = odd_upper_bound(n)
-        if nl > upper:
-            lines.append(f"IMPOSSIBLE: exceeds the proven upper bound {upper}")
-        elif nl == upper:
-            lines.append(f"meets the proven upper bound {upper}")
-        else:
-            lines.append(f"below the proven upper bound {upper}")
-        if nl > quad:
-            lines.append(f"above the quadratic-construction value {quad}")
-        elif nl == quad:
-            lines.append(f"matches the quadratic-construction value {quad}")
-        else:
-            lines.append(f"below the quadratic-construction value {quad}")
+        upper, quad = odd_upper_bound(n), quadratic_bound(n)
+        lines = [
+            _standing(nl, upper, "IMPOSSIBLE: exceeds", "meets", "the proven upper bound"),
+            _standing(nl, quad, "above", "matches", "the quadratic-construction value"),
+        ]
         if n in BEST_KNOWN_NONLINEARITY:
-            best = bounds(n).best_known
-            if nl > best:
-                lines.append(f"NEW RECORD: beats the best published value {best}")
-            elif nl == best:
-                lines.append(f"matches the best published value {best}")
-            else:
-                lines.append(f"below the best published value {best}")
-    return VerifyReport(properties, symmetric, tuple(lines))
+            best = BEST_KNOWN_NONLINEARITY[n]
+            lines.append(
+                _standing(nl, best, "NEW RECORD: beats", "matches", "the best published value")
+            )
+    return VerifyReport(properties, is_rotation_symmetric(table), tuple(lines))
 
 
 def verify_hex(digits: str, n: int) -> VerifyReport:

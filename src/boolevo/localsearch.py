@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import Draws
-from .evaluation import BitFlipSession, FitnessEvaluator, Individual, check_int, is_real
+from .evaluation import BitFlipSession, FitnessEvaluator, Individual
+from .truthtable import check_int, is_real
 
 VARIANTS = ("ls1", "ls2", "ls3")
 #: Share of the population treated per round and failures that stop ``ls1``.

@@ -27,7 +27,36 @@ _HEX_DIGITS = re.compile("[0-9a-fA-F]*")
 BEST_KNOWN_NONLINEARITY = {7: 56, 9: 242, 11: 996, 13: 4040}
 
 
+def is_real(value) -> bool:
+    """The one type test for float options: a Python int or float, not a bool.
+
+    numpy's float64 subclasses float and serialises; a float32 does not, so
+    it would fail only when the finished run's record is written, and a
+    string would fail at the range comparison with a traceback.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_time_limit(time_limit: float | None) -> None:
+    """Raise a one-line error unless the limit is None or positive and finite."""
+    # NaN fails both comparisons; a NaN deadline would never pass
+    if time_limit is not None and not (is_real(time_limit) and 0 < time_limit < math.inf):
+        raise ValueError("time limit must be a positive finite number")
+
+
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise a one-line error unless ``value`` is an int of at least
+    ``minimum`` and at most ``maximum``, if given.  A bool or numpy int
+    would echo into a run record as true or as a value json cannot write."""
+    top = math.inf if maximum is None else maximum
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= top:
+        bound = f"of at least {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def _check_dimension(n: int) -> None:
+    # not check_int: a library n never reaches a record, so numpy ints pass
+    # here, and a non-integer is a TypeError
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"number of variables must be an int, got {n!r}")
     if not 1 <= n <= MAX_DIMENSION:

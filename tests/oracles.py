@@ -12,6 +12,7 @@ import numpy as np
 from boolevo.encodings import (
     OPERATOR_ARITY,
     OPERATOR_NAMES,
+    node_depths,
     random_genotype,
     replace_at,
     subtree_at,
@@ -152,6 +153,12 @@ def _height_from(tree, pos: int) -> tuple[int, int]:
             child, pos = _height_from(tree, pos)
             height = max(height, child + 1)
     return height, pos
+
+
+def tree_depth(tree) -> int:
+    """Edges on the longest root-to-leaf path, from the library's depth walk;
+    a lone leaf has depth 0."""
+    return max(node_depths(tree))
 
 
 def tree_depth_by_recursion(tree) -> int:

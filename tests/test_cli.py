@@ -206,6 +206,23 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "warp-speed" in stderr
 
 
+def test_config_file_without_the_subcommands_section_supplies_nothing(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[search]\nn = 4\n")
+    assert run_cli(capsys, "--config", str(ini), "bounds", "--n", "7") == run_cli(
+        capsys, "bounds", "--n", "7"
+    )
+
+
+def test_config_file_needs_a_subcommand(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[search]\nn = 4\n")
+    with pytest.raises(SystemExit) as error:
+        main(["--config", str(ini)])
+    assert error.value.code == 2
+    assert capsys.readouterr().err.endswith("error: a subcommand is required\n")
+
+
 def test_missing_config_file(capsys):
     code, _, stderr = run_cli(capsys, "--config", "/nonexistent.ini", "search", "--n", "4")
     assert code == 1

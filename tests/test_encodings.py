@@ -10,6 +10,7 @@ from oracles import (
     float_bits_by_floor_and_shift,
     node_depths_by_recursion,
     random_node_by_list_pushes,
+    tree_depth,
     tree_depth_by_recursion,
     tree_table_pointwise,
 )
@@ -29,7 +30,6 @@ from boolevo.encodings import (
     replace_at,
     subtree_at,
     subtree_end,
-    tree_depth,
     tree_from_text,
     tree_to_text,
     tree_truth_bits,
@@ -121,13 +121,17 @@ def test_float_genotype_validation():
     for bad in (-0.1, 1.2, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
             check_genotype([0.5, bad, 0.5, 0.5], "float", 3, decode=2)
-    for decode in (0, -2, 2.0, True, np.int64(2)):
-        with pytest.raises(ValueError, match="positive int"):
+    # a bool or numpy int would echo into the record as true or as a value
+    # json cannot write
+    refused = r"^decode must be an integer in 1\.\.16, got "
+    for decode in (0, -2, 17, 2.0, True, np.int64(2), np.int64(4)):
+        with pytest.raises(ValueError, match=refused) as error:
             check_genotype([0.5] * 4, "float", 3, decode=decode)
+        assert "\n" not in str(error.value)
     # float_bits' bit table has 2**decode + 1 rows; decode 32 and 64 tile n=6
     # but would ask for tables of 2**32 and 2**64 rows
     for decode in (32, 64):
-        with pytest.raises(ValueError, match="positive int up to 16"):
+        with pytest.raises(ValueError, match=refused):
             float_dimension(6, decode)
     assert float_dimension(4, 16) == 1
 
@@ -198,6 +202,8 @@ BAD_GENOTYPES = {
     "float 1.2": ("float", 3, GENERAL, 2, [0.5, 1.2, 0.5, 0.5]),
     "float nan": ("float", 3, GENERAL, 2, [0.5, float("nan"), 0.5, 0.5]),
     "float inf": ("float", 3, GENERAL, 2, [0.5, float("inf"), 0.5, 0.5]),
+    "float strings": ("float", 3, GENERAL, 2, ["0.5"] * 4),
+    "unknown encoding": ("matrix", 2, GENERAL, 3, [0, 1, 1, 0]),
     "decode 0": ("float", 3, GENERAL, 0, [0.5] * 4),
     "bitstring general length": ("bitstring", 3, GENERAL, 3, [0, 1, 1, 0]),
     "bitstring rs length": ("bitstring", 3, ROTATION, 3, [0, 1, 1]),
@@ -411,6 +417,13 @@ def test_random_tree_respects_limits():
     for _ in range(30):
         t = random_tree(4, rng, max_depth=3, method="full")
         assert tree_depth(t) == 3
+    # a full tree of depth 1 already has three nodes or two, so a one-node
+    # cap leaves the lone-leaf fallback
+    for _ in range(5):
+        t = random_tree(4, rng, max_depth=3, method="full", max_nodes=1)
+        assert len(t) == 1 and 1 <= t[0] <= 4
+    with pytest.raises(ValueError, match="^unknown tree init method 'ramped'$"):
+        random_tree(4, rng, method="ramped")
 
 
 def test_random_genotype_kinds():

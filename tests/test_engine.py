@@ -5,10 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row
+from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row, tree_depth
 
 from boolevo.draws import Draws
-from boolevo.encodings import GENERAL, ROTATION, tree_depth, tree_from_text
+from boolevo.encodings import GENERAL, ROTATION, tree_from_text
 from boolevo import encodings, engine, operators
 from boolevo.engine import (
     DE,
@@ -62,6 +62,8 @@ def test_config_validation_rejects_bad_combinations():
         small_config(evaluation_budget=5).validate()
     with pytest.raises(ValueError):
         small_config(ls="ls9").validate()
+    with pytest.raises(ValueError, match="^unknown algorithm 'ga'$"):
+        small_config(algorithm="ga").validate()
     # a target above the bound on nonlinearity at n would only run out the
     # budget; the bound itself and the criteria's targets pass
     for n, target, bound in ((7, 59, "odd-n upper bound 58"), (9, 245, "odd-n upper bound 244"),
@@ -806,6 +808,8 @@ def test_genotype_serialization_round_trip():
     data = serialize_genotype(tree, "tree", 3, GENERAL, 3)
     assert data["text"] == "IF(x1, x2, NOT(x3))"
     assert deserialize_genotype(data) == tree
+    with pytest.raises(ValueError, match="^unknown encoding 'matrix'$"):
+        serialize_genotype(bits, "matrix", 7, ROTATION, 3)
 
 
 @pytest.mark.parametrize(
@@ -836,6 +840,9 @@ def test_deserialize_rejects_genotypes_of_the_wrong_size(data):
         ({"n": 1, "bits": "01"}, "encoding"),
         ({"encoding": "bitstring", "n": "x", "hex": "00"}, "n"),
         ({"encoding": "bitstring", "n": 99, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": 0, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": 17, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": True, "hex": "00"}, "n"),
         ({"encoding": "bitstring", "n": 3, "hex": 3}, "hex"),
         ({"encoding": "tree", "n": 3, "text": 5}, "text"),
         ({"encoding": "tree", "n": "3", "text": "x1"}, "n"),

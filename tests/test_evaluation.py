@@ -440,8 +440,23 @@ def test_bitflip_session_rejects_entries_that_are_not_bits(entry):
     # 0.7 became 0 and -1 became 255
     ev = FitnessEvaluator(3, "bitstring")
     bits = [entry] * 8 if entry == 0.7 else [entry] + [0] * 7
-    with pytest.raises(ValueError, match="^genotype bits must be 0 or 1$"):
+    with pytest.raises(ValueError, match="^bitstring entries must be 0 or 1$"):
         BitFlipSession(ev, bits)
+
+
+def test_bitflip_session_checks_its_genotype_as_check_genotype_does():
+    with pytest.raises(ValueError, match="^general bitstring genotype at n=3 needs 8 entries, "):
+        BitFlipSession(FitnessEvaluator(3, "bitstring"), [0] * 7)
+    with pytest.raises(ValueError, match="^rs bitstring genotype at n=5 needs 8 entries, "):
+        BitFlipSession(FitnessEvaluator(5, "bitstring", ROTATION), [0] * 32)
+    with pytest.raises(ValueError, match="^bit-flip search needs the bitstring encoding$"):
+        BitFlipSession(FitnessEvaluator(3, "float", decode=2), [0] * 8)
+    # the session flips its own copy, never the caller's array
+    bits = np.zeros(8, dtype=np.uint8)
+    session = BitFlipSession(FitnessEvaluator(3, "bitstring"), bits)
+    session.try_flip(2)
+    session.commit()
+    assert session.bits.tolist() == [0, 0, 1, 0, 0, 0, 0, 0] and not bits.any()
 
 
 def test_bitflip_session_needs_probe_before_commit():

@@ -2,9 +2,11 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
+from boolevo import harness
 from boolevo.engine import RunConfig, RunRecord
 from boolevo.harness import (
     BOXPLOT_FILE,
@@ -61,16 +63,20 @@ def test_campaign_records_round_trip(tmp_path):
 
 
 def test_campaign_validation():
-    with pytest.raises(ValueError, match="a campaign needs at least one run"):
-        run_campaign(tiny_campaign(num_runs=0))
-    with pytest.raises(ValueError, match="worker count must be positive"):
-        run_campaign(tiny_campaign(workers=0))
     # a bool would run one run, a float would fail inside range() or the pool
-    for bad in (True, 2.5, -1, "3"):
+    for bad in (0, True, 2.5, -1, "3"):
         with pytest.raises(ValueError, match="num_runs must be an integer of at least 1"):
             run_campaign(tiny_campaign(num_runs=bad))
         with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
             run_campaign(tiny_campaign(workers=bad))
+
+
+@pytest.mark.parametrize("bad", [True, "3", -1, 1.5])
+def test_campaign_refuses_a_seed_base_that_is_no_seed(bad, tmp_path):
+    # True ran seeds 1, 2, ...; "3" failed on the first seed with a traceback
+    with pytest.raises(ValueError, match="^seed_base must be an integer of at least 0, got "):
+        run_campaign(tiny_campaign(seed_base=bad), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def fake_record(label, fitness, nl=4):
@@ -136,6 +142,24 @@ def test_write_records_one_line_each(tmp_path):
     assert all(line.startswith("{") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("{not json", "Expecting property name enclosed in double quotes at column 2"),
+        ('{"label": "A"}', "run record has unknown keys [] and missing keys ["),
+        ("[1, 2]", "a run record must be a JSON object"),
+    ],
+)
+def test_read_records_names_the_bad_line(tmp_path, bad, message):
+    path = tmp_path / "runs.jsonl"
+    good = fake_record("A", 1.0).to_json()
+    path.write_text(f"{good}\n\n{bad}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        read_records(path)
+    assert str(error.value).startswith(f"{path}:3: {message}")
+    assert "\n" not in str(error.value)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -181,3 +205,58 @@ def test_verify_table_low_nonlinearity():
     assert report.properties.nonlinearity == 0
     assert any("below the proven upper bound" in line for line in report.classification)
     assert any("below the quadratic-construction value" in line for line in report.classification)
+
+
+#: (n, nl) -> classification, every phrase of each bound: at n = 4 the bent
+#: bound 6; at n = 9 the upper bound 244, the quadratic value 240 and the
+#: best published value 242
+STANDINGS = {
+    (4, 6): ("bent: meets the even-dimension bound 6",),
+    (4, 5): ("below the even-dimension bound 6",),
+    (9, 245): (
+        "IMPOSSIBLE: exceeds the proven upper bound 244",
+        "above the quadratic-construction value 240",
+        "NEW RECORD: beats the best published value 242",
+    ),
+    (9, 244): (
+        "meets the proven upper bound 244",
+        "above the quadratic-construction value 240",
+        "NEW RECORD: beats the best published value 242",
+    ),
+    (9, 242): (
+        "below the proven upper bound 244",
+        "above the quadratic-construction value 240",
+        "matches the best published value 242",
+    ),
+    (9, 241): (
+        "below the proven upper bound 244",
+        "above the quadratic-construction value 240",
+        "below the best published value 242",
+    ),
+    (9, 240): (
+        "below the proven upper bound 244",
+        "matches the quadratic-construction value 240",
+        "below the best published value 242",
+    ),
+    (9, 239): (
+        "below the proven upper bound 244",
+        "below the quadratic-construction value 240",
+        "below the best published value 242",
+    ),
+    # no published value at n = 15
+    (15, 16256): (
+        "below the proven upper bound 16292",
+        "matches the quadratic-construction value 16256",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,nl", list(STANDINGS))
+def test_verify_table_words_every_standing(monkeypatch, n, nl):
+    # no real table reaches most of these, so the report is patched
+    real = harness.property_report
+    monkeypatch.setattr(
+        harness, "property_report", lambda table: replace(real(table), nonlinearity=nl)
+    )
+    report = verify_table(TruthTable(n, [0] * (1 << n)))
+    assert report.classification == STANDINGS[n, nl]

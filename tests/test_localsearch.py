@@ -260,6 +260,11 @@ def test_apply_ls_touches_best_plus_fraction():
     assert changed <= 3
     assert all(ind.key >= old for old, ind in zip(keys_before, pop))
     assert max(ind.key for ind in pop) >= best_before
+    # an empty population is left as it is, with no draw and no charge
+    evaluations, word = ev.evaluations, Draws(86).below(1 << 30)
+    rng = Draws(86)
+    apply_ls([], LsConfig("ls2"), ev, mutate, rng, note)
+    assert ev.evaluations == evaluations and rng.below(1 << 30) == word
 
 
 def test_ls_charges_budget_and_stops_midway():

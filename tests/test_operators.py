@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from boolevo.draws import Draws
-from boolevo.encodings import _random_node, node_depths, random_tree, subtree_end, tree_depth
+from boolevo.encodings import _random_node, node_depths, random_tree, subtree_end
 from boolevo.operators import (
     _joint_preorder,
     _splice_fits,
@@ -37,6 +37,7 @@ from oracles import (
     next_draws,
     size_fair_crossover_by_subtree_walks,
     subtree_mutation_by_tree_walks,
+    tree_depth,
     tree_depth_by_recursion,
     tree_table_pointwise,
     uniform_crossover_by_own_walk,

@@ -88,6 +88,8 @@ def test_expand_validates_length():
         expand(compute_orbits(3), np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError, match="0 or 1"):
         expand(compute_orbits(3), [0.9, 1, 0, 1])  # not read as 0
+    with pytest.raises(ValueError, match="^dimension mismatch: table n=3, function n=5$"):
+        orbit_values(compute_orbits(3), TruthTable(5, [0] * 32))
 
 
 def test_is_rotation_symmetric_negative():

@@ -24,6 +24,7 @@ from boolevo.truthtable import (
     bits_from_hex,
     bits_to_hex,
     bounds,
+    check_int,
     covering_radius_bound,
     fitness,
     hadamard_transform,
@@ -52,6 +53,37 @@ def test_truth_table_validation():
         TruthTable(2, [0, 1, 2, 0])  # not a bit
     with pytest.raises(ValueError, match="0 or 1"):
         TruthTable(3, [0.7] * 8)  # compared before the cast, not read as 0
+    # a numpy int is a library n, but a float, string or bool is no n at all
+    assert TruthTable(np.int64(1), [0, 1]).n == 1
+    for bad in (1.0, "1", True):
+        with pytest.raises(TypeError, match="^number of variables must be an int, got "):
+            TruthTable(bad, [0, 1])
+
+
+def test_truth_table_equality_and_hash():
+    table = TruthTable(2, [0, 1, 1, 0])
+    assert table == TruthTable(2, np.array([0, 1, 1, 0], dtype=np.uint8))
+    assert table != TruthTable(2, [1, 0, 0, 1]) and table != TruthTable(3, [0, 1, 1, 0] * 2)
+    assert table.__eq__("0110") is NotImplemented and table != "0110"
+    assert len({table, TruthTable(2, [0, 1, 1, 0]), TruthTable(2, [1, 0, 0, 1])}) == 2
+
+
+@pytest.mark.parametrize(
+    "value,maximum,message",
+    [
+        (0, None, "^x must be an integer of at least 1, got 0$"),
+        (True, None, "^x must be an integer of at least 1, got True$"),
+        (np.int64(2), None, "^x must be an integer of at least 1, got "),
+        (1.0, None, "^x must be an integer of at least 1, got 1.0$"),
+        ("2", 3, "^x must be an integer in 1..3, got '2'$"),
+        (4, 3, "^x must be an integer in 1..3, got 4$"),
+    ],
+)
+def test_check_int_refuses_with_one_line(value, maximum, message):
+    check_int("x", 1, 1, maximum)
+    check_int("x", 3, 1, 3)
+    with pytest.raises(ValueError, match=message):
+        check_int("x", value, 1, maximum)
 
 
 def test_truth_table_is_immutable():
@@ -267,6 +299,8 @@ def test_bits_hex_helpers_on_non_power_of_two_lengths():
     assert np.array_equal(bits_from_hex(bits_to_hex(bits), 60), bits)
     with pytest.raises(ValueError):
         bits_to_hex(np.zeros(5, dtype=np.uint8))
+    with pytest.raises(ValueError, match="multiple of 4"):
+        bits_from_hex("00", 6)
 
 
 # ---------------------------------------------------------------------------
