@@ -840,12 +840,12 @@ def test_deserialize_rejects_genotypes_of_the_wrong_size(data):
         ({"n": 1, "bits": "01"}, "encoding"),
         ({"encoding": "bitstring", "n": "x", "hex": "00"}, "n"),
         ({"encoding": "bitstring", "n": 99, "hex": "00"}, "n"),
-        ({"encoding": "bitstring", "n": 0, "hex": "00"}, "n"),
-        ({"encoding": "bitstring", "n": 17, "hex": "00"}, "n"),
-        ({"encoding": "bitstring", "n": True, "hex": "00"}, "n"),
         ({"encoding": "bitstring", "n": 3, "hex": 3}, "hex"),
         ({"encoding": "tree", "n": 3, "text": 5}, "text"),
         ({"encoding": "tree", "n": "3", "text": "x1"}, "n"),
+        ({"encoding": "bitstring", "n": 0, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": 17, "hex": "00"}, "n"),
+        ({"encoding": "bitstring", "n": True, "hex": "00"}, "n"),
     ],
 )
 def test_deserialize_names_a_missing_or_malformed_field(data, field):
