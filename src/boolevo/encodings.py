@@ -11,7 +11,7 @@ Every genotype is a raw value, the same form the search loops carry:
   ``IF(x1, AND2(x2, x3), NOT(x2))`` is ``("IF", 1, "AND2", 2, 3, "NOT", 2)``.
   A node is addressed by its preorder index, the subtree rooted there is
   the slice ``tree[i:subtree_end(tree, i)]`` and its size is that slice's
-  length.
+  length; the tree operators splice children from such slices.
 
 A genotype from outside the search goes through :func:`check_genotype`, the
 one validator, and :func:`genotype_table` is the one decoder to a truth
@@ -139,20 +139,6 @@ def node_depths(tree: Tree) -> list[int]:
                 if arity > 2:
                     pending.append(depth)
     return depths
-
-
-def subtree_at(tree: Tree, index: int) -> Tree:
-    """Subtree rooted at preorder position ``index`` (root is 0)."""
-    if not 0 <= index < len(tree):
-        raise IndexError(f"preorder index {index} out of range")
-    return tree[index : subtree_end(tree, index)]
-
-
-def replace_at(tree: Tree, index: int, replacement: Tree) -> Tree:
-    """Copy of the tree with the subtree at preorder ``index`` swapped out."""
-    if not 0 <= index < len(tree):
-        raise IndexError(f"preorder index {index} out of range")
-    return tree[:index] + replacement + tree[subtree_end(tree, index) :]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ per slot, and local search follows every generation.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -34,7 +35,9 @@ from .encodings import (
     tree_to_text,
 )
 from .evaluation import (
+    EXHAUSTED_EVALUATIONS,
     EXHAUSTED_TARGET,
+    EXHAUSTED_TIME,
     BudgetExhausted,
     FitnessEvaluator,
     Individual,
@@ -248,7 +251,43 @@ class RunRecord:
             raise ValueError(
                 f"run record has unknown keys {unknown} and missing keys {missing}"
             )
+        _check_record_values(data)
         return cls(**data)
+
+
+_STOP_REASONS = (EXHAUSTED_EVALUATIONS, EXHAUSTED_TIME, EXHAUSTED_TARGET)
+#: The JSON type of each record field that is not a number.
+_RECORD_TYPES = {
+    "label": str,
+    "config": dict,
+    "best_genotype": dict,
+    "best_truth_table": str,
+    "trajectory": list,
+    "target_reached": bool,
+}
+
+
+def _check_record_values(data: dict) -> None:
+    """Raise a one-line error that names the first field of a record read
+    back whose value has the wrong type or range."""
+    for name in ("evaluations", "best_nonlinearity"):
+        check_int(f"record field {name!r}", data[name], 0)
+    if data["seed"] is not None:
+        check_int("record field 'seed'", data["seed"], 0)
+    fitness, wall = data["best_fitness"], data["wall_time_s"]
+    if not (is_real(fitness) and math.isfinite(fitness)):
+        raise ValueError(f"record field 'best_fitness' must be a finite number, got {fitness!r}")
+    if wall is not None and not is_real(wall):
+        raise ValueError(f"record field 'wall_time_s' must be a number, got {wall!r}")
+    for name, kind in _RECORD_TYPES.items():
+        value = data[name]
+        if not isinstance(value, kind):
+            raise ValueError(f"record field {name!r} must be a {kind.__name__}, got {value!r}")
+    if data["stop_reason"] not in _STOP_REASONS:
+        raise ValueError(
+            f"record field 'stop_reason' must be one of {_STOP_REASONS}, "
+            f"got {data['stop_reason']!r}"
+        )
 
 
 # ---------------------------------------------------------------------------

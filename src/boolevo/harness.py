@@ -106,9 +106,11 @@ def read_records(path) -> list[RunRecord]:
     """The records of a ``runs.jsonl`` file; a bad line is a one-line error
     that starts ``path:line:``."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
             try:
+                # a UnicodeDecodeError is a ValueError, so it names this line too
+                line = line.decode("utf-8")
                 if line.strip():
                     records.append(RunRecord.from_json(line))
             except json.JSONDecodeError as error:

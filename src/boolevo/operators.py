@@ -7,8 +7,9 @@ or mutation, so a block has the distribution of as many children made one
 at a time.  The per-row decisions are scalar draws, which cost less than
 vector draws at these row counts.  The tree operators take and return one
 raw genotype, a flat preorder token tuple; they address nodes by preorder
-index and build children by splicing, and walk a child's depths once, in
-the crossover's cap check (:func:`make_operators`).  Every random decision
+index and splice every child as ``a[:i] + donor + a[end:]`` at subtree ends
+the operator has walked, and walk a child's depths once, in the
+crossover's cap check (:func:`make_operators`).  Every random decision
 comes from the :class:`~boolevo.draws.Draws` an operator is handed, so runs
 replay exactly from a seed.
 """
@@ -25,8 +26,6 @@ from .encodings import (
     Tree,
     _random_node,
     node_depths,
-    replace_at,
-    subtree_at,
     subtree_end,
 )
 
@@ -37,15 +36,16 @@ from .encodings import (
 def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
     """Flip one bit of each row, or shuffle a window of it, chosen uniformly.
 
-    A flip takes a uniform position.  A shuffle takes two uniform positions
-    ``a`` and ``b`` and reorders the window ``[min(a, b), max(a, b)]`` with
-    the Fisher-Yates draws of ``rng.permutation(window)``, and so makes the
-    same child.  Rows of 8-byte entries, such as the local search's int64
-    index rows, are shuffled in place (:meth:`Draws.shuffle`).  A 1-byte bit
-    row gathers its window through a shuffled int64 ``arange`` instead,
-    since numpy swaps only 8-byte items fast: shuffling a uint8 window in
-    place is slower from a few hundred entries up.  Works on rows of any
-    integer type, so the local search can record moves on rows of indices.
+    A row draws the coin, then a uniform position, which a flip flips.  A
+    shuffle takes it as ``a``, draws ``b`` and reorders the window
+    ``[min(a, b), max(a, b)]`` with the Fisher-Yates draws of
+    ``rng.permutation(window)``, and so makes the same child.  Rows of
+    8-byte entries, such as the local search's int64 index rows, are
+    shuffled in place (:meth:`Draws.shuffle`).  A 1-byte bit row gathers its
+    window through a shuffled int64 ``arange`` instead, since numpy swaps
+    only 8-byte items fast: shuffling a uint8 window in place is slower from
+    a few hundred entries up.  Works on rows of any integer type, so the
+    local search can record moves on rows of indices.
 
     The coin and the positions are ``rng.below`` taken inline, as in
     :mod:`boolevo.draws`: the coin is one word's top bit, and a position the
@@ -62,42 +62,34 @@ def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
     for row in range(count):
         if not words:
             refill()
-        if words.pop() >> 63:
-            if not words:
-                refill()
-            word = words.pop()
-            a = word * length
-            if a & _LOW >= length:
-                a >>= 64
-            else:
-                words.append(word)
-                a = below(length)
-            if not words:
-                refill()
-            word = words.pop()
-            b = word * length
-            if b & _LOW >= length:
-                b >>= 64
-            else:
-                words.append(word)
-                b = below(length)
-            start, stop = (a, b + 1) if a < b else (b, a + 1)
-            window = children[row, start:stop]
-            if in_place:
-                rng.shuffle(window)
-            else:
-                window[:] = window[rng.permutation(stop - start)]
+        shuffle = words.pop() >> 63
+        if not words:
+            refill()
+        word = words.pop()
+        a = word * length
+        if a & _LOW >= length:
+            a >>= 64
         else:
-            if not words:
-                refill()
-            word = words.pop()
-            position = word * length
-            if position & _LOW >= length:
-                position >>= 64
-            else:
-                words.append(word)
-                position = below(length)
-            flat[row * length + position] ^= 1
+            words.append(word)
+            a = below(length)
+        if not shuffle:
+            flat[row * length + a] ^= 1
+            continue
+        if not words:
+            refill()
+        word = words.pop()
+        b = word * length
+        if b & _LOW >= length:
+            b >>= 64
+        else:
+            words.append(word)
+            b = below(length)
+        start, stop = (a, b + 1) if a < b else (b, a + 1)
+        window = children[row, start:stop]
+        if in_place:
+            rng.shuffle(window)
+        else:
+            window[:] = window[rng.permutation(stop - start)]
     return children
 
 
@@ -207,9 +199,8 @@ def subtree_mutation(
 
 def subtree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:
     """Swap a random subtree of ``a`` for a random subtree of ``b``."""
-    index_a = rng.below(len(a))
-    index_b = rng.below(len(b))
-    return replace_at(a, index_a, subtree_at(b, index_b))
+    i, j = rng.below(len(a)), rng.below(len(b))
+    return a[:i] + b[j : subtree_end(b, j)] + a[subtree_end(a, i) :]
 
 
 def uniform_tree_crossover(a: Tree, b: Tree, rng: Draws) -> Tree:

@@ -14,8 +14,6 @@ from boolevo.encodings import (
     OPERATOR_NAMES,
     node_depths,
     random_genotype,
-    replace_at,
-    subtree_at,
 )
 from boolevo.engine import _draw_distinct
 from boolevo.evaluation import Individual
@@ -280,6 +278,27 @@ def _subtree_end(tree, pos: int) -> int:
         for _ in range({"NOT": 1, "IF": 3}.get(tag, 2)):
             pos = _subtree_end(tree, pos)
     return pos
+
+
+def subtree_at(tree, index: int):
+    """Subtree rooted at preorder ``index`` (the root is 0)."""
+    if not 0 <= index < len(tree):
+        raise IndexError(f"preorder index {index} out of range")
+    return tree[index:_subtree_end(tree, index)]
+
+
+def replace_at(tree, index: int, replacement):
+    """Copy of the tree with the subtree at preorder ``index`` swapped out."""
+    if not 0 <= index < len(tree):
+        raise IndexError(f"preorder index {index} out of range")
+    return tree[:index] + replacement + tree[_subtree_end(tree, index):]
+
+
+def subtree_crossover_by_subtree_walks(a, b, rng):
+    """Subtree crossover that takes the donor and replaces the removed
+    subtree by two walks of their own."""
+    i, j = rng.below(len(a)), rng.below(len(b))
+    return replace_at(a, i, subtree_at(b, j))
 
 
 def size_fair_crossover_by_subtree_walks(a, b, rng):

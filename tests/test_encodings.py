@@ -27,8 +27,6 @@ from boolevo.encodings import (
     node_depths,
     random_genotype,
     random_tree,
-    replace_at,
-    subtree_at,
     subtree_end,
     tree_from_text,
     tree_to_text,
@@ -296,17 +294,6 @@ def test_tree_structure_helpers():
     assert node_depths(t) == [0, 1, 1, 2, 2, 1, 2]
     assert tree_depth(t) == 2
     assert tree_depth((1,)) == 0
-    assert subtree_at(t, 0) == t
-    assert subtree_at(t, 2) == ("AND2", 2, 3)
-    assert subtree_at(t, 6) == (2,)
-    assert replace_at(t, 5, (3,)) == ("IF", 1, "AND2", 2, 3, 3)
-    assert replace_at(t, 1, ("NOT", 3)) == ("IF", "NOT", 3, "AND2", 2, 3, "NOT", 2)
-    assert replace_at(t, 0, (1,)) == (1,)
-    for bad in (7, -1):
-        with pytest.raises(IndexError):
-            subtree_at(t, bad)
-        with pytest.raises(IndexError):
-            replace_at(t, bad, (1,))
 
 
 def test_depth_walks_match_the_recursive_reference():

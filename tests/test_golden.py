@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from boolevo.engine import RunConfig, run
+from boolevo.harness import read_records
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "runs.jsonl"
 
@@ -101,6 +102,14 @@ def test_golden_record(name):
     lines = GOLDEN_FILE.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(GOLDEN)
     assert golden_line(name) == lines[list(GOLDEN).index(name)]
+
+
+def test_golden_lines_load_and_round_trip():
+    # every record shape that exists passes the value checks of a read back
+    lines = GOLDEN_FILE.read_text(encoding="utf-8").splitlines()
+    records = read_records(GOLDEN_FILE)
+    assert len(records) == len(lines) == len(GOLDEN)
+    assert [record.to_json() for record in records] == lines
 
 
 if __name__ == "__main__":

@@ -160,6 +160,51 @@ def test_read_records_names_the_bad_line(tmp_path, bad, message):
     assert "\n" not in str(error.value)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("best_fitness", "high", "must be a finite number, got 'high'"),
+        ("best_fitness", True, "must be a finite number, got True"),
+        ("best_fitness", float("nan"), "must be a finite number, got nan"),
+        ("best_nonlinearity", "x", "must be an integer of at least 0, got 'x'"),
+        ("best_nonlinearity", 4.0, "must be an integer of at least 0, got 4.0"),
+        ("evaluations", None, "must be an integer of at least 0, got None"),
+        ("evaluations", True, "must be an integer of at least 0, got True"),
+        ("seed", -1, "must be an integer of at least 0, got -1"),
+        ("label", 3, "must be a str, got 3"),
+        ("trajectory", 5, "must be a list, got 5"),
+        ("target_reached", "no", "must be a bool, got 'no'"),
+        ("config", [], "must be a dict, got []"),
+        ("stop_reason", "done", "must be one of ('budget', 'time', 'target'), got 'done'"),
+        ("wall_time_s", "1s", "must be a number, got '1s'"),
+    ],
+)
+def test_read_records_names_a_bad_field_value(tmp_path, field, value, message):
+    path = tmp_path / "runs.jsonl"
+    bad = replace(fake_record("A", 1.0), **{field: value}).to_json(include_timing=True)
+    path.write_text(f"{fake_record('A', 1.0).to_json()}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        read_records(path)
+    assert str(error.value) == f"{path}:2: record field {field!r} {message}"
+
+
+def test_read_records_accepts_a_null_seed_and_a_wall_time(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    record = replace(fake_record("A", 1.0), seed=None, wall_time_s=0.5)
+    path.write_text(record.to_json(include_timing=True) + "\n", encoding="utf-8")
+    assert read_records(path) == [record]
+
+
+def test_read_records_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    good = fake_record("A", 1.0).to_json().encode()
+    path.write_bytes(good + b"\n" + good[:20] + b"\xff" + good[20:] + b"\n")
+    with pytest.raises(ValueError) as error:
+        read_records(path)
+    assert str(error.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte 0xff")
+    assert "\n" not in str(error.value)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

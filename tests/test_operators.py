@@ -35,7 +35,10 @@ from oracles import (
     mutate_bitstring_by_index_gather,
     mutate_bitstring_by_window_permutation,
     next_draws,
+    replace_at,
     size_fair_crossover_by_subtree_walks,
+    subtree_at,
+    subtree_crossover_by_subtree_walks,
     subtree_mutation_by_tree_walks,
     tree_depth,
     tree_depth_by_recursion,
@@ -413,8 +416,8 @@ def test_joint_preorder_matches_the_recursive_walk():
 def test_tree_crossovers_match_the_subtree_walks():
     # one-point and context-preserving children splice at the ends the joint
     # walk passed, uniform ones emit its pairs, size-fair ones splice at the
-    # ends of one reverse pass; each must give the child and the next draw of
-    # walking the trees again
+    # ends of one reverse pass, subtree ones at the ends of their two draws;
+    # each must give the child and the next draw of walking the trees again
     tree_rng = Draws(73)
     rng, oracle_rng = Draws(74), Draws(74)
     for n in range(1, 8):
@@ -431,6 +434,8 @@ def test_tree_crossovers_match_the_subtree_walks():
                     assert uniform_tree_crossover(a, b, rng) == want
                     want = size_fair_crossover_by_subtree_walks(a, b, oracle_rng)
                     assert size_fair_crossover(a, b, rng) == want
+                    want = subtree_crossover_by_subtree_walks(a, b, oracle_rng)
+                    assert subtree_crossover(a, b, rng) == want
                     assert rng.below(1 << 62) == oracle_rng.below(1 << 62)
 
 
@@ -439,7 +444,24 @@ def test_subtree_crossover_inserts_donor_subtree():
     for _ in range(50):
         a, b = random_pair(rng)
         child = subtree_crossover(a, b, rng)
-        assert len(child) >= 1
+        # some subtree of a swapped for some subtree of b
+        swaps = {replace_at(a, i, subtree_at(b, j)) for i in range(len(a)) for j in range(len(b))}
+        assert child in swaps
+
+
+def test_oracle_subtree_helpers_slice_and_splice():
+    t = ("IF", 1, "AND2", 2, 3, "NOT", 2)
+    assert subtree_at(t, 0) == t
+    assert subtree_at(t, 2) == ("AND2", 2, 3)
+    assert subtree_at(t, 6) == (2,)
+    assert replace_at(t, 5, (3,)) == ("IF", 1, "AND2", 2, 3, 3)
+    assert replace_at(t, 1, ("NOT", 3)) == ("IF", "NOT", 3, "AND2", 2, 3, "NOT", 2)
+    assert replace_at(t, 0, (1,)) == (1,)
+    for bad in (7, -1):
+        with pytest.raises(IndexError):
+            subtree_at(t, bad)
+        with pytest.raises(IndexError):
+            replace_at(t, bad, (1,))
 
 
 def test_uniform_tree_crossover_on_identical_shapes():
