@@ -39,9 +39,15 @@ is the same sum of terms as the full product's column at that orbit's
 representative.  Every flip-row entry is ``-2`` times a product of one
 Hadamard entry per factor, or ``-2`` times an orbit sign pattern entry (at
 most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and every
-candidate spectrum entry of :class:`BitFlipSession` is a Walsh value, at
-most ``2**n <= 2**16``.  A weighted count adds the sizes of orbits that hold
-at most ``2**n`` masks together, so it is at most ``2**n`` too.  Every
+candidate spectrum entry of a :class:`BitFlipSession` flip block is a Walsh
+value, at most ``2**n <= 2**16``.  The session's near-peak keys multiply
+``R`` by a two-row block of signs in ``{-1, 0, +1}``: each entry sums at
+most ``2**n`` terms of ``+-2``, so it is at most ``2**(n + 1)``; a quarter
+of it is a multiple of ``1/2``, each count of entries that rise is at most
+``2**n``, and each key's offset from the key of the old peak at count 0 is
+at most ``2**(n + 1)``, which is added to that key in int64.  A weighted
+count adds the sizes of orbits that hold at most ``2**n`` masks together,
+so it is at most ``2**n`` too.  Every
 genotype is keyed as a row of one product: a block keyed at once
 (:meth:`FitnessEvaluator.key_ahead`) has one row per genotype, and a
 genotype keyed alone is a one-row block.  No row's sums take terms from
@@ -86,17 +92,24 @@ class BudgetExhausted(Exception):
         self.reason = reason
 
 
-#: Most floats in one block of spectra keyed at once, by
-#: :class:`BitFlipSession` or :meth:`FitnessEvaluator.key_ahead` (128 KiB of
-#: float32): 64 spectra of ``2**n`` entries at n = 9, 8 at n = 12, 4 at
-#: n = 13, and in the rotation-symmetric space, whose spectra have ``g``
-#: entries, one per orbit, 546 at n = 9 and 51 at n = 13.  Blocks of twice
-#: that size made LS2 at n = 9 slower, not faster.
+#: Most floats in one block of spectra keyed at once (128 KiB of float32):
+#: by :meth:`FitnessEvaluator.key_ahead`, for the initial population, an
+#: SST block's children, a DE generation and LS1 trials, and by
+#: :class:`BitFlipSession`'s flip blocks in the rotation-symmetric space
+#: and at n = 1.  That is 64 spectra of ``2**n`` entries at n = 9, 8 at
+#: n = 12, 4 at n = 13, and in the rotation-symmetric space, whose spectra
+#: have ``g`` entries, one per orbit, 546 at n = 9 and 51 at n = 13.  At
+#: n = 13 blocks of twice that size made rotation-symmetric LS2 slower (2.8
+#: to 3.1 against 2.1 to 2.2 us a probe) and half of it was no faster, and
+#: keying SST children cost 17.3 us a row in blocks of 4, 15.3 in blocks of
+#: 8 and 37 in blocks of 16.
 BLOCK_ELEMENTS = 1 << 15
 
 
 #: ``1 - 2 * bit``, the sign of a flip row, indexed by the bit
 _FLIP_SIGNS = np.array([1, -1], dtype=np.float32)
+#: ``(1 - 2 * bit) / 4``, indexed by the bit
+_RISE_SIGNS = _FLIP_SIGNS / 4
 
 #: Log2 of the largest factor of a chain of two or more, ``64 x 64``.  At
 #: n = 11 three factors cost a vector product 7.9 us against 6.6 us for
@@ -364,16 +377,31 @@ class BitFlipSession:
     """Incremental re-evaluation of single-bit flips of a bitstring genotype.
 
     Flipping genotype bit ``j`` moves the spectrum by ``(1 - 2 * bit_j) * R_j``
-    (see the module docstring), so a flip needs one vector update instead of
-    a full transform.  A probe that
-    misses the current block forms the candidate spectra of its position and
-    the next ones, up to :data:`BLOCK_ELEMENTS` floats, in one broadcast and
-    keys them all with one :func:`spectrum_key` call; the next probes in the
-    block are list lookups.  A commit moves the spectrum by the committed
-    row alone and drops the block.  Every probe, looked up or not, charges
-    the evaluator exactly like a full evaluation; the setup recomputes the
-    incumbent's spectrum without charging because its fitness is already
-    known.  Its bits go through :func:`~boolevo.encodings.check_genotype`.
+    (see the module docstring), so a flip needs no full transform, as in
+    Millan, Clark & Dawson's hill climber (SAC 1997).  A probe that finds no
+    key ready calls the fill chosen at set-up, which keys a run of flips at
+    once; the next probes in the run are list lookups.
+
+    * In the general space from n = 2, the fill keys every position from the
+      peak ``P`` alone.  Every Walsh value is congruent to
+      ``2**n - 2 * wt(f)`` modulo 4, so every ``|W|`` is congruent to ``P``,
+      and a flip moves every value by exactly 2.  Its new peak is ``P + 2``
+      if an entry of ``T = {|W| = P}`` rises, counted by the entries of
+      ``T`` that rise; otherwise it is ``P - 2``, counted by ``|T|`` and the
+      entries of ``N = {|W| = P - 4}`` that rise (a zero entry, in ``N``
+      only when ``P = 4``, always rises).  The rises at every position come
+      from one product of the two-row block of the signs of ``T`` and ``N``.
+    * In the rotation-symmetric space, where a flip moves an orbit entry by
+      up to twice the orbit size, and at n = 1, the fill forms the candidate
+      spectra of the probed position and the next ones, up to
+      :data:`BLOCK_ELEMENTS` floats, in one broadcast and keys them with one
+      :func:`spectrum_key` call.
+
+    A commit moves the spectrum by the committed row alone and drops the
+    keys.  Every probe, looked up or not, charges the evaluator exactly like
+    a full evaluation; the setup recomputes the incumbent's spectrum without
+    charging because its fitness is already known.  Its bits go through
+    :func:`~boolevo.encodings.check_genotype`.
     """
 
     def __init__(self, evaluator: FitnessEvaluator, bits: np.ndarray):
@@ -384,6 +412,13 @@ class BitFlipSession:
         self.bits = check_genotype(bits, "bitstring", evaluator.n, evaluator.mode)
         self.spectrum = evaluator._block_spectra(self.bits[None])[0]
         self.key = spectrum_key(self.spectrum, evaluator.n, evaluator.weights)
+        # the fill, chosen once, so that a probe tests neither the space nor
+        # n; the plain function, since a bound method would make the session
+        # a reference cycle, which only the garbage collector frees
+        if evaluator.mode == ROTATION or evaluator.n == 1:
+            self._fill = BitFlipSession._flip_block_keys
+        else:
+            self._fill = BitFlipSession._near_peak_keys
         # keys of flipping positions _block_start, _block_start + 1, ...
         self._block_start = 0
         self._block_keys: list[int] = []
@@ -400,12 +435,8 @@ class BitFlipSession:
         self.evaluator.charge()
         offset = position - self._block_start
         if not 0 <= offset < len(self._block_keys):
-            bits = self.bits[position:position + self.evaluator.block_rows]
-            block = self.evaluator._flip_deltas(position, bits)
-            block += self.spectrum
-            self._block_start = position
-            self._block_keys = spectrum_key(block, self.evaluator.n, self.evaluator.weights)
-            offset = 0
+            self._block_start, self._block_keys = self._fill(self, position)
+            offset = position - self._block_start
         key = self._block_keys[offset]
         self._pending = (position, key)
         return key
@@ -419,3 +450,36 @@ class BitFlipSession:
         self.bits[position] ^= 1
         self._pending = None
         self._block_keys = []
+
+    def _flip_block_keys(self, position: int) -> tuple[int, list[int]]:
+        """The keys of flipping ``position`` and the next positions, one
+        candidate spectrum each, up to :data:`BLOCK_ELEMENTS` floats."""
+        evaluator = self.evaluator
+        bits = self.bits[position:position + evaluator.block_rows]
+        block = evaluator._flip_deltas(position, bits)
+        block += self.spectrum
+        return position, spectrum_key(block, evaluator.n, evaluator.weights)
+
+    def _near_peak_keys(self, position: int) -> tuple[int, list[int]]:
+        """The keys of flipping every position, from position 0 whatever the
+        probed position, by the near-peak rule of the class docstring
+        (general space, n >= 2)."""
+        n = self.evaluator.n
+        spectrum = self.spectrum
+        mags = np.abs(spectrum)
+        peak = int(mags.max())
+        near = mags == np.array([[peak], [peak - 4]], dtype=np.float32)  # T and N
+        signs = np.sign(spectrum) * near
+        sizes = np.count_nonzero(near, axis=1)
+        # the entries of T and of N that rise when position j flips: half the
+        # nonzero ones, plus a quarter of s_j * (signs @ R)[:, j], plus the zeros
+        rises = self.evaluator._product(signs) * _RISE_SIGNS[self.bits]
+        rises += (sizes - np.count_nonzero(signs, axis=1) / 2)[:, None]
+        offsets = np.where(
+            rises[0] > 0,
+            -(1 << n) - rises[0],  # peak P + 2, counted by the rises of T
+            (1 << n) - sizes[0] - rises[1],  # peak P - 2
+        )
+        # the key of peak P at count 0; a peak of P + 2 takes 2**n off it
+        base = (((1 << (n - 1)) - peak // 2) << n) + (1 << n)
+        return 0, (offsets.astype(np.int64) + base).tolist()

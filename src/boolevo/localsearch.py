@@ -15,10 +15,14 @@ Variants:
   the parent's shape, so a tree climb keys blocks of one child.
 * ``ls2`` (bitstring only) sweeps the genotype positions in ascending order,
   committing every strictly improving single-bit flip, until a whole sweep
-  passes without improvement.  It rides :class:`BitFlipSession`: one float32
-  product updates the spectrum for a block of consecutive flips and one
-  :func:`spectrum_key` call keys them all, so most probes are lookups, but
-  each probe is still charged to the budget.
+  passes without improvement.  It rides :class:`BitFlipSession`, which keys
+  many flips at once, so most probes are lookups, but each probe is still
+  charged to the budget.  In the general space from n = 2 one product of a
+  two-row block, the signs of the spectrum's entries at and just below the
+  peak, keys every position, once per climb and once after each commit; in
+  the rotation-symmetric space and at n = 1 one float32 product forms the
+  spectra of a block of consecutive flips and one :func:`spectrum_key` call
+  keys them all.
 * ``ls3`` runs ``ls1`` and then ``ls2``.
 
 All stages only ever replace an individual with a strictly better one, so
