@@ -160,10 +160,12 @@ def main(argv: list[str] | None = None) -> int:
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    known, rest = pre.parse_known_args(argv)
     try:
         if known.config:
-            command = next((token for token in argv if token in commands), None)
+            # from the tokens --config leaves, so a path named like a
+            # subcommand cannot choose the section
+            command = next((token for token in rest if token in commands), None)
             if command is None:
                 parser.error("a subcommand is required")
             defaults = _load_ini_defaults(known.config, command)

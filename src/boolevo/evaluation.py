@@ -17,9 +17,11 @@ so ``R = F_1 (x) ... (x) (-2 * F_k)`` with ``F_i = H_{2^m_i}``.  The chain is
 one dense factor up to n = 7, and from n = 8 the fewest factors of at most
 ``64 x 64`` (:func:`factor_logs`): two up to n = 12 and three from n = 13,
 where three factors of at most ``32 x 32`` do a third of the multiplications
-of a ``64 x 64`` and a ``128 x 128`` factor.  The product multiplies each axis of ``g`` cut into a
-``2**m_1 x ... x 2**m_k`` table by its factor, and ``R_j`` is the outer
-product of one row per factor, the rows named by the digits of ``j``.
+of a ``64 x 64`` and a ``128 x 128`` factor.  The product multiplies each
+axis of ``g`` cut into a ``2**m_1 x ... x 2**m_k`` table by its factor.
+Over a chain a commit's row ``(1 - 2 * g_j) * R_j`` is a row of the same
+product, of the one-hot row that holds ``1 - 2 * g_j`` at ``j``, so the
+bound below on its partial sums covers it too.
 
 The spectrum of a rotation-symmetric function is constant on the rotation
 orbits of the mask (Stanica, Maitra & Clark, FSE 2004), so that space keeps
@@ -155,32 +157,18 @@ def _kronecker_factors(n: int) -> tuple[np.ndarray, ...]:
     return (*factors, last)
 
 
-@lru_cache(maxsize=None)
-def _position_digits(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only uint8 digits of each general-space genotype position, one
-    array per factor: ``R_j`` is the Kronecker product of the rows
-    ``F_i[digits[i][j]]``."""
-    positions = np.arange(1 << n)
-    shift = n
-    digits = []
-    for m in factor_logs(n):
-        shift -= m
-        column = ((positions >> shift) & ((1 << m) - 1)).astype(np.uint8)
-        column.flags.writeable = False
-        digits.append(column)
-    return tuple(digits)
-
-
 def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndarray:
-    """Float32 ``bits @ R`` for rows of 0/1 bits, ``R`` the Kronecker product
-    of ``k >= 2`` factors.
+    """Float32 ``bits @ R`` for rows of entries in ``{-1, 0, +1}``, ``R`` the
+    Kronecker product of ``k >= 2`` factors.
 
     Each factor multiplies one axis of the rows cut into a ``k``-axis table:
     the last one from the right, the others from the left, each as one
     matmul broadcast over the leading axes.
     """
     width = len(factors[-1])
-    product = bits.astype(np.float32).reshape(-1, len(factors[-2]), width) @ factors[-1]
+    # a float32 block, such as a commit's one-hot rows, is not copied
+    rows = bits.astype(np.float32, copy=False)
+    product = rows.reshape(-1, len(factors[-2]), width) @ factors[-1]
     for factor in reversed(factors[:-1]):
         product = factor @ product.reshape(-1, len(factor), width)
         width *= len(factor)
@@ -188,7 +176,7 @@ def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndar
 
 
 def _product(factors: tuple[np.ndarray, ...]):
-    """Bind float32 ``bits @ R`` for a block of rows of 0/1 bits: one
+    """Bind float32 ``bits @ R`` for a block of rows in ``{-1, 0, +1}``: one
     factor's ``.dot``, or :func:`_chain_product` for two or more."""
     if len(factors) == 1:
         (rows,) = factors
@@ -287,11 +275,6 @@ class FitnessEvaluator:
         else:
             self._factors = _kronecker_factors(n)
             self.weights = None
-        # (factor, digits) pairs that build a flip row, last factor first;
-        # none for one factor, whose own rows are the flip rows
-        self._flip_factors = ()
-        if len(self._factors) > 1:
-            self._flip_factors = tuple(zip(self._factors, _position_digits(n)))[::-1]
         # the decode step and the product, bound once, so that a spectrum
         # tests neither the encoding nor the number of factors
         self._product = _product(self._factors)
@@ -358,19 +341,18 @@ class FitnessEvaluator:
         """Spectrum change of flipping each of ``bits``, genotype positions
         ``start, start + 1, ...``: one row ``(1 - 2 * bit_j) * R_j`` per bit.
 
-        Over a chain, ``R_j`` is the outer product of one row per factor,
-        built from the last factor on, so that the largest product runs
-        along a long last axis: at n = 13 the first factor first cost a
-        4-row block 36 us against 31 us.
+        One factor's rows are sliced, as rotation-symmetric flip blocks need
+        them cheaply; over a chain the rows are the chain's product of
+        one-hot rows, each holding ``1 - 2 * bit_j`` at its position ``j``.
         """
-        count = len(bits)
-        stop = start + count
-        rows = _FLIP_SIGNS[bits][:, None]
-        if not self._flip_factors:
-            return self._factors[0][start:stop] * rows
-        for factor, digits in self._flip_factors:
-            rows = (factor[digits[start:stop]][:, :, None] * rows[:, None, :]).reshape(count, -1)
-        return rows
+        signs = _FLIP_SIGNS[bits]
+        if len(self._factors) == 1:
+            return self._factors[0][start:start + len(bits)] * signs[:, None]
+        length = self.genotype_length
+        unit = np.zeros((len(bits), length), dtype=np.float32)
+        # row i's entry at position start + i, one strided slice of the block
+        unit.reshape(-1)[start::length + 1] = signs
+        return _chain_product(self._factors, unit)
 
 
 class BitFlipSession:

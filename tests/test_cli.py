@@ -223,6 +223,24 @@ def test_config_file_needs_a_subcommand(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: a subcommand is required\n")
 
 
+@pytest.mark.parametrize(
+    "path, text, argv, want",
+    [
+        ("orbits", "[search]\nn = 5\nbudget = 200\n", ["search"], "evaluations    200"),
+        ("search", "[orbits]\nlist = yes\n", ["orbits", "--n", "3"], "size 3"),
+    ],
+    ids=["orbits-holds-search", "search-holds-orbits"],
+)
+def test_config_path_named_like_a_subcommand_reads_the_commands_section(
+    tmp_path, monkeypatch, capsys, path, text, argv, want
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / path).write_text(text)
+    code, stdout, _ = run_cli(capsys, "--config", path, *argv)
+    assert code == 0
+    assert want in stdout
+
+
 def test_missing_config_file(capsys):
     code, _, stderr = run_cli(capsys, "--config", "/nonexistent.ini", "search", "--n", "4")
     assert code == 1

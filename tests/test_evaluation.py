@@ -102,9 +102,6 @@ def test_factor_chain_rule():
             scale = -2 if factor is factors[-1] else 1
             assert factor.dtype == np.float32 and not factor.flags.writeable
             np.testing.assert_array_equal(factor, scale * hadamard)
-        for digits, m in zip(evaluation._position_digits(n), logs):
-            assert digits.shape == (1 << n,) and digits.max() < 1 << m
-            assert not digits.flags.writeable
     assert [evaluation.factor_logs(n) for n in (1, 6, 7, 8, 11, 12, 13, 14, 16)] == [
         (1,), (6,), (7,), (4, 4), (5, 6), (6, 6), (4, 4, 5), (4, 5, 5), (5, 5, 6)
     ]
@@ -186,6 +183,33 @@ def test_orbit_rows_equal_the_sign_pattern_reference():
         assert rows.shape == (len(reps), len(reps))
         assert rows.dtype == np.float32
         np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n)[:, reps])
+
+
+#: a flip block's bits, both values, ending at the last position
+FLIP_BITS = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n, count", [(7, 1), (8, 2), (12, 2), (13, 3), (16, 3)])
+def test_flip_deltas_equal_signed_hadamard_rows(n, count):
+    # one factor's rows are sliced; two or three factors' rows are the
+    # chain's product of one-hot rows
+    ev = FitnessEvaluator(n, "bitstring")
+    assert len(ev._factors) == count
+    length = 1 << n
+    start = length - len(FLIP_BITS)
+    rows = hadamard_transform(np.eye(len(FLIP_BITS), length, k=start, dtype=np.int64))
+    deltas = ev._flip_deltas(start, FLIP_BITS)
+    assert deltas.dtype == np.float32
+    np.testing.assert_array_equal(deltas, (1 - 2 * FLIP_BITS[:, None].astype(int)) * -2 * rows)
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_rotation_flip_deltas_equal_signed_orbit_rows(n):
+    ev = FitnessEvaluator(n, "bitstring", ROTATION)
+    start = ev.genotype_length - len(FLIP_BITS)
+    signs = 1 - 2 * FLIP_BITS[:, None].astype(np.float32)
+    deltas = ev._flip_deltas(start, FLIP_BITS)
+    np.testing.assert_array_equal(deltas, signs * evaluation._orbit_rows(n)[start:])
 
 
 def test_rotation_setup_builds_no_sign_patterns(monkeypatch):
