@@ -99,8 +99,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _load_ini_defaults(path: str, command: str) -> dict:
-    ini = configparser.ConfigParser()
-    read = ini.read(path)
+    # no interpolation, so a value such as "50%" reaches argparse as written
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        read = ini.read(path)
+    except configparser.Error as error:
+        # its message runs on with the file's position and the line itself
+        message = str(error).splitlines()[0]
+        raise ValueError(f"config file {path!r}: {message}") from None
     if not read:
         raise OSError(f"cannot read config file {path!r}")
     if command not in ini:

@@ -19,9 +19,6 @@ one dense factor up to n = 7, and from n = 8 the fewest factors of at most
 where three factors of at most ``32 x 32`` do a third of the multiplications
 of a ``64 x 64`` and a ``128 x 128`` factor.  The product multiplies each
 axis of ``g`` cut into a ``2**m_1 x ... x 2**m_k`` table by its factor.
-Over a chain a commit's row ``(1 - 2 * g_j) * R_j`` is a row of the same
-product, of the one-hot row that holds ``1 - 2 * g_j`` at ``j``, so the
-bound below on its partial sums covers it too.
 
 The spectrum of a rotation-symmetric function is constant on the rotation
 orbits of the mask (Stanica, Maitra & Clark, FSE 2004), so that space keeps
@@ -38,18 +35,19 @@ order, adds one ``+-1`` or ``+-2`` term for each input of a subset of the
 ``2**n`` inputs, so it is at most ``2**(n + 1) <= 2**17`` in magnitude, and
 adding ``2**n`` at index 0 gives ``W(0)`` itself; each entry of ``bits @ A``
 is the same sum of terms as the full product's column at that orbit's
-representative.  Every flip-row entry is ``-2`` times a product of one
-Hadamard entry per factor, or ``-2`` times an orbit sign pattern entry (at
-most the orbit size, ``n``), so at most ``2 * n`` in magnitude, and every
-candidate spectrum entry of a :class:`BitFlipSession` flip block is a Walsh
-value, at most ``2**n <= 2**16``.  The session's near-peak keys multiply
-``R`` by a two-row block of signs in ``{-1, 0, +1}``: each entry sums at
-most ``2**n`` terms of ``+-2``, so it is at most ``2**(n + 1)``; a quarter
-of it is a multiple of ``1/2``, each count of entries that rise is at most
-``2**n``, and each key's offset from the key of the old peak at count 0 is
-at most ``2**(n + 1)``, which is added to that key in int64.  A weighted
-count adds the sizes of orbits that hold at most ``2**n`` masks together,
-so it is at most ``2**n`` too.  Every
+representative.  Flip rows are rows of the one factor, ``-2 * H_2`` at
+n = 1 (entries ``+-2``) or ``A`` (``-2`` times an orbit sign pattern entry,
+at most the orbit size ``n``), so at most ``2 * n`` in magnitude, and every
+candidate spectrum entry of a :class:`BitFlipSession` flip block is a
+Walsh value, at most ``2**n <= 2**16``.  A committed spectrum is such a
+candidate row or a product row, both bounded here.  The session's near-peak
+keys multiply ``R`` by a two-row block of signs in ``{-1, 0, +1}``: each
+entry sums at most ``2**n`` terms of ``+-2``, so it is at most
+``2**(n + 1)``; a quarter of it is a multiple of ``1/2``, each count of
+entries that rise is at most ``2**n``, and each key's offset from the key
+of the old peak at count 0 is at most ``2**(n + 1)``, which is added to
+that key in int64.  A weighted count adds the sizes of orbits that hold at
+most ``2**n`` masks together, so it is at most ``2**n`` too.  Every
 genotype is keyed as a row of one product: a block keyed at once
 (:meth:`FitnessEvaluator.key_ahead`) has one row per genotype, and a
 genotype keyed alone is a one-row block.  No row's sums take terms from
@@ -166,7 +164,7 @@ def _chain_product(factors: tuple[np.ndarray, ...], bits: np.ndarray) -> np.ndar
     matmul broadcast over the leading axes.
     """
     width = len(factors[-1])
-    # a float32 block, such as a commit's one-hot rows, is not copied
+    # a float32 block, such as the near-peak signs, is not copied
     rows = bits.astype(np.float32, copy=False)
     product = rows.reshape(-1, len(factors[-2]), width) @ factors[-1]
     for factor in reversed(factors[:-1]):
@@ -337,23 +335,6 @@ class FitnessEvaluator:
         spectra[:, 0] += 1 << self.n
         return spectra
 
-    def _flip_deltas(self, start: int, bits: np.ndarray) -> np.ndarray:
-        """Spectrum change of flipping each of ``bits``, genotype positions
-        ``start, start + 1, ...``: one row ``(1 - 2 * bit_j) * R_j`` per bit.
-
-        One factor's rows are sliced, as rotation-symmetric flip blocks need
-        them cheaply; over a chain the rows are the chain's product of
-        one-hot rows, each holding ``1 - 2 * bit_j`` at its position ``j``.
-        """
-        signs = _FLIP_SIGNS[bits]
-        if len(self._factors) == 1:
-            return self._factors[0][start:start + len(bits)] * signs[:, None]
-        length = self.genotype_length
-        unit = np.zeros((len(bits), length), dtype=np.float32)
-        # row i's entry at position start + i, one strided slice of the block
-        unit.reshape(-1)[start::length + 1] = signs
-        return _chain_product(self._factors, unit)
-
 
 class BitFlipSession:
     """Incremental re-evaluation of single-bit flips of a bitstring genotype.
@@ -379,11 +360,12 @@ class BitFlipSession:
       :data:`BLOCK_ELEMENTS` floats, in one broadcast and keys them with one
       :func:`spectrum_key` call.
 
-    A commit moves the spectrum by the committed row alone and drops the
-    keys.  Every probe, looked up or not, charges the evaluator exactly like
-    a full evaluation; the setup recomputes the incumbent's spectrum without
-    charging because its fitness is already known.  Its bits go through
-    :func:`~boolevo.encodings.check_genotype`.
+    A commit adopts a copy of the flip's candidate row where a flip block
+    keyed it, and otherwise the one-row product of the flipped bits, and
+    drops the keys.  Every probe, looked up or not, charges the evaluator
+    exactly like a full evaluation; the setup recomputes the incumbent's
+    spectrum without charging because its fitness is already known.  Its
+    bits go through :func:`~boolevo.encodings.check_genotype`.
     """
 
     def __init__(self, evaluator: FitnessEvaluator, bits: np.ndarray):
@@ -404,6 +386,8 @@ class BitFlipSession:
         # keys of flipping positions _block_start, _block_start + 1, ...
         self._block_start = 0
         self._block_keys: list[int] = []
+        # their candidate spectra for a commit to adopt; near-peak keys have none
+        self._block: np.ndarray | None = None
         # (position, key) of the last probed flip
         self._pending: tuple[int, int] | None = None
 
@@ -428,9 +412,13 @@ class BitFlipSession:
         if self._pending is None:
             raise RuntimeError("no probed flip to commit")
         position, self.key = self._pending
-        self.spectrum += self.evaluator._flip_deltas(position, self.bits[position:position + 1])[0]
         self.bits[position] ^= 1
-        self._pending = None
+        if self._block is None:
+            self.spectrum = self.evaluator._block_spectra(self.bits[None])[0]
+        else:
+            # a copy, so that the session does not keep the whole block alive
+            self.spectrum = self._block[position - self._block_start].copy()
+        self._pending = self._block = None
         self._block_keys = []
 
     def _flip_block_keys(self, position: int) -> tuple[int, list[int]]:
@@ -438,8 +426,10 @@ class BitFlipSession:
         candidate spectrum each, up to :data:`BLOCK_ELEMENTS` floats."""
         evaluator = self.evaluator
         bits = self.bits[position:position + evaluator.block_rows]
-        block = evaluator._flip_deltas(position, bits)
+        (rows,) = evaluator._factors
+        block = rows[position:position + len(bits)] * _FLIP_SIGNS[bits][:, None]
         block += self.spectrum
+        self._block = block
         return position, spectrum_key(block, evaluator.n, evaluator.weights)
 
     def _near_peak_keys(self, position: int) -> tuple[int, list[int]]:

@@ -73,6 +73,8 @@ def run_campaign(
     check_int("num_runs", campaign.num_runs, 1)
     check_int("workers", campaign.workers, 1)
     check_int("seed_base", campaign.seed_base, 0)
+    # a bad config fails before the directory is made or a pool starts
+    campaign.config.validate()
     configs = campaign.run_configs()
     if out_dir is not None:
         # made before the runs, so a bad directory fails at once, not after them

@@ -241,6 +241,27 @@ def test_config_path_named_like_a_subcommand_reads_the_commands_section(
     assert want in stdout
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["n = 4\n", "[search]\nn = 4\nn = 5\n", "[search]\nn = 4\n[search]\nseed = 1\n"],
+    ids=["no-section-header", "duplicate-key", "duplicate-section"],
+)
+def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys, text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    code, stdout, stderr = run_cli(capsys, "--config", str(ini), "search")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: config file {str(ini)!r}: ") and stderr.count("\n") == 1
+
+
+def test_config_file_values_are_not_interpolated(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[search]\nn = 4\npopulation-size = 6\nbudget = 150\nlabel = 50%\n")
+    code, stdout, _ = run_cli(capsys, "--config", str(ini), "search")
+    assert code == 0
+    assert "label          50%" in stdout
+
+
 def test_missing_config_file(capsys):
     code, _, stderr = run_cli(capsys, "--config", "/nonexistent.ini", "search", "--n", "4")
     assert code == 1

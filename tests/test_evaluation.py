@@ -185,33 +185,6 @@ def test_orbit_rows_equal_the_sign_pattern_reference():
         np.testing.assert_array_equal(rows, -2 * orbit_sign_patterns(n)[:, reps])
 
 
-#: a flip block's bits, both values, ending at the last position
-FLIP_BITS = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-
-
-@pytest.mark.parametrize("n, count", [(7, 1), (8, 2), (12, 2), (13, 3), (16, 3)])
-def test_flip_deltas_equal_signed_hadamard_rows(n, count):
-    # one factor's rows are sliced; two or three factors' rows are the
-    # chain's product of one-hot rows
-    ev = FitnessEvaluator(n, "bitstring")
-    assert len(ev._factors) == count
-    length = 1 << n
-    start = length - len(FLIP_BITS)
-    rows = hadamard_transform(np.eye(len(FLIP_BITS), length, k=start, dtype=np.int64))
-    deltas = ev._flip_deltas(start, FLIP_BITS)
-    assert deltas.dtype == np.float32
-    np.testing.assert_array_equal(deltas, (1 - 2 * FLIP_BITS[:, None].astype(int)) * -2 * rows)
-
-
-@pytest.mark.parametrize("n", [9, 13])
-def test_rotation_flip_deltas_equal_signed_orbit_rows(n):
-    ev = FitnessEvaluator(n, "bitstring", ROTATION)
-    start = ev.genotype_length - len(FLIP_BITS)
-    signs = 1 - 2 * FLIP_BITS[:, None].astype(np.float32)
-    deltas = ev._flip_deltas(start, FLIP_BITS)
-    np.testing.assert_array_equal(deltas, signs * evaluation._orbit_rows(n)[start:])
-
-
 def test_rotation_setup_builds_no_sign_patterns(monkeypatch):
     def refuse(n):
         raise AssertionError("set-up built the int64 sign patterns")
@@ -383,6 +356,29 @@ def test_bitflip_session_commit_inside_a_block(n, mode):
     assert np.array_equal(session.bits, bits)
 
 
+@pytest.mark.parametrize("n", [11, 13])
+def test_rotation_commit_inside_a_later_block_adopts_the_reference_spectrum(n):
+    # g = 188 orbits in blocks of 174 at n = 11, and 632 in blocks of 51 at
+    # n = 13: each commit is a row of a block that starts past position 0,
+    # the second commit at the last position
+    table = compute_orbits(n)
+    ev = FitnessEvaluator(n, "bitstring", ROTATION)
+    length = ev.genotype_length
+    bits = np.random.default_rng(57).integers(0, 2, length, dtype=np.uint8)
+    session = BitFlipSession(ev, bits)
+    for start, position in ((ev.block_rows + 3, ev.block_rows + 10), (length - 5, length - 1)):
+        assert session.try_flip(start) == flipped_key(bits, start, n, ROTATION)
+        assert session.try_flip(position) == flipped_key(bits, position, n, ROTATION)
+        session.commit()
+        bits[position] ^= 1
+        want = walsh_transform(expand(table, bits)).values[table.representatives]
+        assert np.array_equal(session.spectrum.astype(np.int64), want)
+        assert session.spectrum.base is None  # a copy of the row, not a view of the block
+        for later in (0, start, position - 1, position, length - 2):
+            assert session.try_flip(later) == flipped_key(bits, later, n, ROTATION)
+    assert np.array_equal(session.bits, bits)
+
+
 def test_bitflip_session_block_runs_past_the_last_position():
     n = 7
     ev = FitnessEvaluator(n, "bitstring")
@@ -479,16 +475,20 @@ def test_bitflip_session_keys_general_flips_from_one_two_row_product(n, monkeypa
         return product(rows)
 
     monkeypatch.setattr(ev, "_product", recording_product)
-    fills = 0
+    # one two-row product per fill, and a commit's spectrum is the one-row
+    # product of its flipped bits
+    want = []
     fresh = True  # no keys ready: the climb's first probe, or one after a commit
     for position in range(length):
-        fills += fresh
+        if fresh:
+            want.append((2, length))
         fresh = session.try_flip(position) > session.key
         if fresh:
             session.commit()
-    assert fills > 1  # the sweep commits
+            want.append((1, length))
+    assert want.count((2, length)) > 1  # the sweep commits
     assert key_shapes == [(length,)]  # the incumbent alone
-    assert product_shapes == [(2, length)] * fills
+    assert product_shapes == want
 
 
 @lru_cache(maxsize=None)

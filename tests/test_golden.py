@@ -72,8 +72,8 @@ GOLDEN = {
     # SST block, neither at its first row nor at its last)
     "tt-sst-target-n7": dict(_N7, target_nonlinearity=53, seed=21),
     # the n >= 11 cells beyond plain TT: orbit products of g = 188 and 632,
-    # float decode over a two- and a three-factor chain, three-factor flip
-    # rows and 632-orbit flip rows (each LS2 record commits a flip), and
+    # float decode over a two- and a three-factor chain, three-factor commit
+    # products and 632-orbit flip rows (each LS2 record commits a flip), and
     # packed trees of 512 and 8192 bits
     "tt-ri-n11": dict(n=11, mode="rs", population_size=10, evaluation_budget=40, seed=22),
     "tt-ri-n13": dict(n=13, mode="rs", population_size=10, evaluation_budget=30, seed=23),

@@ -79,6 +79,20 @@ def test_campaign_refuses_a_seed_base_that_is_no_seed(bad, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_checks_its_config_before_making_anything(workers, tmp_path, monkeypatch):
+    # each run checked it, after the directory was made and the pool started
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool started before the config was checked")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    config = replace(tiny_campaign().config, evaluation_budget=1)
+    campaign = tiny_campaign(config=config, workers=workers)
+    with pytest.raises(ValueError, match="^evaluation budget must be an integer of at least 6, "):
+        run_campaign(campaign, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def fake_record(label, fitness, nl=4):
     return RunRecord(
         label=label,
