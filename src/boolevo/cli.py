@@ -2,14 +2,17 @@
 
 Subcommands: ``search`` (one run), ``campaign`` (repeated runs with exports),
 ``verify`` (inspect a truth table in hex), ``orbits`` and ``bounds`` (lookup
-tables).  Every option can also come from an INI file via ``--config``; the
-file supplies defaults and explicit command-line flags win.
+tables).  ``search`` and ``campaign`` also read a JSON run spec via
+``--spec``: one object keyed by the library's own keyword names (the
+:class:`RunConfig` fields, and for a campaign the :class:`Campaign` counts
+in place of ``seed``), so a record's ``config`` plus its ``seed`` is a
+spec.  Explicit flags win over the spec.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
+import json
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -22,12 +25,21 @@ from .orbits import compute_orbits, orbit_count
 from .truthtable import bounds
 
 _RUN_FIELDS = {field.name for field in fields(RunConfig)}
+_CAMPAIGN_FIELDS = {field.name for field in fields(Campaign)} - {"config"}
+#: The keys a spec file, and so the flags, may give for each subcommand;
+#: a campaign's seeds are seed_base + run index
+_SPEC_KEYS = {
+    "search": _RUN_FIELDS,
+    "campaign": (_RUN_FIELDS - {"seed"}) | _CAMPAIGN_FIELDS,
+}
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    # the parser's argument_default is SUPPRESS: a flag left out leaves its
-    # RunConfig default in force
-    parser.add_argument("--n", type=int, required=True, help="number of variables")
+    # the parser's argument_default is SUPPRESS: a flag left out leaves the
+    # spec's value, or else the library default, in force
+    parser.add_argument("--spec", help="JSON object of keyword values; flags override it")
+    # required, but it may come from the spec, so _keywords checks it
+    parser.add_argument("--n", type=int, help="number of variables")
     parser.add_argument("--encoding", choices=ENCODINGS)
     parser.add_argument(
         "--mode",
@@ -51,17 +63,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--label")
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The ``boolevo`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="boolevo",
         description="Evolve Boolean functions with high nonlinearity.",
     )
-    parser.add_argument("--config", help="INI file with per-subcommand defaults")
     commands = parser.add_subparsers(dest="command", required=True)
 
     search = commands.add_parser(
@@ -77,9 +84,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         argument_default=argparse.SUPPRESS,
     )
     _add_run_options(campaign)
-    campaign.add_argument("--runs", type=int, default=30)
-    campaign.add_argument("--seed-base", type=int, default=0)
-    campaign.add_argument("--workers", type=int, default=1)
+    campaign.add_argument("--runs", type=int, dest="num_runs")
+    campaign.add_argument("--seed-base", type=int)
+    campaign.add_argument("--workers", type=int)
     campaign.add_argument(
         "--out", default=None, help="directory for runs.jsonl, summary.csv, boxplot.csv"
     )
@@ -98,55 +105,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands.choices
 
 
-def _load_ini_defaults(path: str, command: str) -> dict:
-    # no interpolation, so a value such as "50%" reaches argparse as written
-    ini = configparser.ConfigParser(interpolation=None)
+def _load_spec(path: str, command: str) -> dict:
+    """The keyword values of a spec file; its values are checked where the
+    library checks them, by RunConfig.validate and run_campaign."""
     try:
-        read = ini.read(path)
-    except configparser.Error as error:
-        # its message runs on with the file's position and the line itself
-        message = str(error).splitlines()[0]
-        raise ValueError(f"config file {path!r}: {message}") from None
-    if not read:
-        raise OSError(f"cannot read config file {path!r}")
-    if command not in ini:
-        return {}
-    # keys use flag spelling without the leading dashes; values stay strings
-    # so argparse applies each option's type exactly as it would on the CLI
-    return dict(ini[command].items())
-
-
-def _apply_ini_defaults(subparser, defaults: dict, command: str) -> None:
-    action_by_flag = {}
-    for action in subparser._actions:
-        for option in action.option_strings:
-            action_by_flag[option.lstrip("-")] = action
-    resolved = {}
-    unknown = []
-    for key, value in defaults.items():
-        action = action_by_flag.get(key.replace("_", "-"))
-        if action is None:
-            unknown.append(key)
-        elif isinstance(action, argparse._StoreTrueAction):
-            resolved[action.dest] = _ini_boolean(key, value)
-        else:
-            resolved[action.dest] = value
-    if unknown:
-        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    subparser.set_defaults(**resolved)
-    for action in subparser._actions:
-        if action.dest in resolved and action.required:
-            action.required = False
-
-
-def _ini_boolean(key: str, value: str) -> bool:
-    """An on/off flag's INI value, in configparser's boolean words."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
-    except KeyError:
+        with open(path, encoding="utf-8") as handle:
+            spec = json.load(handle)
+    except OSError as error:
+        raise ValueError(f"spec file {path!r}: {error.strerror}") from None
+    except json.JSONDecodeError as error:
         raise ValueError(
-            f"config key {key} must be 1/yes/true/on or 0/no/false/off, got {value!r}"
+            f"spec file {path!r}: {error.msg} at line {error.lineno} column {error.colno}"
         ) from None
+    except UnicodeDecodeError as error:
+        raise ValueError(f"spec file {path!r}: {error}") from None
+    except RecursionError:
+        # json gives up on deep nesting with the interpreter's recursion limit
+        raise ValueError(f"spec file {path!r}: JSON nested too deeply") from None
+    if not isinstance(spec, dict):
+        kind = type(spec).__name__
+        raise ValueError(f"spec file {path!r} must hold one JSON object, not a {kind}")
+    unknown = sorted(spec.keys() - _SPEC_KEYS[command])
+    if unknown:
+        raise ValueError(f"spec file {path!r}: unknown keys for {command}: {unknown}")
+    return spec
+
+
+def _keywords(args, subparser: argparse.ArgumentParser) -> dict:
+    """The subcommand's keyword values: the spec's, with explicit flags over them."""
+    flags = {k: v for k, v in vars(args).items() if k in _SPEC_KEYS[args.command]}
+    spec = _load_spec(args.spec, args.command) if "spec" in args else {}
+    keywords = {**spec, **flags}
+    if "n" not in keywords:
+        subparser.error("the following arguments are required: --n")
+    return keywords
 
 
 def _summary_lines(rows: list[SummaryRow]) -> list[str]:
@@ -161,32 +153,18 @@ def _summary_lines(rows: list[SummaryRow]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    args = parser.parse_args(argv)
     try:
-        if known.config:
-            # from the tokens --config leaves, so a path named like a
-            # subcommand cannot choose the section
-            command = next((token for token in rest if token in commands), None)
-            if command is None:
-                parser.error("a subcommand is required")
-            defaults = _load_ini_defaults(known.config, command)
-            if defaults:
-                _apply_ini_defaults(commands[command], defaults, command)
-        args = parser.parse_args(argv)
-        return _dispatch(args)
+        return _dispatch(args, commands[args.command])
     except (ValueError, LookupError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, subparser: argparse.ArgumentParser) -> int:
     if args.command == "search":
-        config = _config_from_args(args)
+        config = RunConfig(**_keywords(args, subparser))
         # the record file is opened before the search, so a bad path fails at
         # once, not after it; a bad config fails before the file is made
         config.validate()
@@ -206,13 +184,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "campaign":
-        config = _config_from_args(args)
-        campaign = Campaign(
-            config=config,
-            num_runs=args.runs,
-            seed_base=args.seed_base,
-            workers=args.workers,
-        )
+        keywords = _keywords(args, subparser)
+        counts = {k: keywords.pop(k) for k in _CAMPAIGN_FIELDS if k in keywords}
+        config = RunConfig(**keywords)
+        campaign = Campaign(config, **counts)
         records, rows = run_campaign(campaign, out_dir=args.out)
         reached = sum(1 for r in records if r.target_reached)
         for line in _summary_lines(rows):

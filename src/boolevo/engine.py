@@ -61,6 +61,8 @@ from .truthtable import (
 SST = "sst"
 DE = "de"
 ALGORITHMS = (SST, DE)
+#: The RunConfig fields of type float; time_limit may also be None
+_FLOAT_OPTIONS = ("p_mutation", "de_weight", "de_crossover", "ls_fraction", "time_limit")
 
 
 @dataclass
@@ -528,6 +530,11 @@ def run(config: RunConfig) -> RunRecord:
         )
     config_echo = asdict(config)
     del config_echo["seed"], config_echo["label"]
+    # an int given for a float option echoes as a float, so a run writes the
+    # same bytes from a flag, a spec file or a library call
+    for name in _FLOAT_OPTIONS:
+        if config_echo[name] is not None:
+            config_echo[name] = float(config_echo[name])
     return RunRecord(
         label=config.derived_label(),
         seed=config.seed,

@@ -38,7 +38,7 @@ class Campaign:
     """A batch of identically configured runs with consecutive seeds."""
 
     config: RunConfig
-    num_runs: int
+    num_runs: int = 30
     seed_base: int = 0
     workers: int = 1
 
@@ -76,11 +76,13 @@ def run_campaign(
     # a bad config fails before the directory is made or a pool starts
     campaign.config.validate()
     configs = campaign.run_configs()
+    # the fork start method launches every worker at once, idle or not
+    workers = min(campaign.workers, campaign.num_runs)
     if out_dir is not None:
         # made before the runs, so a bad directory fails at once, not after them
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-    if campaign.workers == 1:
+    if workers == 1:
         # run is looked up at call time, so a caller may wrap harness.run
         records = [run(config) for config in configs]
     else:
@@ -88,7 +90,7 @@ def run_campaign(
         # `import boolevo` tens of ms, and single-worker campaigns never use it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=campaign.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, configs))
     rows = summarize(records)
     if out_dir is not None:

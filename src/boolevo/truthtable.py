@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,11 @@ def is_real(value) -> bool:
 
 def check_time_limit(time_limit: float | None) -> None:
     """Raise a one-line error unless the limit is None or positive and finite."""
-    # NaN fails both comparisons; a NaN deadline would never pass
-    if time_limit is not None and not (is_real(time_limit) and 0 < time_limit < math.inf):
+    # NaN fails both comparisons; a NaN deadline would never pass, and an int
+    # above the largest float would overflow the deadline's sum
+    if time_limit is not None and not (
+        is_real(time_limit) and 0 < time_limit <= sys.float_info.max
+    ):
         raise ValueError("time limit must be a positive finite number")
 
 

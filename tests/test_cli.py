@@ -1,4 +1,4 @@
-"""Command-line behaviour: subcommands, config files, flag precedence, exits."""
+"""Command-line behaviour: subcommands, spec files, flag precedence, exits."""
 
 import json
 
@@ -153,119 +153,138 @@ def test_bounds_rejects_even_n(capsys):
     assert "odd" in stderr
 
 
+def write_spec(path, spec) -> str:
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text(
-        "[search]\n"
-        "n = 4\n"
-        "population-size = 6\n"
-        "budget = 150\n"
-        "seed = 11\n"
+    spec = write_spec(
+        tmp_path / "run.json", {"n": 4, "population_size": 6, "evaluation_budget": 150, "seed": 11}
     )
-    code, stdout, _ = run_cli(capsys, "--config", str(ini), "search")
+    code, stdout, _ = run_cli(capsys, "search", "--spec", spec)
     assert code == 0
     assert "seed           11" in stdout
     assert "evaluations    150" in stdout
 
 
-@pytest.mark.parametrize(
-    "word, listed", [("false", False), ("Off", False), ("true", True), ("1", True)]
-)
-def test_config_file_reads_on_off_flags_as_booleans(tmp_path, capsys, word, listed):
-    ini = tmp_path / "orbits.ini"
-    ini.write_text(f"[orbits]\nn = 3\nlist = {word}\n")
-    code, stdout, _ = run_cli(capsys, "--config", str(ini), "orbits")
-    assert code == 0
-    assert ("size 3" in stdout) == listed
-
-
-def test_config_file_rejects_a_non_boolean_flag_value(tmp_path, capsys):
-    ini = tmp_path / "orbits.ini"
-    ini.write_text("[orbits]\nn = 3\nlist = maybe\n")
-    code, stdout, stderr = run_cli(capsys, "--config", str(ini), "orbits")
-    assert code == 1 and stdout == ""
-    assert stderr.startswith("error: config key list") and stderr.count("\n") == 1
-
-
 def test_flags_override_config_file(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[search]\nn = 4\npopulation-size = 6\nbudget = 150\nseed = 11\n")
-    code, stdout, _ = run_cli(
-        capsys, "--config", str(ini), "search", "--seed", "12", "--budget", "160"
+    spec = write_spec(
+        tmp_path / "run.json", {"n": 4, "population_size": 6, "evaluation_budget": 150, "seed": 11}
     )
+    code, stdout, _ = run_cli(capsys, "search", "--spec", spec, "--seed", "12", "--budget", "160")
     assert code == 0
     assert "seed           12" in stdout
     assert "evaluations    160" in stdout
 
 
+def test_campaign_spec_runs_seeds_from_its_seed_base(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path / "campaign.json",
+        {
+            "n": 4, "population_size": 6, "evaluation_budget": 150,
+            "num_runs": 3, "seed_base": 5, "workers": 1,
+        },
+    )
+    out = tmp_path / "results"
+    code, stdout, _ = run_cli(capsys, "campaign", "--spec", spec, "--out", str(out))
+    assert code == 0
+    assert "TT: runs=3" in stdout
+    seeds = [json.loads(l)["seed"] for l in (out / "runs.jsonl").read_text().splitlines()]
+    assert seeds == [5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "spec, flags",
+    [
+        ({"p_mutation": 1}, ["--p-mutation", "1"]),
+        ({"time_limit": 5}, ["--time-limit", "5"]),
+    ],
+    ids=["p_mutation", "time_limit"],
+)
+def test_an_int_float_option_writes_one_record_from_every_entry_point(
+    tmp_path, capsys, spec, flags
+):
+    base = {"n": 5, "population_size": 6, "evaluation_budget": 200, "seed": 1}
+    from_spec, from_flags = tmp_path / "spec.jsonl", tmp_path / "flags.jsonl"
+    path = write_spec(tmp_path / "run.json", {**base, **spec})
+    assert run_cli(capsys, "search", "--spec", path, "--out", str(from_spec))[0] == 0
+    argv = ["--n", "5", "--population-size", "6", "--budget", "200", "--seed", "1", *flags]
+    assert run_cli(capsys, "search", *argv, "--out", str(from_flags))[0] == 0
+    line = run(RunConfig(**base, **spec)).to_json() + "\n"
+    assert from_spec.read_text() == from_flags.read_text() == line
+    assert isinstance(json.loads(line)["config"][next(iter(spec))], float)
+
+
+def _one_line_error(capsys, argv, path):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: spec file {path!r}") and stderr.count("\n") == 1
+    return stderr
+
+
+def test_missing_config_file(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    stderr = _one_line_error(capsys, ["search", "--spec", path, "--n", "4"], path)
+    assert "No such file" in stderr
+
+
+@pytest.mark.parametrize(
+    "content, want",
+    [
+        (b'{"n": 4, "label": "\xff"}', "can't decode byte 0xff"),
+        (b'{"n": 4,\n "seed": }', "Expecting value at line 2 column 10"),
+        (b'[{"n": 4}]', "must hold one JSON object, not a list"),
+        (b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "bad-json", "not-an-object", "too-deep"],
+)
+def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys, content, want):
+    spec = tmp_path / "run.json"
+    spec.write_bytes(content)
+    assert want in _one_line_error(capsys, ["search", "--spec", str(spec)], str(spec))
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[search]\nn = 4\nwarp-speed = 9\n")
-    code, _, stderr = run_cli(capsys, "--config", str(ini), "search")
-    assert code == 1
-    assert "warp-speed" in stderr
+    spec = write_spec(tmp_path / "run.json", {"n": 4, "warp_speed": 9})
+    stderr = _one_line_error(capsys, ["search", "--spec", spec], spec)
+    assert "unknown keys for search: ['warp_speed']" in stderr
 
 
-def test_config_file_without_the_subcommands_section_supplies_nothing(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[search]\nn = 4\n")
-    assert run_cli(capsys, "--config", str(ini), "bounds", "--n", "7") == run_cli(
-        capsys, "bounds", "--n", "7"
+def test_campaign_spec_refuses_a_seed(tmp_path, capsys):
+    # a campaign's seeds are seed_base + run index
+    spec = write_spec(tmp_path / "campaign.json", {"n": 4, "seed": 3})
+    stderr = _one_line_error(capsys, ["campaign", "--spec", spec], spec)
+    assert "unknown keys for campaign: ['seed']" in stderr
+
+
+@pytest.mark.parametrize("with_spec", [False, True])
+def test_n_is_required_from_the_flags_or_the_spec(tmp_path, capsys, with_spec):
+    argv = ["search", "--budget", "150"]
+    if with_spec:
+        argv += ["--spec", write_spec(tmp_path / "run.json", {"population_size": 6})]
+    with pytest.raises(SystemExit) as error:
+        main(argv)
+    assert error.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --n\n"
     )
 
 
-def test_config_file_needs_a_subcommand(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[search]\nn = 4\n")
-    with pytest.raises(SystemExit) as error:
-        main(["--config", str(ini)])
-    assert error.value.code == 2
-    assert capsys.readouterr().err.endswith("error: a subcommand is required\n")
-
-
 @pytest.mark.parametrize(
-    "path, text, argv, want",
+    "spec, message",
     [
-        ("orbits", "[search]\nn = 5\nbudget = 200\n", ["search"], "evaluations    200"),
-        ("search", "[orbits]\nlist = yes\n", ["orbits", "--n", "3"], "size 3"),
+        ({"n": "9"}, "number of variables must be an integer of at least 1, got '9'"),
+        ({"n": 5, "label": 5}, "label must be a string, got 5"),
+        ({"n": 5, "ls": "ls9"}, "unknown local search variant 'ls9'"),
     ],
-    ids=["orbits-holds-search", "search-holds-orbits"],
+    ids=["n", "label", "ls"],
 )
-def test_config_path_named_like_a_subcommand_reads_the_commands_section(
-    tmp_path, monkeypatch, capsys, path, text, argv, want
-):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / path).write_text(text)
-    code, stdout, _ = run_cli(capsys, "--config", path, *argv)
-    assert code == 0
-    assert want in stdout
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["n = 4\n", "[search]\nn = 4\nn = 5\n", "[search]\nn = 4\n[search]\nseed = 1\n"],
-    ids=["no-section-header", "duplicate-key", "duplicate-section"],
-)
-def test_malformed_config_file_is_a_one_line_error(tmp_path, capsys, text):
-    ini = tmp_path / "run.ini"
-    ini.write_text(text)
-    code, stdout, stderr = run_cli(capsys, "--config", str(ini), "search")
+def test_a_wrong_typed_spec_value_is_validates_error(tmp_path, capsys, spec, message):
+    path = write_spec(tmp_path / "run.json", spec)
+    code, stdout, stderr = run_cli(capsys, "search", "--spec", path)
     assert code == 1 and stdout == ""
-    assert stderr.startswith(f"error: config file {str(ini)!r}: ") and stderr.count("\n") == 1
-
-
-def test_config_file_values_are_not_interpolated(tmp_path, capsys):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[search]\nn = 4\npopulation-size = 6\nbudget = 150\nlabel = 50%\n")
-    code, stdout, _ = run_cli(capsys, "--config", str(ini), "search")
-    assert code == 0
-    assert "label          50%" in stdout
-
-
-def test_missing_config_file(capsys):
-    code, _, stderr = run_cli(capsys, "--config", "/nonexistent.ini", "search", "--n", "4")
-    assert code == 1
-    assert "cannot read" in stderr
+    assert stderr == f"error: {message}\n"
 
 
 def test_invalid_run_configuration_exits_nonzero(capsys):

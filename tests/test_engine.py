@@ -75,7 +75,7 @@ def test_config_validation_rejects_bad_combinations():
     small_config(n=7, target_nonlinearity=56).validate()
     small_config(n=9, target_nonlinearity=240).validate()
     # a NaN deadline never passes, so NaN must not get through either
-    for limit in (0, -1.0, float("nan"), float("inf")):
+    for limit in (0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="time limit"):
             small_config(time_limit=limit).validate()
     # integer options must be ints: a NaN budget is never reached, a NaN

@@ -251,8 +251,9 @@ def test_evaluator_rejects_bad_setup():
         FitnessEvaluator(7, "float", decode=3)
     with pytest.raises(ValueError, match="decode=4 does not divide the rs target"):
         FitnessEvaluator(4, "float", ROTATION)  # 6 orbits
-    # a NaN or infinite deadline would never pass
-    for limit in (float("nan"), float("inf"), 0):
+    # a NaN or infinite deadline would never pass; an int past the largest
+    # float would overflow the deadline's sum
+    for limit in (float("nan"), float("inf"), 0, 10**400):
         with pytest.raises(ValueError, match="time limit must be a positive finite number"):
             FitnessEvaluator(5, "bitstring", time_limit=limit)
     # a NaN budget would never be reached

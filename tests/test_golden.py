@@ -9,10 +9,12 @@ repository root with::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from boolevo.cli import main
 from boolevo.engine import RunConfig, run
 from boolevo.harness import read_records
 
@@ -110,6 +112,20 @@ def test_golden_lines_load_and_round_trip():
     records = read_records(GOLDEN_FILE)
     assert len(records) == len(lines) == len(GOLDEN)
     assert [record.to_json() for record in records] == lines
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_record_replays_through_a_spec(name, tmp_path, capsys):
+    # a record's own config, seed and label make a spec that writes it again
+    line = GOLDEN_FILE.read_text(encoding="utf-8").splitlines()[list(GOLDEN).index(name)]
+    record = json.loads(line)
+    spec, out = tmp_path / "spec.json", tmp_path / "run.jsonl"
+    spec.write_text(
+        json.dumps({**record["config"], "seed": record["seed"], "label": record["label"]}),
+        encoding="utf-8",
+    )
+    assert main(["search", "--spec", str(spec), "--out", str(out)]) == 0
+    assert out.read_bytes() == (line + "\n").encode("utf-8")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,29 @@ def test_campaign_checks_its_config_before_making_anything(workers, tmp_path, mo
     assert not (tmp_path / "out").exists()
 
 
+def test_campaign_starts_no_more_workers_than_runs(monkeypatch):
+    # a fork pool launches all of max_workers at once, so idle ones would fork too
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    records, _ = run_campaign(tiny_campaign(num_runs=2, workers=8))
+    assert started == [2]
+    assert [record.seed for record in records] == [100, 101]
+
+
 def fake_record(label, fitness, nl=4):
     return RunRecord(
         label=label,
