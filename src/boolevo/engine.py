@@ -6,7 +6,10 @@ budget is spent, when its optional wall-clock limit passes, or at the first
 evaluation, in any phase, whose result reaches the target nonlinearity.
 One loop serves SST and DE: a generation is ``population_size`` SST steps,
 run in blocks of disjoint tournaments (:func:`sst_step`), or one DE trial
-per slot, and local search follows every generation.
+per slot, and local search follows every generation.  A population is one
+genotype array (a list of trees) and a list of keys, written slot by slot;
+an :class:`~boolevo.evaluation.Individual` is built only for a new best and
+for each slot that local search treats.
 """
 
 from __future__ import annotations
@@ -297,6 +300,17 @@ def _check_record_values(data: dict) -> None:
 
 
 class _RunState:
+    """A run's population and best so far.
+
+    The population is ``genotypes`` and ``keys``, one entry per slot: for
+    bitstrings and floats ``genotypes`` is one 2-D array, a row per slot,
+    stacked once at the end of :func:`_initialise` (a list of rows until
+    then); for trees it is a list of token tuples.  A row write copies the
+    new genotype into the array, so no slot shares memory with a keyed
+    block.  An :class:`Individual` is built only for a new best, which
+    :meth:`note` records, and for each slot that local search treats.
+    """
+
     def __init__(self, config: RunConfig, evaluator: FitnessEvaluator, rng: Draws):
         self.config = config
         self.evaluator = evaluator
@@ -304,7 +318,8 @@ class _RunState:
         self.mutate, self.crossover = make_operators(
             config.encoding, config.n, config.max_depth, config.max_nodes
         )
-        self.pop: list[Individual] = []
+        self.genotypes = []
+        self.keys: list[int] = []
         self.best: Optional[Individual] = None
         self.trajectory: list[list] = []
 
@@ -324,12 +339,16 @@ def _initialise(state: _RunState) -> None:
 
     A block's genotypes are drawn first, in order, and keyed with one
     :meth:`FitnessEvaluator.key_ahead`; each is then charged by its own
-    ``evaluate`` call, given its key, and noted, in order.  No draw reads a
-    key, so the population, its charges and its notes are those of drawing
-    and evaluating one genotype at a time, and a stop falls on the same
-    evaluation; it leaves only the rest of its block drawn in vain.
+    ``evaluate`` call, given its key, and appended with its key, in order,
+    and noted if it beats the best so far.  No draw reads a key, so the
+    population, its charges and its notes are those of drawing and
+    evaluating one genotype at a time, and a stop falls on the same
+    evaluation; it leaves only the rest of its block drawn in vain, and the
+    population a list.  Bitstring and float populations are stacked into
+    one array at the end.
     """
     cfg, evaluator = state.config, state.evaluator
+    genotypes, keys = state.genotypes, state.keys
     tree = cfg.encoding == "tree"
     for start in range(0, cfg.population_size, evaluator.block_rows):
         count = min(evaluator.block_rows, cfg.population_size - start)
@@ -346,8 +365,13 @@ def _initialise(state: _RunState) -> None:
             for _ in range(count)
         ]
         for genotype, key in zip(block, evaluator.key_ahead(block if tree else np.array(block))):
-            state.pop.append(Individual(genotype, evaluator.evaluate(genotype, key)))
-            state.note(state.pop[-1])
+            key = evaluator.evaluate(genotype, key)
+            genotypes.append(genotype)
+            keys.append(key)
+            if state.best is None or key > state.best.key:
+                state.note(Individual(genotype, key))
+    if not tree:
+        state.genotypes = np.array(genotypes)
 
 
 def _draw_distinct(rng: Draws, size: int, count: int, taboo=()) -> list[int]:
@@ -359,11 +383,11 @@ def _draw_distinct(rng: Draws, size: int, count: int, taboo=()) -> list[int]:
     return drawn
 
 
-def select_loser(pop: list, slots: list[int]) -> int:
+def select_loser(keys: list[int], slots: list[int]) -> int:
     """Tournament slot to eliminate: worst key, ties lost by the latest draw."""
     loser = slots[0]
     for slot in slots[1:]:
-        if pop[slot].key <= pop[loser].key:
+        if keys[slot] <= keys[loser]:
             loser = slot
     return loser
 
@@ -378,49 +402,49 @@ def sst_step(state: _RunState, steps: int) -> int:
     survivors are the parents, in draw order.  One mutation coin per row
     follows, then the children are built from the population as it was
     before the block, so no child is a parent in its own block: bitstring
-    and float children as one row block (crossover, then mutation of the
-    rows whose coin fell below ``p_mutation``); tree children one row at a
-    time, in row order, and only as many as the budget can charge plus the
-    one whose charge stops the run, so a budget stop builds no tree in
-    vain.  The children are keyed with one
-    :meth:`FitnessEvaluator.key_ahead`.  Each is then charged by its own
-    ``evaluate`` call, given its key, replaces its row's loser and is noted,
-    in row order, so a budget, time or target stop falls on the same
+    and float children as one row block from the parents' rows, gathered
+    with one fancy index (crossover, then mutation of the rows whose coin
+    fell below ``p_mutation``); tree children one row at a time, in row
+    order, and only as many as the budget can charge plus the one whose
+    charge stops the run, so a budget stop builds no tree in vain.  The
+    children are keyed with one :meth:`FitnessEvaluator.key_ahead`.  Each
+    is then charged by its own ``evaluate`` call, given its key, written
+    over its row's loser with its key, and noted if it beats the best so
+    far, in row order, so a budget, time or target stop falls on the same
     evaluation as it would one step at a time.
     """
-    pop, rng, evaluator = state.pop, state.rng, state.evaluator
-    rows = min(len(pop) // 3, evaluator.block_rows, steps)
-    slots = rng.permutation(len(pop))[: 3 * rows].tolist()
+    genotypes, keys, rng, evaluator = state.genotypes, state.keys, state.rng, state.evaluator
+    rows = min(len(keys) // 3, evaluator.block_rows, steps)
+    slots = rng.permutation(len(keys))[: 3 * rows].tolist()
     losers, parents = [], []  # parents: each row's two survivors, in draw order
     for row in range(0, 3 * rows, 3):
         tournament = slots[row : row + 3]
-        loser = select_loser(pop, tournament)
+        loser = select_loser(keys, tournament)
         tournament.remove(loser)
         losers.append(loser)
         parents += tournament
-    parents = [pop[slot].genotype for slot in parents]
     p_mutation = state.config.p_mutation
     coins = [rng.uniform() < p_mutation for _ in range(rows)]
-    tree = state.config.encoding == "tree"
-    if tree:
+    if state.config.encoding == "tree":
         built = rows
         if evaluator.budget is not None:
             built = min(rows, evaluator.budget - evaluator.evaluations + 1)
         block = []
         for a, b, coin in zip(parents[0::2], parents[1::2], coins[:built]):
-            child = state.crossover(a, b, rng)
+            child = state.crossover(genotypes[a], genotypes[b], rng)
             block.append(state.mutate(child, rng) if coin else child)
     else:
-        genotypes = np.array(parents)
-        block = state.crossover(genotypes[0::2], genotypes[1::2], rng)
+        pairs = genotypes[parents]
+        block = state.crossover(pairs[0::2], pairs[1::2], rng)
         mutated = [row for row, coin in enumerate(coins) if coin]
         if mutated:
             block[mutated] = state.mutate(block[mutated], rng)
     for loser, child, key in zip(losers, block, evaluator.key_ahead(block)):
         key = evaluator.evaluate(child, key)
-        # a copy: a row of the keyed block would keep the whole block alive
-        pop[loser] = Individual(child if tree else child.copy(), key)
-        state.note(pop[loser])
+        genotypes[loser] = child
+        keys[loser] = key
+        if key > state.best.key:
+            state.note(Individual(child, key))
     return rows
 
 
@@ -438,18 +462,19 @@ def de_step(state: _RunState) -> None:
     A trial's random decisions (three distinct slots other than its target,
     the crossover mask and its forced index) never read the population, so
     they are all drawn first, in slot order.  The trials are then built from
-    the live population in blocks of up to ``block_rows``, each keyed with
-    one :meth:`FitnessEvaluator.key_ahead`, and each is charged by its own
-    ``evaluate`` call, given its key, in slot order.  A trial at least as
-    good as its target replaces it at once, so later trials of the
-    generation may read it.  A later trial of the block whose three slots
-    include a slot replaced since the block was built is stale: when its
-    turn comes it is built again from the live population, with the same
-    float operations, and ``evaluate`` is given no key, so it keys the new
-    trial on its own.
+    the live population array in blocks of up to ``block_rows``, each keyed
+    with one :meth:`FitnessEvaluator.key_ahead`, and each is charged by its
+    own ``evaluate`` call, given its key, in slot order.  A trial at least
+    as good as its target is written over it at once, so later trials of
+    the generation may read it, and is noted if it beats the best so far.
+    A later trial of the block whose three slots include a slot replaced
+    since the block was built is stale: when its turn comes it is built
+    again from the live population, with the same float operations, and
+    ``evaluate`` is given no key, so it keys the new trial on its own.
     """
-    pop, rng, cfg, evaluator = state.pop, state.rng, state.config, state.evaluator
-    size, dim = len(pop), len(pop[0].genotype)
+    genotypes, keys = state.genotypes, state.keys
+    rng, cfg, evaluator = state.rng, state.config, state.evaluator
+    size, dim = genotypes.shape
     slots, uniforms, forced = [], [], []
     for target in range(size):
         slots.append(_draw_distinct(rng, size, 3, taboo=(target,)))
@@ -460,22 +485,22 @@ def de_step(state: _RunState) -> None:
     slot_rows = np.array(slots)
     for start in range(0, size, evaluator.block_rows):
         end = min(size, start + evaluator.block_rows)
-        genotypes = np.array([individual.genotype for individual in pop])
         block = _de_trials(
             *genotypes[slot_rows[start:end].T], cross[start:end], genotypes[start:end], cfg.de_weight
         )
         replaced: set[int] = set()  # slots replaced since the block was built
         for target, trial, key in zip(range(start, end), block, evaluator.key_ahead(block)):
             if not replaced.isdisjoint(slots[target]):
-                parents = (pop[slot].genotype for slot in slots[target])
-                trial = _de_trials(*parents, cross[target], pop[target].genotype, cfg.de_weight)
+                parents = genotypes[slots[target]]
+                trial = _de_trials(*parents, cross[target], genotypes[target], cfg.de_weight)
                 key = None
             key = evaluator.evaluate(trial, key)
-            if key >= pop[target].key:
-                # a copy: a row of the keyed block would keep the whole block alive
-                pop[target] = Individual(trial.copy(), key)
+            if key >= keys[target]:
+                genotypes[target] = trial
+                keys[target] = key
                 replaced.add(target)
-                state.note(pop[target])
+                if key > state.best.key:
+                    state.note(Individual(trial, key))
 
 
 def _de_trials(first, second, third, cross, targets, weight: float) -> np.ndarray:
@@ -512,7 +537,9 @@ def run(config: RunConfig) -> RunRecord:
         while True:
             generation(state)
             if ls_config is not None:
-                apply_ls(state.pop, ls_config, evaluator, state.mutate, rng, state.note)
+                apply_ls(
+                    state.genotypes, state.keys, ls_config, evaluator, state.mutate, rng, state.note
+                )
     except BudgetExhausted as exhausted:
         stop_reason = exhausted.reason
     wall = time.perf_counter() - start

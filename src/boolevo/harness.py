@@ -122,6 +122,9 @@ def read_records(path) -> list[RunRecord]:
                 raise ValueError(f"{path}:{number}: {error.msg} at column {error.colno}") from None
             except ValueError as error:
                 raise ValueError(f"{path}:{number}: {error}") from None
+            except RecursionError:
+                # json gives up on deep nesting with the interpreter's recursion limit
+                raise ValueError(f"{path}:{number}: JSON nested too deeply") from None
     return records
 
 

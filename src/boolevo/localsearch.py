@@ -173,7 +173,8 @@ def improve(
 
 
 def apply_ls(
-    pop: list,
+    genotypes,
+    keys: list[int],
     config: LsConfig,
     evaluator: FitnessEvaluator,
     mutate,
@@ -182,17 +183,26 @@ def apply_ls(
 ) -> None:
     """Improve the current best plus random others, in place.
 
-    The number of treated individuals is ``ceil(fraction * len(pop))``; the
-    incumbent best is always among them and counts toward that number.
+    The population is ``genotypes`` (a 2-D array of bitstring or float rows,
+    or a list of trees) and ``keys``, one per slot.  The number of treated
+    slots is ``ceil(fraction * len(keys))``; the slot of the incumbent best
+    (the first, on a tie) is always among them and counts toward that
+    number.  Each treated slot becomes an :class:`Individual` for
+    :func:`improve`, and an improved result is written back over the slot.
     """
-    count = min(len(pop), math.ceil(config.fraction * len(pop)))
+    size = len(keys)
+    count = min(size, math.ceil(config.fraction * size))
     if count < 1:
         return
-    best_index = max(range(len(pop)), key=lambda i: pop[i].key)
+    best_index = max(range(size), key=keys.__getitem__)
     chosen = [best_index]
     if count > 1:
-        others = [i for i in range(len(pop)) if i != best_index]
+        others = [i for i in range(size) if i != best_index]
         picks = rng.sample(len(others), count - 1)
         chosen.extend(others[int(p)] for p in picks)
     for index in chosen:
-        pop[index] = improve(pop[index], config, evaluator, mutate, rng, note)
+        individual = Individual(genotypes[index], keys[index])
+        result = improve(individual, config, evaluator, mutate, rng, note)
+        if result is not individual:
+            genotypes[index] = result.genotype
+            keys[index] = result.key

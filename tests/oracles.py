@@ -452,7 +452,8 @@ def ls_mutation_per_trial(individual, evaluator, mutate, rng, trials, note=None)
 
 def initialise_per_genotype(state) -> None:
     """The initial population one genotype at a time: draw it, key it on its
-    own with ``evaluate`` and note it, before the next is drawn."""
+    own with ``evaluate``, append it and its key and note it, before the next
+    is drawn; bitstring and float rows are stacked at the end."""
     cfg = state.config
     for _ in range(cfg.population_size):
         genotype = random_genotype(
@@ -464,8 +465,12 @@ def initialise_per_genotype(state) -> None:
             max_depth=cfg.max_depth,
             max_nodes=cfg.max_nodes,
         )
-        state.pop.append(Individual(genotype, state.evaluator.evaluate(genotype)))
-        state.note(state.pop[-1])
+        key = state.evaluator.evaluate(genotype)
+        state.genotypes.append(genotype)
+        state.keys.append(key)
+        state.note(Individual(genotype, key))
+    if cfg.encoding != "tree":
+        state.genotypes = np.array(state.genotypes)
 
 
 def sst_step_per_row(state, steps) -> int:
@@ -477,23 +482,23 @@ def sst_step_per_row(state, steps) -> int:
     parents are the other two in draw order.  The mutation coins are drawn
     next, then the children are built from the population before the block
     with the same operator calls as the library's step.  Each child is then
-    evaluated on its own and replaces its loser before the next child is
-    evaluated.  Tree children are all built before the first is evaluated,
-    which draws the same numbers as building each just before its charge,
-    and differs only in what a stop leaves undrawn.
+    evaluated on its own, replaces its loser and is noted before the next
+    child is evaluated.  Tree children are all built before the first is
+    evaluated, which draws the same numbers as building each just before its
+    charge, and differs only in what a stop leaves undrawn.
     """
-    pop, rng = state.pop, state.rng
-    rows = min(len(pop) // 3, state.evaluator.block_rows, steps)
-    slots = [int(slot) for slot in rng.permutation(len(pop))[: 3 * rows]]
+    genotypes, keys, rng = state.genotypes, state.keys, state.rng
+    rows = min(len(keys) // 3, state.evaluator.block_rows, steps)
+    slots = [int(slot) for slot in rng.permutation(len(keys))[: 3 * rows]]
     losers, firsts, seconds = [], [], []
     for row in range(rows):
         tournament = slots[3 * row : 3 * row + 3]
-        worst = min(pop[slot].key for slot in tournament)
-        loser = [slot for slot in tournament if pop[slot].key == worst][-1]
+        worst = min(keys[slot] for slot in tournament)
+        loser = [slot for slot in tournament if keys[slot] == worst][-1]
         first, second = [slot for slot in tournament if slot != loser]
         losers.append(loser)
-        firsts.append(pop[first].genotype)
-        seconds.append(pop[second].genotype)
+        firsts.append(genotypes[first])
+        seconds.append(genotypes[second])
     coins = [rng.uniform() < state.config.p_mutation for _ in range(rows)]
     if state.config.encoding == "tree":
         children = []
@@ -507,8 +512,9 @@ def sst_step_per_row(state, steps) -> int:
             children[mutated] = state.mutate(children[mutated], rng)
     for loser, child in zip(losers, children):
         key = state.evaluator.evaluate(child)
-        pop[loser] = Individual(child, key)
-        state.note(pop[loser])
+        genotypes[loser] = child
+        keys[loser] = key
+        state.note(Individual(child, key))
     return rows
 
 
@@ -516,20 +522,21 @@ def de_step_per_trial(state) -> None:
     """One rand/1/bin generation, one trial at a time: for each target slot in
     order, draw three distinct slots other than the target and the crossover
     mask with one forced index, build the trial from the live population,
-    evaluate it, and let it replace its target if at least as good, before
-    the next trial is drawn."""
+    evaluate it, and let it replace its target and be noted if at least as
+    good, before the next trial is drawn."""
     cfg = state.config
-    pop = state.pop
-    size = len(pop)
+    genotypes, keys = state.genotypes, state.keys
+    size = len(keys)
     for target in range(size):
         r1, r2, r3 = _draw_distinct(state.rng, size, 3, taboo=(target,))
-        mutant = pop[r1].genotype + cfg.de_weight * (pop[r2].genotype - pop[r3].genotype)
+        mutant = genotypes[r1] + cfg.de_weight * (genotypes[r2] - genotypes[r3])
         np.clip(mutant, 0.0, 1.0, out=mutant)
         dim = mutant.shape[0]
         cross = state.rng.uniforms(dim) < cfg.de_crossover
         cross[state.rng.below(dim)] = True
-        trial = np.where(cross, mutant, pop[target].genotype)
+        trial = np.where(cross, mutant, genotypes[target])
         key = state.evaluator.evaluate(trial)
-        if key >= pop[target].key:
-            pop[target] = Individual(trial, key)
-            state.note(pop[target])
+        if key >= keys[target]:
+            genotypes[target] = trial
+            keys[target] = key
+            state.note(Individual(trial, key))

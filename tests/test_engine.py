@@ -8,7 +8,7 @@ import pytest
 from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row, tree_depth
 
 from boolevo.draws import Draws
-from boolevo.encodings import GENERAL, ROTATION, tree_from_text
+from boolevo.encodings import GENERAL, ROTATION, genotype_table, tree_from_text
 from boolevo import encodings, engine, operators
 from boolevo.engine import (
     DE,
@@ -27,8 +27,9 @@ from boolevo.engine import (
     sst_step,
 )
 from boolevo.evaluation import EXHAUSTED_TARGET, BudgetExhausted, FitnessEvaluator, Individual
+from boolevo.localsearch import LsConfig, apply_ls
 from boolevo.orbits import is_rotation_symmetric
-from boolevo.truthtable import TruthTable, nonlinearity, walsh_transform
+from boolevo.truthtable import TruthTable, nonlinearity, spectrum_key, walsh_transform
 
 
 def small_config(**overrides):
@@ -141,23 +142,19 @@ def test_labels():
 # loser selection
 
 
-def fake_pop(keys):
-    return [Individual(None, k) for k in keys]
-
-
 def test_select_loser_lowest_key():
-    pop = fake_pop([5, 9, 3, 7])
-    assert select_loser(pop, [0, 1, 2]) == 2
-    assert select_loser(pop, [1, 3, 0]) == 0
+    keys = [5, 9, 3, 7]
+    assert select_loser(keys, [0, 1, 2]) == 2
+    assert select_loser(keys, [1, 3, 0]) == 0
 
 
 def test_select_loser_tie_goes_to_latest_draw():
-    pop = fake_pop([5, 5, 5])
-    assert select_loser(pop, [0, 1, 2]) == 2
-    assert select_loser(pop, [2, 0, 1]) == 1
-    pop = fake_pop([7, 5, 5])
-    assert select_loser(pop, [0, 1, 2]) == 2
-    assert select_loser(pop, [0, 2, 1]) == 1
+    keys = [5, 5, 5]
+    assert select_loser(keys, [0, 1, 2]) == 2
+    assert select_loser(keys, [2, 0, 1]) == 1
+    keys = [7, 5, 5]
+    assert select_loser(keys, [0, 1, 2]) == 2
+    assert select_loser(keys, [0, 2, 1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +276,13 @@ def test_population_best_never_decreases():
     cfg = small_config()
     state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(3))
     _initialise(state)
-    best = max(ind.key for ind in state.pop)
+    best = max(state.keys)
     for _ in range(400):
         sst_step(state, cfg.population_size)
-        new_best = max(ind.key for ind in state.pop)
+        new_best = max(state.keys)
         assert new_best >= best
         best = new_best
-        assert len(state.pop) == cfg.population_size
+        assert len(state.keys) == len(state.genotypes) == cfg.population_size
 
 
 def test_de_slots_never_worsen():
@@ -296,10 +293,10 @@ def test_de_slots_never_worsen():
     state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), Draws(4))
     _initialise(state)
     for _ in range(30):
-        keys = [ind.key for ind in state.pop]
+        keys = list(state.keys)
         de_step(state)
-        for old, new in zip(keys, state.pop):
-            assert new.key >= old
+        for old, new in zip(keys, state.keys):
+            assert new >= old
 
 
 def test_de_forced_coordinate_with_zero_crossover_rate():
@@ -311,11 +308,11 @@ def test_de_forced_coordinate_with_zero_crossover_rate():
     )
     state = _RunState(cfg, FitnessEvaluator(cfg.n, "float", decode=2), Draws(5))
     _initialise(state)
-    snapshots = [ind.genotype.copy() for ind in state.pop]
+    snapshots = state.genotypes.copy()
     de_step(state)
-    for before, after in zip(snapshots, state.pop):
+    for before, after in zip(snapshots, state.genotypes):
         # with CR = 0 the trial differs from the target in at most one slot
-        assert int(np.sum(before != after.genotype)) <= 1
+        assert int(np.sum(before != after)) <= 1
 
 
 # float DE configs; n=12 has block_rows 8, so a generation of 20 trials spans
@@ -334,10 +331,6 @@ DE_SPACES = {
 DE_GENERATIONS = 6
 
 
-class Stop(Exception):
-    pass
-
-
 def _de_state(space, budget=None):
     cfg = RunConfig(encoding="float", algorithm=DE, seed=3, **space)
     evaluator = FitnessEvaluator(cfg.n, "float", cfg.mode, cfg.decode, budget=budget)
@@ -348,38 +341,22 @@ def _de_generations(step, space, budget=None, stop_at_note=None):
     """Run DE generations with ``step``; return what each one shows.
 
     After each generation: each slot's key and a digest of its genotype
-    bytes, the evaluations and the notes so far, and the next
-    ``rng.below(2**64)``.  A cut (the budget, or ``stop_at_note`` making that
-    note raise, as a run's target stop does) adds the same view of the state
-    it stopped in, without the draw.
+    bytes, the evaluations and the new bests noted so far, and the next
+    ``rng.below(2**64)``.  A cut (the budget, or the note of new best number
+    ``stop_at_note`` raising, as a run's target stop does) adds the same
+    view of the state it stopped in, without the draw.
     """
     state = _de_state(space, budget)
-    notes = []
-
-    def note(individual):
-        notes.append((state.evaluator.evaluations, individual.key))
-        if len(notes) == stop_at_note:
-            raise Stop()
-
-    def view():
-        genotypes = b"".join(individual.genotype.tobytes() for individual in state.pop)
-        return (
-            [individual.key for individual in state.pop],
-            hashlib.sha256(genotypes).hexdigest(),
-            state.evaluator.evaluations,
-            list(notes),
-        )
-
-    state.note = note
+    notes = _record_notes(state, stop_at_note)
     _initialise(state)
     seen = []
     try:
         for _ in range(DE_GENERATIONS):
             step(state)
-            seen.append((*view(), state.rng.below(2**64)))
-    except (BudgetExhausted, Stop) as stop:
-        seen.append(view())
-        return seen, notes, state.evaluator.evaluations, type(stop)
+            seen.append((*_view(state, notes), state.rng.below(2**64)))
+    except BudgetExhausted as stop:
+        seen.append(_view(state, notes))
+        return seen, notes, state.evaluator.evaluations, stop.reason
     return seen, notes, state.evaluator.evaluations, None
 
 
@@ -418,14 +395,14 @@ def test_de_blocks_match_the_per_trial_step(space):
     # a budget cut at every trial of the first two generations
     for budget in range(size, 3 * size):
         want = _de_generations(de_step_per_trial, kwargs, budget=budget)
-        assert want[2:] == (budget, BudgetExhausted)
+        assert want[2:] == (budget, "budget")
         assert _de_generations(de_step, kwargs, budget=budget) == want
-    # a cut at every note made in the first two generations
+    # a target stop at every new best noted after the initial population
     notes = full[1]
     for stop_at_note, (evaluations, _) in enumerate(notes, 1):
-        if size < evaluations <= 3 * size:
+        if size < evaluations:
             want = _de_generations(de_step_per_trial, kwargs, stop_at_note=stop_at_note)
-            assert want[2:] == (evaluations, Stop)
+            assert want[2:] == (evaluations, EXHAUSTED_TARGET)
             assert _de_generations(de_step, kwargs, stop_at_note=stop_at_note) == want
 
 
@@ -444,8 +421,10 @@ def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
         slots.append(_draw_distinct(*args, **kwargs))
         return slots[-1]
 
-    def note(individual):
-        replaced.add(evaluator.evaluations - size - 1)  # the trial's index in the run
+    class Keys(list):
+        def __setitem__(self, slot, key):
+            replaced.add(evaluator.evaluations - size - 1)  # the trial's index in the run
+            super().__setitem__(slot, key)
 
     key_ahead, evaluate = evaluator.key_ahead, evaluator.evaluate
 
@@ -459,7 +438,7 @@ def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
         return evaluate(genotype, key)
 
     monkeypatch.setattr(engine, "_draw_distinct", draw_distinct)
-    state.note = note
+    state.keys = Keys(state.keys)
     evaluator.key_ahead, evaluator.evaluate = spy_key_ahead, spy_evaluate
     for _ in range(DE_GENERATIONS):
         de_step(state)
@@ -536,14 +515,21 @@ def _record_notes(state, stop_at_note):
 
 def _view(state, notes):
     """Each slot's key, a digest of the population's genotypes, the
-    evaluations and a copy of ``notes``."""
-    pop = state.pop
-    genotypes = repr([individual.genotype for individual in pop]).encode()
-    if state.config.encoding != "tree":
-        genotypes = b"".join(individual.genotype.tobytes() for individual in pop)
+    evaluations and a copy of ``notes``.
+
+    An array population's bytes are its rows', in slot order; an initial
+    population cut by a stop is still a list of rows.
+    """
+    genotypes = state.genotypes
+    if state.config.encoding == "tree":
+        data = repr(genotypes).encode()
+    elif isinstance(genotypes, np.ndarray):
+        data = genotypes.tobytes()
+    else:
+        data = b"".join(row.tobytes() for row in genotypes)
     return (
-        [individual.key for individual in pop],
-        hashlib.sha256(genotypes).hexdigest(),
+        list(state.keys),
+        hashlib.sha256(data).hexdigest(),
         state.evaluator.evaluations,
         list(notes),
     )
@@ -614,9 +600,9 @@ def test_a_gp_block_walks_the_depths_of_each_child_once(monkeypatch):
     shallow = RunConfig(n=5, encoding="tree", population_size=50, max_depth=3, seed=6)
     state = _RunState(shallow, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
     _initialise(state)
-    parents = state.pop
+    parents = state
     state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
-    state.pop = parents
+    state.genotypes, state.keys, state.best = parents.genotypes, parents.keys, parents.best
     walked, crossed, mutated = [], [], []
 
     def node_depths(tree):
@@ -705,7 +691,7 @@ def test_sst_block_slots_are_distinct_and_parents_come_from_before_the_block(mon
     _initialise(state)
     tournaments, parents = [], []
     monkeypatch.setattr(
-        engine, "select_loser", lambda pop, slots: tournaments.append(list(slots)) or select_loser(pop, slots)
+        engine, "select_loser", lambda keys, slots: tournaments.append(list(slots)) or select_loser(keys, slots)
     )
     crossover = state.crossover
 
@@ -716,17 +702,17 @@ def test_sst_block_slots_are_distinct_and_parents_come_from_before_the_block(mon
     state.crossover = spy
     for _ in range(4):
         del tournaments[:], parents[:]
-        before = list(state.pop)
+        keys, genotypes = list(state.keys), state.genotypes.copy()
         rows = sst_step(state, cfg.population_size)
         assert len(tournaments) == rows == 16
         slots = [slot for tournament in tournaments for slot in tournament]
         assert len(set(slots)) == len(slots) == 3 * rows
         (a, b), = parents
         for tournament, first, second in zip(tournaments, a, b):
-            loser = select_loser(before, tournament)
+            loser = select_loser(keys, tournament)
             survivors = [slot for slot in tournament if slot != loser]
-            assert np.array_equal(first, before[survivors[0]].genotype)
-            assert np.array_equal(second, before[survivors[1]].genotype)
+            assert np.array_equal(first, genotypes[survivors[0]])
+            assert np.array_equal(second, genotypes[survivors[1]])
 
 
 def test_a_generation_of_50_runs_blocks_of_16_16_16_and_2(monkeypatch):
@@ -744,6 +730,88 @@ def test_a_generation_of_50_runs_blocks_of_16_16_16_and_2(monkeypatch):
     _sst_generation(state)
     assert calls == [(50, 16), (34, 16), (18, 16), (2, 2)]
     assert state.evaluator.evaluations == 100
+
+
+# population invariants: every SST space, FP-DE, and each local search
+# variant on bitstrings (plus LS1 on trees), checked after the initial
+# population, each SST block, each DE generation and each LS round
+POPULATION_SPACES = {
+    **{f"sst-{space}": dict(kwargs) for space, kwargs in SST_SPACES.items()},
+    "de-float-n7": dict(n=7, encoding="float", algorithm=DE),
+    **{f"{ls}-general-n5": dict(n=5, ls=ls) for ls in ("ls1", "ls2", "ls3")},
+    **{f"{ls}-rs-n7": dict(n=7, mode=ROTATION, ls=ls) for ls in ("ls1", "ls2", "ls3")},
+    "ls1-tree-n5": dict(n=5, encoding="tree", ls="ls1"),
+}
+
+
+def _check_population(state):
+    """Each slot's key is the reference key of its genotype's truth table,
+    and an array population is one C-contiguous, writeable array that owns
+    its rows, so no row is a view of a read-only keyed block."""
+    cfg, genotypes, keys = state.config, state.genotypes, state.keys
+    assert len(genotypes) == len(keys) == cfg.population_size
+    if cfg.encoding == "tree":
+        assert isinstance(genotypes, list)
+    else:
+        assert isinstance(genotypes, np.ndarray) and genotypes.ndim == 2
+        assert genotypes.flags.c_contiguous and genotypes.flags.writeable
+        assert genotypes.flags.owndata
+    for genotype, key in zip(genotypes, keys):
+        truth = genotype_table(genotype, cfg.encoding, cfg.n, cfg.mode, cfg.decode)
+        assert key == spectrum_key(walsh_transform(truth).values, cfg.n)
+
+
+@pytest.mark.parametrize("space", list(POPULATION_SPACES))
+def test_population_rows_and_keys_agree_with_the_reference(space):
+    cfg = RunConfig(population_size=20, seed=11, ls_fraction=0.2, ls_trials=5, **POPULATION_SPACES[space])
+    evaluator = FitnessEvaluator(cfg.n, cfg.encoding, cfg.mode, cfg.decode)
+    state = _RunState(cfg, evaluator, Draws(cfg.seed))
+    run_note, in_ls = state.note, [False]
+
+    def note(individual):
+        # outside local search only a new best is noted
+        assert in_ls[0] or state.best is None or individual.key > state.best.key
+        run_note(individual)
+
+    state.note = note
+    _initialise(state)
+    _check_population(state)
+    for _ in range(3):
+        if cfg.algorithm == DE:
+            de_step(state)
+            _check_population(state)
+        else:
+            done = 0
+            while done < cfg.population_size:
+                done += sst_step(state, cfg.population_size - done)
+                _check_population(state)
+        if cfg.ls:
+            in_ls[0] = True
+            apply_ls(
+                state.genotypes,
+                state.keys,
+                LsConfig(cfg.ls, cfg.ls_fraction, cfg.ls_trials),
+                evaluator,
+                state.mutate,
+                state.rng,
+                state.note,
+            )
+            in_ls[0] = False
+            _check_population(state)
+    assert state.best.key == max(state.keys)
+
+
+@pytest.mark.parametrize("space", list(SST_SPACES))
+def test_an_sst_run_builds_an_individual_only_for_a_new_best(space, monkeypatch):
+    built = []
+
+    def individual(genotype, key):
+        built.append(key)
+        return Individual(genotype, key)
+
+    monkeypatch.setattr(engine, "Individual", individual)
+    record = run(RunConfig(population_size=20, evaluation_budget=400, seed=12, **SST_SPACES[space]))
+    assert 0 < len(built) <= len(record.trajectory)
 
 
 def test_ls_attached_runs():

@@ -242,6 +242,15 @@ def test_read_records_names_a_line_that_is_not_utf8(tmp_path):
     assert "\n" not in str(error.value)
 
 
+
+def test_read_records_names_a_line_nested_too_deeply(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    good = fake_record("A", 1.0).to_json().encode()
+    path.write_bytes(good + b"\n" + b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n")
+    with pytest.raises(ValueError) as error:
+        read_records(path)
+    assert str(error.value) == f"{path}:2: JSON nested too deeply"
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -244,26 +244,29 @@ def test_apply_ls_touches_best_plus_fraction():
     rng = Draws(86)
     ev = FitnessEvaluator(5, "bitstring")
     mutate, _ = make_operators("bitstring", 5)
-    pop = [
-        make_individual(rng.bits(32), 5) for _ in range(20)
-    ]
-    keys_before = [ind.key for ind in pop]
+    genotypes = np.array([rng.bits(32) for _ in range(20)])
+    keys = [key_of(bits, 5) for bits in genotypes]
+    keys_before, genotypes_before = list(keys), genotypes.copy()
     best_before = max(keys_before)
     touched = []
 
     def note(ind):
         touched.append(ind)
 
-    apply_ls(pop, LsConfig("ls2", fraction=0.15), ev, mutate, rng, note)
+    apply_ls(genotypes, keys, LsConfig("ls2", fraction=0.15), ev, mutate, rng, note)
     # ceil(0.15 * 20) = 3 slots treated; none may worsen
-    changed = sum(1 for old, ind in zip(keys_before, pop) if ind.key != old)
+    changed = sum(1 for old, key in zip(keys_before, keys) if key != old)
     assert changed <= 3
-    assert all(ind.key >= old for old, ind in zip(keys_before, pop))
-    assert max(ind.key for ind in pop) >= best_before
+    assert all(key >= old for old, key in zip(keys_before, keys))
+    assert max(keys) >= best_before
+    # a slot's row changes exactly when its key does, and matches it
+    for slot, (old, key) in enumerate(zip(keys_before, keys)):
+        assert (key != old) == (not np.array_equal(genotypes[slot], genotypes_before[slot]))
+        assert key == key_of(genotypes[slot], 5)
     # an empty population is left as it is, with no draw and no charge
     evaluations, word = ev.evaluations, Draws(86).below(1 << 30)
     rng = Draws(86)
-    apply_ls([], LsConfig("ls2"), ev, mutate, rng, note)
+    apply_ls(np.empty((0, 32), np.uint8), [], LsConfig("ls2"), ev, mutate, rng, note)
     assert ev.evaluations == evaluations and rng.below(1 << 30) == word
 
 
