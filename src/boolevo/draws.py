@@ -8,6 +8,12 @@ a scalar ``Generator`` call.  Vector draws (:meth:`~Draws.bits`,
 :meth:`~Draws.sample`) go to the wrapped generator and its bit generator,
 which the blocks share.
 
+Uniforms can also be owed (:meth:`~Draws.owe_uniforms`) and taken later as
+one array (:meth:`~Draws.owed_uniforms`).  The generator draws what is owed
+before it is read for anything else, a refill or a vector draw, so the
+values are the words that a ``uniforms`` call at each point of owing would
+have read, and every later draw is the same.
+
 ``below`` is Lemire's exact bounded draw ("Fast random integer generation in
 an interval", ACM TOMACS 2019) and ``uniform`` is numpy's own double, so
 every draw is exactly uniform.  The stream is not the one that calling the
@@ -39,13 +45,22 @@ _DOUBLE_UNIT = 2.0**-53
 class Draws:
     """Every random decision of one run, replayable from ``seed``."""
 
-    __slots__ = ("_generator", "_words")
+    __slots__ = ("_generator", "_words", "_owed", "_settled")
 
     def __init__(self, seed) -> None:
         self._generator = np.random.default_rng(seed)
         self._words: list[int] = []  # unread words of the block, next one last
+        self._owed = 0  # uniforms owed and not yet drawn
+        self._settled: list[np.ndarray] = []  # uniforms owed and drawn, not yet taken
+
+    def _settle(self) -> None:
+        """Draw the owed uniforms, before anything else reads the generator."""
+        self._settled.append(self._generator.random(self._owed))
+        self._owed = 0
 
     def _refill(self) -> None:
+        if self._owed:
+            self._settle()
         raw = self._generator.bit_generator.random_raw(BLOCK_WORDS)
         self._words.extend(raw[::-1].tolist())
 
@@ -88,15 +103,35 @@ class Draws:
 
         The words are read as little-endian bytes on every platform.
         """
+        if self._owed:
+            self._settle()
         words = self._generator.bit_generator.random_raw((length + 63) // 64)
         return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=length)
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` uniform float64 values in ``[0, 1)``."""
+        if self._owed:
+            self._settle()
         return self._generator.random(count)
+
+    def owe_uniforms(self, count: int) -> None:
+        """Owe ``count`` uniforms: the values that ``uniforms(count)`` would
+        give here, drawn when the generator is next read and taken with
+        :meth:`owed_uniforms`.  Scalar draws from the current block do not
+        read the generator, so they may come between."""
+        self._owed += count
+
+    def owed_uniforms(self) -> np.ndarray:
+        """Every uniform owed since the last take, in the order owed, as one
+        float64 array."""
+        self._settle()
+        values, self._settled = self._settled, []
+        return values[0] if len(values) == 1 else np.concatenate(values)
 
     def permutation(self, x):
         """A random permutation of ``range(x)`` for an int, else of the array ``x``."""
+        if self._owed:
+            self._settle()
         return self._generator.permutation(x)
 
     def shuffle(self, view: np.ndarray) -> None:
@@ -106,8 +141,12 @@ class Draws:
         ``view`` ends as ``view[permutation(len(view))]`` would be, and the
         generator in the same state.
         """
+        if self._owed:
+            self._settle()
         self._generator.shuffle(view)
 
     def sample(self, k: int, m: int) -> np.ndarray:
         """``m`` distinct values from ``range(k)``, in random order."""
+        if self._owed:
+            self._settle()
         return self._generator.choice(k, size=m, replace=False)

@@ -281,10 +281,11 @@ def float_bits(values: np.ndarray, decode: int) -> np.ndarray:
     closed, so 1.0 yields all-ones rather than overflowing.  The cell is a
     truncating cast, which equals the floor on ``[0, 1]``, and its bits are
     one row of a cached table: the same bits as shifting the cell, with no
-    random draw.
+    random draw.  The rows are gathered with ``np.take``, which on a block
+    is several times faster than the same fancy index.
     """
     cells = (values * (1 << decode)).astype(np.intp)
-    return _cell_bits(decode)[cells].reshape(-1)
+    return np.take(_cell_bits(decode), cells, axis=0).reshape(-1)
 
 
 def float_dimension(n: int, decode: int, mode: str = GENERAL) -> int:

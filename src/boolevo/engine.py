@@ -7,8 +7,9 @@ evaluation, in any phase, whose result reaches the target nonlinearity.
 One loop serves SST and DE: a generation is ``population_size`` SST steps,
 run in blocks of disjoint tournaments (:func:`sst_step`), or one DE trial
 per slot, and local search follows every generation.  A population is one
-genotype array (a list of trees) and a list of keys, written slot by slot;
-an :class:`~boolevo.evaluation.Individual` is built only for a new best and
+genotype array (a list of trees) and a list of keys, written slot by slot
+(an SST block's rows when the block ends); an
+:class:`~boolevo.evaluation.Individual` is built only for a new best and
 for each slot that local search treats.
 """
 
@@ -383,15 +384,6 @@ def _draw_distinct(rng: Draws, size: int, count: int, taboo=()) -> list[int]:
     return drawn
 
 
-def select_loser(keys: list[int], slots: list[int]) -> int:
-    """Tournament slot to eliminate: worst key, ties lost by the latest draw."""
-    loser = slots[0]
-    for slot in slots[1:]:
-        if keys[slot] <= keys[loser]:
-            loser = slot
-    return loser
-
-
 def sst_step(state: _RunState, steps: int) -> int:
     """One block of steady-state steps; returns how many it ran.
 
@@ -408,24 +400,34 @@ def sst_step(state: _RunState, steps: int) -> int:
     order, and only as many as the budget can charge plus the one whose
     charge stops the run, so a budget stop builds no tree in vain.  The
     children are keyed with one :meth:`FitnessEvaluator.key_ahead`.  Each
-    is then charged by its own ``evaluate`` call, given its key, written
-    over its row's loser with its key, and noted if it beats the best so
-    far, in row order, so a budget, time or target stop falls on the same
-    evaluation as it would one step at a time.
+    is then charged by its own ``evaluate`` call, given its key, its key
+    written over its row's loser's, and noted if it beats the best so far,
+    in row order, so a budget, time or target stop falls on the same
+    evaluation as it would one step at a time.  The charged children are
+    written over their losers when the block ends, by a stop too (bitstring
+    and float rows with one fancy assignment), since no child of the block
+    reads the population.
     """
     genotypes, keys, rng, evaluator = state.genotypes, state.keys, state.rng, state.evaluator
     rows = min(len(keys) // 3, evaluator.block_rows, steps)
     slots = rng.permutation(len(keys))[: 3 * rows].tolist()
     losers, parents = [], []  # parents: each row's two survivors, in draw order
-    for row in range(0, 3 * rows, 3):
-        tournament = slots[row : row + 3]
-        loser = select_loser(keys, tournament)
-        tournament.remove(loser)
-        losers.append(loser)
-        parents += tournament
+    for a, b, c in zip(*[iter(slots)] * 3):
+        # the worst key loses, a tie lost by the latest draw
+        key_a, key_b, key_c = keys[a], keys[b], keys[c]
+        if key_c <= key_a and key_c <= key_b:
+            losers.append(c)
+            parents += (a, b)
+        elif key_b <= key_a:
+            losers.append(b)
+            parents += (a, c)
+        else:
+            losers.append(a)
+            parents += (b, c)
     p_mutation = state.config.p_mutation
     coins = [rng.uniform() < p_mutation for _ in range(rows)]
-    if state.config.encoding == "tree":
+    tree = state.config.encoding == "tree"
+    if tree:
         built = rows
         if evaluator.budget is not None:
             built = min(rows, evaluator.budget - evaluator.evaluations + 1)
@@ -439,12 +441,20 @@ def sst_step(state: _RunState, steps: int) -> int:
         mutated = [row for row, coin in enumerate(coins) if coin]
         if mutated:
             block[mutated] = state.mutate(block[mutated], rng)
-    for loser, child, key in zip(losers, block, evaluator.key_ahead(block)):
-        key = evaluator.evaluate(child, key)
-        genotypes[loser] = child
-        keys[loser] = key
-        if key > state.best.key:
-            state.note(Individual(child, key))
+    done = 0  # children charged
+    try:
+        for loser, child, key in zip(losers, block, evaluator.key_ahead(block)):
+            key = evaluator.evaluate(child, key)
+            keys[loser] = key
+            done += 1
+            if key > state.best.key:
+                state.note(Individual(child, key))
+    finally:
+        if tree:
+            for loser, child in zip(losers[:done], block):
+                genotypes[loser] = child
+        elif done:
+            genotypes[losers[:done]] = block[:done]
     return rows
 
 
@@ -461,10 +471,13 @@ def de_step(state: _RunState) -> None:
 
     A trial's random decisions (three distinct slots other than its target,
     the crossover mask and its forced index) never read the population, so
-    they are all drawn first, in slot order.  The trials are then built from
-    the live population array in blocks of up to ``block_rows``, each keyed
-    with one :meth:`FitnessEvaluator.key_ahead`, and each is charged by its
-    own ``evaluate`` call, given its key, in slot order.  A trial at least
+    they are all drawn first, in slot order; the masks' uniforms are owed
+    (:meth:`Draws.owe_uniforms`) and taken as one array after the last
+    target, which reads the same words as one ``uniforms`` call per target.
+    The trials are then built from the live population array in blocks of
+    up to ``block_rows``, each keyed with one
+    :meth:`FitnessEvaluator.key_ahead`, and each is charged by its own
+    ``evaluate`` call, given its key, in slot order.  A trial at least
     as good as its target is written over it at once, so later trials of
     the generation may read it, and is noted if it beats the best so far.
     A later trial of the block whose three slots include a slot replaced
@@ -475,12 +488,12 @@ def de_step(state: _RunState) -> None:
     genotypes, keys = state.genotypes, state.keys
     rng, cfg, evaluator = state.rng, state.config, state.evaluator
     size, dim = genotypes.shape
-    slots, uniforms, forced = [], [], []
+    slots, forced = [], []
     for target in range(size):
         slots.append(_draw_distinct(rng, size, 3, taboo=(target,)))
-        uniforms.append(rng.uniforms(dim))
+        rng.owe_uniforms(dim)
         forced.append(rng.below(dim))
-    cross = np.array(uniforms) < cfg.de_crossover
+    cross = rng.owed_uniforms().reshape(size, dim) < cfg.de_crossover
     cross[np.arange(size), forced] = True
     slot_rows = np.array(slots)
     for start in range(0, size, evaluator.block_rows):

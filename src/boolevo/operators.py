@@ -29,6 +29,11 @@ from .encodings import (
     subtree_end,
 )
 
+#: Longest window of 1-byte entries that the bit mutation shuffles in place:
+#: numpy swaps only 8-byte items fast, so a longer one is gathered
+_IN_PLACE_WINDOW = 128
+
+
 # ---------------------------------------------------------------------------
 # bitstring
 
@@ -40,12 +45,13 @@ def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
     shuffle takes it as ``a``, draws ``b`` and reorders the window
     ``[min(a, b), max(a, b)]`` with the Fisher-Yates draws of
     ``rng.permutation(window)``, and so makes the same child.  Rows of
-    8-byte entries, such as the local search's int64 index rows, are
-    shuffled in place (:meth:`Draws.shuffle`).  A 1-byte bit row gathers its
-    window through a shuffled int64 ``arange`` instead, since numpy swaps
-    only 8-byte items fast: shuffling a uint8 window in place is slower from
-    a few hundred entries up.  Works on rows of any integer type, so the
-    local search can record moves on rows of indices.
+    8-byte entries, such as the local search's int64 index rows, and 1-byte
+    windows of up to ``_IN_PLACE_WINDOW`` entries are shuffled in place
+    (:meth:`Draws.shuffle`).  A longer 1-byte window is gathered through a
+    shuffled int64 ``arange`` instead, since numpy swaps only 8-byte items
+    fast: shuffling a uint8 window in place is slower from a few hundred
+    entries up.  Works on rows of any integer type, so the local search can
+    record moves on rows of indices.
 
     The coin and the positions are ``rng.below`` taken inline, as in
     :mod:`boolevo.draws`: the coin is one word's top bit, and a position the
@@ -86,7 +92,7 @@ def mutate_bitstring(rows: np.ndarray, rng: Draws) -> np.ndarray:
             b = below(length)
         start, stop = (a, b + 1) if a < b else (b, a + 1)
         window = children[row, start:stop]
-        if in_place:
+        if in_place or stop - start <= _IN_PLACE_WINDOW:
             rng.shuffle(window)
         else:
             window[:] = window[rng.permutation(stop - start)]

@@ -473,6 +473,15 @@ def initialise_per_genotype(state) -> None:
         state.genotypes = np.array(state.genotypes)
 
 
+def select_loser(keys: list[int], slots: list[int]) -> int:
+    """Tournament slot to eliminate: worst key, ties lost by the latest draw."""
+    loser = slots[0]
+    for slot in slots[1:]:
+        if keys[slot] <= keys[loser]:
+            loser = slot
+    return loser
+
+
 def sst_step_per_row(state, steps) -> int:
     """One block of steady-state steps, each child keyed on its own.
 

@@ -107,18 +107,75 @@ def test_shuffle_of_a_row_view_is_the_gather_through_permutation(dtype):
         assert next_draws(draws) == next_draws(fresh)
 
 
-def test_same_seed_same_stream_across_scalar_and_vector_draws():
-    def shuffled(draws):
-        rows = np.tile(np.arange(10), (2, 1))
-        draws.shuffle(rows[1, 3:])
-        return rows.tolist()
+def _drained(seed, left):
+    """A fresh ``Draws(seed)`` whose first block has ``left`` unread words."""
+    draws = Draws(seed)
+    for _ in range(BLOCK_WORDS - left):
+        draws.below(2)
+    assert len(draws._words) == left
+    return draws
 
+
+def _state(draws):
+    return draws._words, draws._generator.bit_generator.state
+
+
+@pytest.mark.parametrize("left", range(6))
+def test_owed_uniforms_are_the_per_call_uniforms_across_a_refill(left):
+    # the refill falls in uniform, at the head of below and, from three
+    # words left, inside below's rejection loop: a bound just over 2**63
+    # rejects about half its words
+    owed, fresh = _drained(17, left), _drained(17, left)
+    want = []
+    for count in (3, 1, 4, 2, 5):
+        owed.owe_uniforms(count)
+        want += fresh.uniforms(count).tolist()
+        assert owed.uniform() == fresh.uniform()
+        assert owed.below(9) == fresh.below(9)
+        assert owed.below(2**63 + 1) == fresh.below(2**63 + 1)
+    assert _state(owed)[0] == _state(fresh)[0]
+    got = owed.owed_uniforms()
+    assert got.dtype == np.float64 and got.tolist() == want
+    assert _state(owed) == _state(fresh)
+    assert owed.owed_uniforms().tolist() == []  # a take empties the debt
+    assert next_draws(owed) == next_draws(fresh)
+
+
+def _shuffled(draws):
+    rows = np.tile(np.arange(10), (2, 1))
+    draws.shuffle(rows[1, 3:])
+    return rows.tolist()
+
+
+VECTOR_DRAWS = {
+    "bits": lambda draws: draws.bits(70).tolist(),
+    "uniforms": lambda draws: draws.uniforms(3).tolist(),
+    "permutation": lambda draws: draws.permutation(9).tolist(),
+    "shuffle": _shuffled,
+    "sample": lambda draws: draws.sample(20, 4).tolist(),
+}
+
+
+@pytest.mark.parametrize("draw", list(VECTOR_DRAWS))
+def test_a_vector_draw_draws_the_owed_uniforms_first(draw):
+    owed, fresh = _drained(23, 3), _drained(23, 3)
+    owed.owe_uniforms(5)
+    want = fresh.uniforms(5).tolist()
+    assert VECTOR_DRAWS[draw](owed) == VECTOR_DRAWS[draw](fresh)
+    owed.owe_uniforms(2)
+    want += fresh.uniforms(2).tolist()
+    assert owed.owed_uniforms().tolist() == want
+    assert _state(owed) == _state(fresh)
+    assert next_draws(owed) == next_draws(fresh)
+
+
+def test_same_seed_same_stream_across_scalar_and_vector_draws():
     def mixed(draws):
         return (
             [draws.below(9) for _ in range(BLOCK_WORDS + 10)],
             draws.uniforms(3).tolist(),
             draws.permutation(6).tolist(),
-            shuffled(draws),
+            _shuffled(draws),
             draws.bits(12).tolist(),
             draws.uniform(),
         )

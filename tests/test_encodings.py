@@ -18,6 +18,7 @@ from oracles import (
 from boolevo.draws import Draws
 from boolevo.encodings import (
     GENERAL,
+    MAX_DECODE,
     ROTATION,
     _random_node,
     check_genotype,
@@ -100,9 +101,10 @@ def test_decode_float_cell_boundaries():
 
 def test_float_bits_matches_floor_and_shift():
     # the bit-table lookup must agree with the floor-and-shift formula,
-    # cell edges and both ends of [0, 1] included
+    # cell edges and both ends of [0, 1] included, on vectors and on 2-D
+    # blocks as the evaluator passes them, for every decode up to MAX_DECODE
     rng = np.random.default_rng(59)
-    for decode in range(1, 9):
+    for decode in range(1, MAX_DECODE + 1):
         edges = np.arange((1 << decode) + 1) / (1 << decode)
         for length in (2, 128, 8192):
             values = rng.random(length)
@@ -111,6 +113,14 @@ def test_float_bits_matches_floor_and_shift():
                 got = float_bits(vector, decode)
                 want = float_bits_by_floor_and_shift(vector, decode)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+        for rows, length in ((1, 2), (16, 32), (4, 2048)):
+            block = rng.random((rows, length))
+            block[0, 0], block[-1, -1] = 0.0, 1.0
+            block[:, 1] = edges[rng.integers(0, len(edges), rows)]
+            got = float_bits(block, decode)
+            assert got.dtype == np.uint8 and got.shape == (rows * length * decode,)
+            for row, bits in zip(block, got.reshape(rows, -1)):
+                assert np.array_equal(bits, float_bits_by_floor_and_shift(row, decode))
 
 
 def test_float_genotype_validation():

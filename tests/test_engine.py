@@ -5,7 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from oracles import de_step_per_trial, initialise_per_genotype, sst_step_per_row, tree_depth
+from oracles import (
+    de_step_per_trial,
+    initialise_per_genotype,
+    select_loser,
+    sst_step_per_row,
+    tree_depth,
+)
 
 from boolevo.draws import Draws
 from boolevo.encodings import GENERAL, ROTATION, genotype_table, tree_from_text
@@ -22,7 +28,6 @@ from boolevo.engine import (
     de_step,
     deserialize_genotype,
     run,
-    select_loser,
     serialize_genotype,
     sst_step,
 )
@@ -337,8 +342,9 @@ def _de_state(space, budget=None):
     return _RunState(cfg, evaluator, Draws(cfg.seed))
 
 
-def _de_generations(step, space, budget=None, stop_at_note=None):
-    """Run DE generations with ``step``; return what each one shows.
+def _de_generations(step, space, budget=None, stop_at_note=None, left=None):
+    """Run DE generations with ``step``, the first with ``left`` words of the
+    block unread if given; return what each one shows.
 
     After each generation: each slot's key and a digest of its genotype
     bytes, the evaluations and the new bests noted so far, and the next
@@ -349,6 +355,8 @@ def _de_generations(step, space, budget=None, stop_at_note=None):
     state = _de_state(space, budget)
     notes = _record_notes(state, stop_at_note)
     _initialise(state)
+    if left is not None:
+        _drain(state, left)
     seen = []
     try:
         for _ in range(DE_GENERATIONS):
@@ -404,6 +412,80 @@ def test_de_blocks_match_the_per_trial_step(space):
             want = _de_generations(de_step_per_trial, kwargs, stop_at_note=stop_at_note)
             assert want[2:] == (evaluations, EXHAUSTED_TARGET)
             assert _de_generations(de_step, kwargs, stop_at_note=stop_at_note) == want
+
+
+def _drain(state, left):
+    """Read scalar draws until ``left`` words of the block are unread."""
+    words = state.rng._words
+    while len(words) != left:
+        state.rng.below(2)
+
+
+def _refill_falls_at(space, left):
+    """The scalar draw of the first DE generation that refills the words when
+    ``left`` are unread at its start, and the target it belongs to.
+
+    The draw is ``first`` (a target's first slot), ``slot`` (a later one),
+    ``redraw`` (a slot after one that repeated an earlier slot), ``taboo``
+    (a slot after one that drew the target itself) or ``forced``.
+    """
+    state = _de_state(space)
+    _initialise(state)
+    _drain(state, left)
+    size, dim = state.genotypes.shape
+    assert size != dim
+    draws = []  # each scalar draw as (k, value), a refill as None
+    below, refill = Draws.below, Draws._refill
+
+    def spy_below(self, k):
+        value = below(self, k)
+        draws.append((k, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Draws, "below", spy_below)
+        patch.setattr(Draws, "_refill", lambda self: draws.append(None) or refill(self))
+        de_step_per_trial(state)
+    target, picked, rejected, refilled = 0, [], None, False
+    for draw in draws:
+        if draw is None:
+            refilled = True
+            continue
+        k, value = draw
+        if k == dim:
+            kind = "forced"
+        else:
+            kind = rejected or ("slot" if picked else "first")
+            rejected = "redraw" if value in picked else "taboo" if value == target else None
+            if not rejected:
+                picked.append(value)
+        if refilled:
+            return kind, target
+        if k == dim:
+            target, picked = target + 1, []
+    raise AssertionError(f"no refill in the generation after {left} words")
+
+
+# the words left unread before the first generation of a DE space, and the
+# draw whose refill that puts inside the generation (see _refill_falls_at)
+DE_REFILLS = {
+    "first-slot": ("n7-pop20", 5, ("first", 1)),
+    "redraw": ("n5-pop4", 9, ("redraw", 1)),
+    "taboo": ("n7-pop20", 1, ("taboo", 0)),
+    "forced": ("n7-pop20", 7, ("forced", 1)),
+    "last-target": ("n7-pop20", 87, ("forced", 19)),
+}
+
+
+@pytest.mark.parametrize("refill", list(DE_REFILLS))
+def test_de_matches_the_per_trial_step_across_a_refill(refill):
+    # the owed uniforms must be drawn before the refill, as per-trial
+    # uniforms calls draw them
+    space, left, falls_at = DE_REFILLS[refill]
+    kwargs = DE_SPACES[space]
+    assert _refill_falls_at(kwargs, left) == falls_at
+    want = _de_generations(de_step_per_trial, kwargs, left=left)
+    assert _de_generations(de_step, kwargs, left=left) == want
 
 
 def test_de_keys_a_generation_once_and_only_stale_trials_alone(monkeypatch):
@@ -685,34 +767,86 @@ def test_blocked_initialisation_matches_the_per_genotype_loop(space, monkeypatch
         assert _initialised(_initialise, kwargs, size, stop_at_note=number) == want
 
 
+def _spy_permutations(monkeypatch):
+    """Record every array that ``Draws.permutation`` returns; return the list."""
+    drawn = []
+    permutation = Draws.permutation
+
+    def spy(self, x):
+        drawn.append(permutation(self, x))
+        return drawn[-1]
+
+    monkeypatch.setattr(Draws, "permutation", spy)
+    return drawn
+
+
 def test_sst_block_slots_are_distinct_and_parents_come_from_before_the_block(monkeypatch):
+    # TT n = 7: the bit mutation shuffles its 128-entry windows in place, so
+    # the block's slot permutation is its only permutation
     cfg = RunConfig(n=7, population_size=50, seed=4)
     state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
     _initialise(state)
-    tournaments, parents = [], []
-    monkeypatch.setattr(
-        engine, "select_loser", lambda keys, slots: tournaments.append(list(slots)) or select_loser(keys, slots)
-    )
-    crossover = state.crossover
+    permutations = _spy_permutations(monkeypatch)
+    parents, blocks = [], []
+    crossover, key_ahead = state.crossover, state.evaluator.key_ahead
 
-    def spy(a, b, rng):
+    def spy_crossover(a, b, rng):
         parents.append((a.copy(), b.copy()))
         return crossover(a, b, rng)
 
-    state.crossover = spy
+    def spy_key_ahead(block):
+        blocks.append(block.copy())
+        return key_ahead(block)
+
+    state.crossover, state.evaluator.key_ahead = spy_crossover, spy_key_ahead
     for _ in range(4):
-        del tournaments[:], parents[:]
+        del permutations[:], parents[:], blocks[:]
         keys, genotypes = list(state.keys), state.genotypes.copy()
         rows = sst_step(state, cfg.population_size)
-        assert len(tournaments) == rows == 16
-        slots = [slot for tournament in tournaments for slot in tournament]
-        assert len(set(slots)) == len(slots) == 3 * rows
-        (a, b), = parents
+        (slots,) = permutations
+        assert sorted(slots.tolist()) == list(range(cfg.population_size)) and rows == 16
+        tournaments = slots[: 3 * rows].reshape(rows, 3).tolist()
+        ((a, b),), (block,) = parents, blocks
+        losers = []
         for tournament, first, second in zip(tournaments, a, b):
             loser = select_loser(keys, tournament)
             survivors = [slot for slot in tournament if slot != loser]
             assert np.array_equal(first, genotypes[survivors[0]])
             assert np.array_equal(second, genotypes[survivors[1]])
+            losers.append(loser)
+        # each child is written over its row's loser, and no other row changes
+        assert np.array_equal(state.genotypes[losers], block)
+        others = sorted(set(range(cfg.population_size)) - set(losers))
+        assert np.array_equal(state.genotypes[others], genotypes[others])
+        assert [state.keys[slot] for slot in others] == [keys[slot] for slot in others]
+
+
+# keys laid over an initial population of 50: one key for all, or two keys,
+# so every tournament ties two or three slots
+TIED_KEYS = {"all-equal": lambda slot: 0, "two-keys": lambda slot: slot % 2}
+
+
+@pytest.mark.parametrize("ties", list(TIED_KEYS))
+def test_sst_ties_are_lost_by_the_latest_draw_as_in_the_per_row_step(ties, monkeypatch):
+    permutations = _spy_permutations(monkeypatch)
+    seen = []
+    for step in (sst_step_per_row, sst_step):
+        cfg = RunConfig(n=7, population_size=50, seed=8)
+        state = _RunState(cfg, FitnessEvaluator(cfg.n, cfg.encoding), Draws(cfg.seed))
+        _initialise(state)
+        state.keys[:] = map(TIED_KEYS[ties], range(cfg.population_size))
+        keys = list(state.keys)
+        del permutations[:]
+        views, done = [], 0
+        while done < cfg.population_size:
+            done += step(state, cfg.population_size - done)
+            views.append((*_view(state, []), state.rng.below(2**64)))
+        seen.append(views)
+        # the first block's tournaments hold the tie cases of select_loser's tests
+        tournaments = permutations[0][:48].reshape(16, 3).tolist()
+        worst = [[keys[slot] for slot in t].count(min(keys[slot] for slot in t)) for t in tournaments]
+        assert 3 in worst and (ties == "all-equal" or 2 in worst)
+    assert seen[0] == seen[1]
 
 
 def test_a_generation_of_50_runs_blocks_of_16_16_16_and_2(monkeypatch):
