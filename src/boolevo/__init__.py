@@ -61,7 +61,7 @@ from .engine import (  # noqa: F401
     serialize_genotype,
 )
 
-from .localsearch import LsConfig, apply_ls, ls_bitflip, ls_mutation  # noqa: F401
+from .localsearch import apply_ls, ls_bitflip, ls_mutation  # noqa: F401
 
 from .harness import (  # noqa: F401
     Campaign,

@@ -330,7 +330,7 @@ def check_genotype(
         )
     if encoding == "bitstring":
         return _check_bits(values, "bitstring entries")
-    if values.dtype.kind not in "biuf":
+    if values.dtype.kind not in "iuf":  # a bool is no float option either (is_real)
         raise ValueError("float genotype entries must be numbers")
     if not ((values >= 0.0) & (values <= 1.0)).all():
         raise ValueError("float genotype entries must be finite and lie in [0, 1]")

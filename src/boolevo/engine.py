@@ -47,7 +47,7 @@ from .evaluation import (
     Individual,
     key_to_fitness,
 )
-from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, VARIANTS, LsConfig, apply_ls
+from .localsearch import DEFAULT_LS_FRACTION, DEFAULT_LS_TRIALS, apply_ls, check_ls
 from .operators import make_operators
 from .truthtable import (
     MAX_DIMENSION,
@@ -112,7 +112,7 @@ class RunConfig:
         if not (is_real(self.de_crossover) and 0.0 <= self.de_crossover <= 1.0):
             raise ValueError(f"crossover rate must be in [0, 1], got {self.de_crossover!r}")
         # the ls options echo into every record, so they are checked without ls too
-        LsConfig(VARIANTS[0] if self.ls is None else self.ls, self.ls_fraction, self.ls_trials)
+        check_ls(self.ls, self.ls_fraction, self.ls_trials)
         if self.ls in ("ls2", "ls3") and self.encoding != "bitstring":
             raise ValueError("bit-flip local search needs the bitstring encoding")
         check_time_limit(self.time_limit)
@@ -537,9 +537,6 @@ def run(config: RunConfig) -> RunRecord:
         time_limit=config.time_limit,
     )
     state = _RunState(config, evaluator, rng)
-    ls_config = (
-        LsConfig(config.ls, config.ls_fraction, config.ls_trials) if config.ls else None
-    )
     # de_step and sst_step are read from the module at call time:
     # benchmarks/tracer.py wraps both
     generation = _sst_generation if config.algorithm == SST else de_step
@@ -549,9 +546,9 @@ def run(config: RunConfig) -> RunRecord:
         _initialise(state)
         while True:
             generation(state)
-            if ls_config is not None:
+            if config.ls is not None:
                 apply_ls(
-                    state.genotypes, state.keys, ls_config, evaluator, state.mutate, rng, state.note
+                    state.genotypes, state.keys, config, evaluator, state.mutate, rng, state.note
                 )
     except BudgetExhausted as exhausted:
         stop_reason = exhausted.reason

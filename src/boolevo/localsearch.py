@@ -25,6 +25,10 @@ Variants:
   keys them all.
 * ``ls3`` runs ``ls1`` and then ``ls2``.
 
+:func:`apply_ls` runs them on a share of the population as the run's
+``RunConfig`` fields ``ls``, ``ls_fraction`` and ``ls_trials`` say, and
+:func:`check_ls` checks those three.
+
 All stages only ever replace an individual with a strictly better one, so
 fitness along a local search is monotone.
 """
@@ -32,7 +36,7 @@ fitness along a local search is monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,26 +44,24 @@ from .draws import Draws
 from .evaluation import BitFlipSession, FitnessEvaluator, Individual
 from .truthtable import check_int, is_real
 
+if TYPE_CHECKING:
+    from .engine import RunConfig
+
 VARIANTS = ("ls1", "ls2", "ls3")
 #: Share of the population treated per round and failures that stop ``ls1``.
 DEFAULT_LS_FRACTION = 0.05
 DEFAULT_LS_TRIALS = 25
 
 
-@dataclass(frozen=True)
-class LsConfig:
-    """Which stage to run, on what share of the population, how stubbornly."""
-
-    variant: str = "ls1"
-    fraction: float = DEFAULT_LS_FRACTION
-    trials: int = DEFAULT_LS_TRIALS
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown local search variant {self.variant!r}")
-        if not (is_real(self.fraction) and 0.0 < self.fraction <= 1.0):
-            raise ValueError(f"ls fraction must be in (0, 1], got {self.fraction!r}")
-        check_int("ls trials", self.trials, 1)
+def check_ls(variant: str | None, fraction: float, trials: int) -> None:
+    """Raise a one-line error unless the options name a stage (or None, for
+    no local search), a share of the population in (0, 1] and a positive
+    failure count."""
+    if variant is not None and variant not in VARIANTS:
+        raise ValueError(f"unknown local search variant {variant!r}")
+    if not (is_real(fraction) and 0.0 < fraction <= 1.0):
+        raise ValueError(f"ls fraction must be in (0, 1], got {fraction!r}")
+    check_int("ls trials", trials, 1)
 
 
 def ls_mutation(
@@ -155,27 +157,10 @@ def ls_bitflip(
     return individual
 
 
-def improve(
-    individual: Individual,
-    config: LsConfig,
-    evaluator: FitnessEvaluator,
-    mutate,
-    rng: Draws,
-    note=None,
-) -> Individual:
-    """Run the configured stage(s) on one individual."""
-    result = individual
-    if config.variant in ("ls1", "ls3"):
-        result = ls_mutation(result, evaluator, mutate, rng, config.trials, note)
-    if config.variant in ("ls2", "ls3"):
-        result = ls_bitflip(result, evaluator, note)
-    return result
-
-
 def apply_ls(
     genotypes,
     keys: list[int],
-    config: LsConfig,
+    config: RunConfig,
     evaluator: FitnessEvaluator,
     mutate,
     rng: Draws,
@@ -184,15 +169,17 @@ def apply_ls(
     """Improve the current best plus random others, in place.
 
     The population is ``genotypes`` (a 2-D array of bitstring or float rows,
-    or a list of trees) and ``keys``, one per slot.  The number of treated
-    slots is ``ceil(fraction * len(keys))``; the slot of the incumbent best
-    (the first, on a tie) is always among them and counts toward that
-    number.  Each treated slot becomes an :class:`Individual` for
-    :func:`improve`, and an improved result is written back over the slot.
+    or a list of trees) and ``keys``, one per slot; ``config`` is the run's
+    :class:`RunConfig`.  The number of treated slots is
+    ``ceil(ls_fraction * len(keys))``; the slot of the incumbent best (the
+    first, on a tie) is always among them and counts toward that number.
+    The ``ls`` stage(s) run on each treated slot (none when ``ls`` is None),
+    and an improved result is written back over the slot.
     """
+    check_ls(config.ls, config.ls_fraction, config.ls_trials)
     size = len(keys)
-    count = min(size, math.ceil(config.fraction * size))
-    if count < 1:
+    count = min(size, math.ceil(config.ls_fraction * size))
+    if config.ls is None or count < 1:
         return
     best_index = max(range(size), key=keys.__getitem__)
     chosen = [best_index]
@@ -201,8 +188,11 @@ def apply_ls(
         picks = rng.sample(len(others), count - 1)
         chosen.extend(others[int(p)] for p in picks)
     for index in chosen:
-        individual = Individual(genotypes[index], keys[index])
-        result = improve(individual, config, evaluator, mutate, rng, note)
+        individual = result = Individual(genotypes[index], keys[index])
+        if config.ls in ("ls1", "ls3"):
+            result = ls_mutation(result, evaluator, mutate, rng, config.ls_trials, note)
+        if config.ls in ("ls2", "ls3"):
+            result = ls_bitflip(result, evaluator, note)
         if result is not individual:
             genotypes[index] = result.genotype
             keys[index] = result.key

@@ -25,7 +25,7 @@ from boolevo.encodings import ROTATION, random_tree, tree_truth_bits
 from boolevo.engine import RunConfig, run
 from boolevo.evaluation import FitnessEvaluator, Individual, spectrum_key
 from boolevo.harness import BOXPLOT_FILE, RECORDS_FILE, SUMMARY_FILE, Campaign, run_campaign
-from boolevo.localsearch import LsConfig, improve, ls_bitflip
+from boolevo.localsearch import apply_ls, ls_bitflip
 from boolevo.operators import make_operators
 from boolevo.orbits import compute_orbits, expand, orbit_count
 from boolevo.truthtable import (
@@ -248,29 +248,33 @@ def test_criterion_09_local_search_monotone_and_flip_optimal():
     violations = 0
     checked = 0
 
-    def check(encoding, mode, n, genotype, config):
+    def check(encoding, mode, n, genotype, variant):
+        # apply_ls on a one-slot population: the slot is the best, so no
+        # sample is drawn, and the draws are those of the stage(s) alone
         nonlocal violations, checked
         ev = FitnessEvaluator(n, encoding, mode, decode=2)
         mutate, _ = make_operators(encoding, n)
-        start = Individual(genotype, ev.evaluate(genotype))
-        out = improve(start, config, ev, mutate, rng)
+        start = ev.evaluate(genotype)
+        genotypes, keys = [genotype] if encoding == "tree" else np.array([genotype]), [start]
+        config = RunConfig(n, encoding, mode, decode=2, ls=variant, ls_fraction=1.0, ls_trials=10)
+        apply_ls(genotypes, keys, config, ev, mutate, rng)
         checked += 1
-        if out.key < start.key:
+        if keys[0] < start:
             violations += 1
 
     variants = ("ls1", "ls2", "ls3")
     for i in range(400):  # bitstring, general space
         n = 4 + i % 4
         bits = rng.bits(1 << n)
-        check("bitstring", "general", n, bits, LsConfig(variants[i % 3], trials=10))
+        check("bitstring", "general", n, bits, variants[i % 3])
     for i in range(300):  # bitstring, rotation-symmetric space
         n = (5, 7, 9)[i % 3]
         bits = rng.bits(compute_orbits(n).num_orbits)
-        check("bitstring", ROTATION, n, bits, LsConfig(variants[i % 3], trials=10))
+        check("bitstring", ROTATION, n, bits, variants[i % 3])
     for i in range(150):  # float vectors
-        check("float", "general", 5, rng.uniforms(16), LsConfig("ls1", trials=10))
+        check("float", "general", 5, rng.uniforms(16), "ls1")
     for i in range(150):  # trees
-        check("tree", "general", 5, random_tree(5, rng, 5), LsConfig("ls1", trials=10))
+        check("tree", "general", 5, random_tree(5, rng, 5), "ls1")
 
     # the sweep stage must land on 1-flip optima (independent re-evaluation)
     not_optimal = 0

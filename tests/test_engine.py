@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from boolevo.engine import (
     sst_step,
 )
 from boolevo.evaluation import EXHAUSTED_TARGET, BudgetExhausted, FitnessEvaluator, Individual
-from boolevo.localsearch import LsConfig, apply_ls
+from boolevo.localsearch import apply_ls
 from boolevo.orbits import is_rotation_symmetric
 from boolevo.truthtable import TruthTable, nonlinearity, spectrum_key, walsh_transform
 
@@ -70,6 +71,16 @@ def test_config_validation_rejects_bad_combinations():
         small_config(ls="ls9").validate()
     with pytest.raises(ValueError, match="^unknown algorithm 'ga'$"):
         small_config(algorithm="ga").validate()
+    # the ls options echo into every record, so they are checked without ls too
+    for bad, message in (
+        (dict(ls="ls4"), "unknown local search variant 'ls4'"),
+        (dict(ls=""), "unknown local search variant ''"),
+        (dict(ls_fraction=0.0), "ls fraction must be in (0, 1], got 0.0"),
+        (dict(ls="ls1", ls_fraction=1.5), "ls fraction must be in (0, 1], got 1.5"),
+        (dict(ls_trials=0), "ls trials must be an integer of at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**bad).validate()
     # a target above the bound on nonlinearity at n would only run out the
     # budget; the bound itself and the criteria's targets pass
     for n, target, bound in ((7, 59, "odd-n upper bound 58"), (9, 245, "odd-n upper bound 244"),
@@ -922,13 +933,7 @@ def test_population_rows_and_keys_agree_with_the_reference(space):
         if cfg.ls:
             in_ls[0] = True
             apply_ls(
-                state.genotypes,
-                state.keys,
-                LsConfig(cfg.ls, cfg.ls_fraction, cfg.ls_trials),
-                evaluator,
-                state.mutate,
-                state.rng,
-                state.note,
+                state.genotypes, state.keys, cfg, evaluator, state.mutate, state.rng, state.note
             )
             in_ls[0] = False
             _check_population(state)

@@ -1,6 +1,8 @@
 """Local search: monotonicity, exact optimality of the bit-flip climber, and
 budget accounting, all against brute-force replays."""
 
+import re
+
 import numpy as np
 import pytest
 from oracles import ls_mutation_per_trial, nonlinearity_by_distance
@@ -13,7 +15,8 @@ from boolevo.evaluation import (
     Individual,
     spectrum_key,
 )
-from boolevo.localsearch import LsConfig, apply_ls, improve, ls_bitflip, ls_mutation
+from boolevo.engine import RunConfig
+from boolevo.localsearch import apply_ls, ls_bitflip, ls_mutation
 from boolevo.operators import make_operators
 from boolevo.orbits import compute_orbits, expand
 from boolevo.truthtable import TruthTable, walsh_transform
@@ -31,18 +34,37 @@ def make_individual(bits, n, mode="general"):
     return Individual(bits, key_of(bits, n, mode))
 
 
-def test_ls_config_validation():
-    LsConfig("ls1")
-    with pytest.raises(ValueError):
-        LsConfig("ls4")
-    with pytest.raises(ValueError):
-        LsConfig("ls1", fraction=0.0)
-    with pytest.raises(ValueError):
-        LsConfig("ls1", trials=0)
-    # a NaN trial count would stop LS1 before its first probe
-    for trials in (float("nan"), 2.5, True):
-        with pytest.raises(ValueError, match="ls trials must be an integer"):
-            LsConfig("ls1", trials=trials)
+def improve_one_slot(start, ev, mutate, rng, n, **ls_options):
+    """``start`` improved by ``apply_ls`` as a population of one; one slot
+    makes no sample draw, so the draws are those of the stage(s) alone."""
+    genotypes, keys = np.array([start.genotype]), [start.key]
+    config = RunConfig(n, **{"ls_fraction": 1.0, **ls_options})
+    apply_ls(genotypes, keys, config, ev, mutate, rng)
+    return Individual(genotypes[0], keys[0])
+
+
+def test_apply_ls_refuses_bad_ls_options():
+    rng = Draws(80)
+    ev = FitnessEvaluator(5, "bitstring")
+    mutate, _ = make_operators("bitstring", 5)
+    start = make_individual(rng.bits(32), 5)
+    improve_one_slot(start, ev, mutate, rng, 5, ls="ls1")
+    word = Draws(80).below(1 << 30)
+    trials = "ls trials must be an integer of at least 1, got "
+    # a config that skipped validate is refused in one line, before any
+    # draw or charge; a NaN trial count would stop LS1 before its first probe
+    for options, message in (
+        (dict(ls="ls4"), "unknown local search variant 'ls4'"),
+        (dict(ls="ls1", ls_fraction=0.0), "ls fraction must be in (0, 1], got 0.0"),
+        (dict(ls="ls1", ls_trials=0), trials + "0"),
+        (dict(ls="ls1", ls_trials=float("nan")), trials + "nan"),
+        (dict(ls="ls1", ls_trials=2.5), trials + "2.5"),
+        (dict(ls="ls1", ls_trials=True), trials + "True"),
+    ):
+        rng, evaluations = Draws(80), ev.evaluations
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            improve_one_slot(start, ev, mutate, rng, 5, **options)
+        assert ev.evaluations == evaluations and rng.below(1 << 30) == word
 
 
 def test_ls_mutation_never_worsens_any_encoding():
@@ -223,17 +245,17 @@ def test_ls_bitflip_improves_nonlinearity_not_just_key():
     assert out.key >> 4 >= nonlinearity_by_distance(bits)
 
 
-def test_improve_dispatches_variants():
+def test_apply_ls_runs_each_variant_on_one_slot():
     rng = Draws(85)
     ev = FitnessEvaluator(5, "bitstring")
     mutate, _ = make_operators("bitstring", 5)
     bits = rng.bits(32)
     start = make_individual(bits, 5)
     for variant in ("ls1", "ls2", "ls3"):
-        out = improve(start, LsConfig(variant, trials=5), ev, mutate, rng)
+        out = improve_one_slot(start, ev, mutate, rng, 5, ls=variant, ls_trials=5)
         assert out.key >= start.key
     # ls3 output must be one-flip optimal (it ends with the sweep stage)
-    out = improve(start, LsConfig("ls3", trials=5), ev, mutate, rng)
+    out = improve_one_slot(start, ev, mutate, rng, 5, ls="ls3", ls_trials=5)
     for j in range(32):
         flipped = out.genotype.copy()
         flipped[j] ^= 1
@@ -253,7 +275,7 @@ def test_apply_ls_touches_best_plus_fraction():
     def note(ind):
         touched.append(ind)
 
-    apply_ls(genotypes, keys, LsConfig("ls2", fraction=0.15), ev, mutate, rng, note)
+    apply_ls(genotypes, keys, RunConfig(5, ls="ls2", ls_fraction=0.15), ev, mutate, rng, note)
     # ceil(0.15 * 20) = 3 slots treated; none may worsen
     changed = sum(1 for old, key in zip(keys_before, keys) if key != old)
     assert changed <= 3
@@ -266,7 +288,7 @@ def test_apply_ls_touches_best_plus_fraction():
     # an empty population is left as it is, with no draw and no charge
     evaluations, word = ev.evaluations, Draws(86).below(1 << 30)
     rng = Draws(86)
-    apply_ls(np.empty((0, 32), np.uint8), [], LsConfig("ls2"), ev, mutate, rng, note)
+    apply_ls(np.empty((0, 32), np.uint8), [], RunConfig(5, ls="ls2"), ev, mutate, rng, note)
     assert ev.evaluations == evaluations and rng.below(1 << 30) == word
 
 

@@ -71,3 +71,6 @@ def test_traced_runs_charge_every_evaluation_once():
     # a de_step span is a generation: 19 whole ones, and one cut at its first trial
     assert metrics["engine.de_step.calls"] == 20
     assert metrics["localsearch.apply_ls.calls"] > 0 and metrics["evaluation.try_flip.calls"] > 0
+    # and each stage reached its climbs through the wrapped ls_mutation and commit
+    assert metrics["localsearch.ls1_accept_ratio"] > 0
+    assert metrics["localsearch.ls2_commit_ratio"] > 0
