@@ -9,10 +9,11 @@ a scalar ``Generator`` call.  Vector draws (:meth:`~Draws.bits`,
 which the blocks share.
 
 Uniforms can also be owed (:meth:`~Draws.owe_uniforms`) and taken later as
-one array (:meth:`~Draws.owed_uniforms`).  The generator draws what is owed
-before it is read for anything else, a refill or a vector draw, so the
-values are the words that a ``uniforms`` call at each point of owing would
-have read, and every later draw is the same.
+one array (:meth:`~Draws.owed_uniforms`).  Every read of the generator, a
+refill, a vector draw or a take, goes through one gate,
+:meth:`~Draws._source`, which first draws what is owed.  So the values are
+the words that a ``uniforms`` call at each point of owing would have read,
+and every later draw is the same.
 
 ``below`` is Lemire's exact bounded draw ("Fast random integer generation in
 an interval", ACM TOMACS 2019) and ``uniform`` is numpy's own double, so
@@ -53,15 +54,16 @@ class Draws:
         self._owed = 0  # uniforms owed and not yet drawn
         self._settled: list[np.ndarray] = []  # uniforms owed and drawn, not yet taken
 
-    def _settle(self) -> None:
-        """Draw the owed uniforms, before anything else reads the generator."""
-        self._settled.append(self._generator.random(self._owed))
-        self._owed = 0
+    def _source(self) -> np.random.Generator:
+        """The wrapped generator, once it has drawn every owed uniform: the
+        only way to it, so no read comes between a debt and its values."""
+        if self._owed:
+            self._settled.append(self._generator.random(self._owed))
+            self._owed = 0
+        return self._generator
 
     def _refill(self) -> None:
-        if self._owed:
-            self._settle()
-        raw = self._generator.bit_generator.random_raw(BLOCK_WORDS)
+        raw = self._source().bit_generator.random_raw(BLOCK_WORDS)
         self._words.extend(raw[::-1].tolist())
 
     def below(self, k: int) -> int:
@@ -103,36 +105,30 @@ class Draws:
 
         The words are read as little-endian bytes on every platform.
         """
-        if self._owed:
-            self._settle()
-        words = self._generator.bit_generator.random_raw((length + 63) // 64)
+        words = self._source().bit_generator.random_raw((length + 63) // 64)
         return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=length)
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` uniform float64 values in ``[0, 1)``."""
-        if self._owed:
-            self._settle()
-        return self._generator.random(count)
+        return self._source().random(count)
 
     def owe_uniforms(self, count: int) -> None:
         """Owe ``count`` uniforms: the values that ``uniforms(count)`` would
-        give here, drawn when the generator is next read and taken with
-        :meth:`owed_uniforms`.  Scalar draws from the current block do not
-        read the generator, so they may come between."""
+        give here, taken with :meth:`owed_uniforms`.  Scalar draws from the
+        current block do not read the generator, so they may come between."""
         self._owed += count
 
     def owed_uniforms(self) -> np.ndarray:
         """Every uniform owed since the last take, in the order owed, as one
         float64 array."""
-        self._settle()
-        values, self._settled = self._settled, []
+        self._source()
+        # nothing owed since the last take: an empty array
+        values, self._settled = self._settled or [np.empty(0)], []
         return values[0] if len(values) == 1 else np.concatenate(values)
 
     def permutation(self, x):
         """A random permutation of ``range(x)`` for an int, else of the array ``x``."""
-        if self._owed:
-            self._settle()
-        return self._generator.permutation(x)
+        return self._source().permutation(x)
 
     def shuffle(self, view: np.ndarray) -> None:
         """Reorder the 1-D array ``view`` in place.
@@ -141,12 +137,8 @@ class Draws:
         ``view`` ends as ``view[permutation(len(view))]`` would be, and the
         generator in the same state.
         """
-        if self._owed:
-            self._settle()
-        self._generator.shuffle(view)
+        self._source().shuffle(view)
 
     def sample(self, k: int, m: int) -> np.ndarray:
         """``m`` distinct values from ``range(k)``, in random order."""
-        if self._owed:
-            self._settle()
-        return self._generator.choice(k, size=m, replace=False)
+        return self._source().choice(k, size=m, replace=False)

@@ -330,7 +330,12 @@ def check_genotype(
         )
     if encoding == "bitstring":
         return _check_bits(values, "bitstring entries")
-    if values.dtype.kind not in "iuf":  # a bool is no float option either (is_real)
+    # a bool is no float option either (is_real); np.asarray casts one
+    # that sits among numbers in a list, so the list is searched for it
+    has_bool = isinstance(genotype, (list, tuple)) and any(
+        isinstance(value, (bool, np.bool_)) for value in genotype
+    )
+    if has_bool or values.dtype.kind not in "iuf":
         raise ValueError("float genotype entries must be numbers")
     if not ((values >= 0.0) & (values <= 1.0)).all():
         raise ValueError("float genotype entries must be finite and lie in [0, 1]")

@@ -153,6 +153,7 @@ VECTOR_DRAWS = {
     "permutation": lambda draws: draws.permutation(9).tolist(),
     "shuffle": _shuffled,
     "sample": lambda draws: draws.sample(20, 4).tolist(),
+    "refill": lambda draws: [draws.below(9) for _ in range(4)],  # 3 words left
 }
 
 

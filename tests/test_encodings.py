@@ -219,6 +219,7 @@ BAD_GENOTYPES = {
     "float rs length": ("float", 5, ROTATION, 2, [0.5] * 3),
     "tree in rs mode": ("tree", 3, ROTATION, 3, ("AND", 1, 2)),
     "float bools": ("float", 3, GENERAL, 2, [True, False, True, False]),
+    "float bool in a list": ("float", 3, GENERAL, 2, [True, 0.5, 0.5, 0.5]),
 }
 
 
